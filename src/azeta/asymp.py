@@ -20,12 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError
 from .homog import HomogeneousFunction
+from .special import bernoulli_numbers
 from .theta import theta_phi
 from .volume import volume_exp_integral
 from .zeta import _caches, zeta_negative_integers
@@ -113,18 +113,6 @@ def remainder_check(phi: HomogeneousFunction, ray_angle: float, n_terms: int,
     )
     threshold = n_terms + 1.0 - eps - 0.15
     return RemainderReport(rows, slope, threshold, slope >= threshold)
-
-
-def bernoulli_numbers(count: int) -> list:
-    """B_0 .. B_count as exact fractions, from the defining recursion
-    sum_{j<=m} C(m+1, j) B_j = 0."""
-    bs = [Fraction(1)]
-    for m in range(1, count + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bs[j]
-        bs.append(-acc / (m + 1))
-    return bs
 
 
 @dataclass(frozen=True)

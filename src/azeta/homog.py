@@ -21,6 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InternalInvariantError
+from .lattice import box_rows, box_size
 from .matflow import GeneratorMatrix
 
 __all__ = [
@@ -90,17 +91,17 @@ class HomogeneousFunction:
         """
         if self._lattice_min is None:
             n = self.dim
-            first = _box_lattice(np.ones(n, dtype=int))
+            first = box_rows(np.ones(n, dtype=int), nonzero=True)
             best = float(np.min(self.evaluate_many(first)))
             _, _, c3, _ = self.growth()
             beta = self.generator.beta
             radius = max(1.0, (best / c3) ** beta)
             box = np.full(n, int(math.ceil(radius)), dtype=int)
-            if np.prod(2.0 * box + 1.0) > 4e6:
+            if box_size(box) > 4e6:
                 raise InternalInvariantError(
                     "lattice minimum search box is implausibly large"
                 )
-            pts = _box_lattice(box)
+            pts = box_rows(box, nonzero=True)
             self._lattice_min = float(np.min(self.evaluate_many(pts)))
         return self._lattice_min
 
@@ -118,15 +119,6 @@ class HomogeneousFunction:
     def count_strict(self, points: np.ndarray, r: float) -> int:
         """Number of rows with φ(row) < r, strict."""
         return int(np.count_nonzero(self.evaluate_many(points) < r))
-
-
-def _box_lattice(bounds: np.ndarray) -> np.ndarray:
-    """All nonzero integer vectors in prod [-B_i, B_i] (rows)."""
-    axes = [np.arange(-int(b), int(b) + 1) for b in bounds]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    keep = np.any(pts != 0, axis=1)
-    return pts[keep].astype(float)
 
 
 # ---------------------------------------------------------------------------

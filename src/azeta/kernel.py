@@ -33,6 +33,7 @@ from .homog import (
     QuadraticForm,
     Scaled,
 )
+from .lattice import grid_rows
 from .quadrature import box_integral
 
 __all__ = ["Kernel", "SampledTransform", "SeparableTransform", "fourier_transform"]
@@ -538,9 +539,7 @@ def fourier_transform(kernel: Kernel, *, floor_rel: float | None = None):
         axes = [_odd_grid(r, hi) for r, hi in zip(radii, h)]
         if any(a.size > _MAX_GRID_ND for a in axes):
             break
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        g = kernel.evaluate_many(pts).reshape([a.size for a in axes])
+        g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
         axes_y, hat = _fft_grid(g, h)
         mags = np.abs(hat)
         scale = float(mags.max())
@@ -566,10 +565,8 @@ def fourier_transform(kernel: Kernel, *, floor_rel: float | None = None):
     for axis in range(n):
         if axes_f[axis].size > 2 * _MAX_GRID_ND:
             axes_f[axis] = _odd_grid(radii[axis], (2.0 * radii[axis]) / (2 * _MAX_GRID_ND - 1))
-    mesh = np.meshgrid(*axes_f, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
     shape = [a.size for a in axes_f]
-    g_fine = kernel.evaluate_many(pts).reshape(shape)
+    g_fine = kernel.evaluate_many(grid_rows(axes_f)).reshape(shape)
     spacing_f = np.asarray([a[1] - a[0] for a in axes_f])
 
     g_coarse = g_fine[tuple(slice(None, None, 2) for _ in range(n))]

@@ -194,7 +194,7 @@ def _check_overlap(phi):
                 f"direct vs continued at s={s:.3g}: gap {gap:.2e} <= {slack:.2e}")
 
 
-def _check_theta_jacobi(phi):
+def _check_theta_monotone(phi):
     """theta(phi, iw) stays positive and decreasing along w; cheap sanity."""
     values = [theta_phi(phi, w).value.real for w in (0.5, 1.0, 2.0)]
     ok = values[0] > values[1] > values[2] > 1.0
@@ -220,6 +220,6 @@ def verify_suite(phi: HomogeneousFunction, seed: int = 11) -> list:
         _guard("conjugate symmetry", lambda: _check_conjugate_symmetry(phi)),
         _guard("kernel independence", lambda: _check_kernel_independence(phi)),
         _guard("overlap consistency", lambda: _check_overlap(phi)),
-        _guard("theta monotone on the ray", lambda: _check_theta_jacobi(phi)),
+        _guard("theta monotone on the ray", lambda: _check_theta_monotone(phi)),
     ]
     return rows

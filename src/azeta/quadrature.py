@@ -14,11 +14,11 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import BudgetExceededError
+from .lattice import grid_rows, slabs
 
 __all__ = [
     "gl_nodes",
     "panel_points",
-    "integrate_1d",
     "graded_edges",
     "symmetric_edges",
     "refine_edges",
@@ -47,18 +47,6 @@ def panel_points(edges: np.ndarray, n: int):
     return pts, wts
 
 
-def integrate_1d(f, edges: np.ndarray, n_hi: int = 24, n_lo: int = 12):
-    """Integrate a vectorized scalar function over the panels given by `edges`.
-
-    Returns (value, error_estimate) where the estimate is |GL(n_hi) - GL(n_lo)|.
-    """
-    pts_hi, wts_hi = panel_points(edges, n_hi)
-    pts_lo, wts_lo = panel_points(edges, n_lo)
-    hi = np.dot(np.asarray(f(pts_hi)), wts_hi)
-    lo = np.dot(np.asarray(f(pts_lo)), wts_lo)
-    return hi, abs(hi - lo)
-
-
 def graded_edges(radius: float, levels: int) -> np.ndarray:
     """Panel edges on [0, radius], geometrically graded toward 0.
 
@@ -83,70 +71,60 @@ def refine_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _tensor_sum(f, pts_list, wts_list, chunk: int) -> float:
-    dims = len(pts_list)
-    if dims == 1:
-        vals = np.asarray(f(pts_list[0][:, None]))
-        return float(np.dot(vals, wts_list[0]))
-    rest = np.meshgrid(*pts_list[1:], indexing="ij")
-    rest_stack = np.stack([g.ravel() for g in rest], axis=-1)
-    rest_w = wts_list[1]
-    for wv in wts_list[2:]:
+# box_integral settings: grading levels, Gauss order per panel, refinement
+# rounds, evaluation budget, and the row chunk of the tensor sum.  The chunk
+# sums add in order, so _CHUNK is part of the summation order.
+_LEVELS = 7
+_ORDER = 16
+_MAX_ROUNDS = 3
+_MAX_EVALS = 4e7
+_CHUNK = 1 << 19
+
+
+def _tensor_sum(f, pts_list, wts_list) -> float:
+    """Σ f(x) Π_i w_i over the tensor grid, walked in first-axis chunks."""
+    rest_w = np.ones(1)
+    for wv in wts_list[1:]:
         rest_w = np.outer(rest_w, wv).ravel()
-    m = rest_stack.shape[0]
-    step = max(1, chunk // max(m, 1))
-    x0, w0 = pts_list[0], wts_list[0]
+    w0 = wts_list[0]
     total = 0.0
-    for i in range(0, x0.size, step):
-        xs = x0[i : i + step]
-        block = np.empty((xs.size * m, dims))
-        block[:, 0] = np.repeat(xs, m)
-        block[:, 1:] = np.tile(rest_stack, (xs.size, 1))
-        vals = np.asarray(f(block)).reshape(xs.size, m)
-        total += float(np.dot(w0[i : i + step], vals @ rest_w))
+    for slab in slabs([p.size for p in pts_list], _CHUNK):
+        vals = np.asarray(f(grid_rows(pts_list, slab))).reshape(-1, rest_w.size)
+        total += float(np.dot(w0[slab], vals @ rest_w))
     return total
 
 
-def box_integral(
-    f,
-    radii,
-    levels: int = 7,
-    n: int = 16,
-    target: float | None = None,
-    max_rounds: int = 3,
-    max_evals: float = 4e7,
-    chunk: int = 1 << 19,
-):
+def box_integral(f, radii, target: float | None = None):
     """Integrate f over the box prod_i [-radii[i], radii[i]] with refinement control.
 
     Per-axis panels are graded toward 0 and refined globally until two successive
     values agree to `target` (or rounds run out).  Returns (value, error_estimate,
     evaluations).  Raises BudgetExceededError, carrying the best value so far, if a
-    refinement would exceed `max_evals` point evaluations before reaching `target`.
+    refinement would exceed `_MAX_EVALS` point evaluations before reaching `target`.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
-    edges = [symmetric_edges(r, levels) for r in radii]
+    edges = [symmetric_edges(r, _LEVELS) for r in radii]
 
     def npoints(eds):
         out = 1
         for e in eds:
-            out *= (e.size - 1) * n
+            out *= (e.size - 1) * _ORDER
         return out
 
-    if npoints(edges) > max_evals:
+    if npoints(edges) > _MAX_EVALS:
         raise BudgetExceededError("box integral budget exceeded before first pass")
 
     def evaluate(eds):
-        pts, wts = zip(*(panel_points(e, n) for e in eds))
-        return _tensor_sum(f, list(pts), list(wts), chunk)
+        pts, wts = zip(*(panel_points(e, _ORDER) for e in eds))
+        return _tensor_sum(f, pts, wts)
 
     evals = npoints(edges)
     value = evaluate(edges)
     err = np.inf
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         finer = [refine_edges(e) for e in edges]
         cost = npoints(finer)
-        if evals + cost > max_evals:
+        if evals + cost > _MAX_EVALS:
             raise BudgetExceededError(
                 "box integral budget exceeded", best_value=value, best_error=err
             )

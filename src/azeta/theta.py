@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, DivergenceError
+from .lattice import box_size, shell
 from .matflow import GeneratorMatrix
 
 __all__ = ["BoundedValue", "theta_star_matrix", "theta_phi", "jacobi_residual"]
@@ -42,18 +42,6 @@ class BoundedValue:
 
     def combine_kind(self, other: "BoundedValue") -> str:
         return RIGOROUS if self.kind == other.kind == RIGOROUS else ESTIMATED
-
-
-@lru_cache(maxsize=256)
-def _shell_offsets(dim: int, m: int) -> tuple:
-    """Integer vectors with sup norm exactly m, as a cached array."""
-    if m == 0:
-        return (np.zeros((0, dim), dtype=np.int64),)
-    axes = [np.arange(-m, m + 1)] * dim
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    keep = np.max(np.abs(pts), axis=1) == m
-    return (pts[keep],)
 
 
 def _shell_count(dim: int, m: int) -> int:
@@ -108,7 +96,7 @@ def _tensor_theta_star(generator: GeneratorMatrix, func, t: float):
     grid = func.evaluate_grid(axes_points)
     center = tuple(k for k in k_axis)
     total = complex(grid.sum() - grid[center])
-    count = int(np.prod([2 * k + 1 for k in k_axis]) - 1)
+    count = int(box_size(k_axis)) - 1
 
     # out-of-box remainder via the product decay model
     tau = max(func.decay_tau, 1.5 * generator.dim)
@@ -154,11 +142,11 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
     total = 0.0
     evaluated = 0
     for m in range(1, max_shell + 1):
-        shell = _shell_offsets(dim, m)[0]
-        pts = shell.astype(float) @ flow.T
+        offsets = shell(dim, m)
+        pts = offsets @ flow.T
         vals = func.evaluate_many(pts)
         total += float(np.sum(vals))
-        evaluated += shell.shape[0]
+        evaluated += offsets.shape[0]
         tail, rigorous = _lattice_tail(func, sigma_min, m + 1, dim)
         if tail <= target:
             err = tail + _grid_sum_error(func, evaluated)
@@ -187,8 +175,7 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     dim = phi.dim
     total = 1.0 + 0.0j
     for m in range(1, 100000):
-        shell = _shell_offsets(dim, m)[0].astype(float)
-        vals = phi.evaluate_many(shell)
+        vals = phi.evaluate_many(shell(dim, m))
         total += complex(np.sum(np.exp(-w * vals)))
         # every shell j >= m+1 sits at φ >= c3 j^{1/beta}
         tail = 0.0

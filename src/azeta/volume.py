@@ -27,6 +27,7 @@ from scipy.special import gamma as _gamma
 from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction
 from .kernel import Kernel
+from .lattice import box_rows, box_size, slabs
 from .theta import ESTIMATED, BoundedValue
 
 __all__ = [
@@ -102,44 +103,33 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
 def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     """Exact #{omega in Z^n : phi(omega) < r}, strict inequality.
 
-    Enumerates the certified box in slabs along the first axis; slab counts
-    are integers, so the reduction is exact in any order.  The comparison
-    itself is each variant's count_strict: integer quadratic forms compare
-    in int64, superellipses recheck the float fence with exact integers,
-    everything else compares computed float values (a tie at the boundary
-    can then land either way).
+    Enumerates the certified box in first-axis slabs from `lattice.slabs`,
+    in the row order that `lattice` fixes; slab counts are integers, so the
+    reduction is exact in any order.  The comparison itself is each
+    variant's count_strict: integer quadratic forms compare in int64,
+    superellipses recheck the float fence with exact integers, everything
+    else compares computed float values (a tie at the boundary can then
+    land either way).
     """
     if not (r > 0.0) or not math.isfinite(r):
         raise DomainError(f"radius must be positive and finite, got {r}")
     box = phi.lattice_box(r)
-    total_pts = float(np.prod(2.0 * box.astype(float) + 1.0))
+    total_pts = box_size(box)
     if total_pts > _COUNT_BUDGET:
         raise BudgetExceededError(
             f"lattice box holds {total_pts:.3g} points, over the "
             f"{_COUNT_BUDGET:.0e} budget"
         )
-    first = np.arange(-int(box[0]), int(box[0]) + 1)
-    if phi.dim == 1:
-        return phi.count_strict(first[:, None].astype(float), r)
 
-    axes = [np.arange(-int(b), int(b) + 1) for b in box[1:]]
-    grid = np.meshgrid(*axes, indexing="ij")
-    rest = np.stack([g.ravel() for g in grid], axis=-1)
-    slab_rows = max(1, int(4e6 / max(1, rest.shape[0])))
+    def count_slab(slab: slice) -> int:
+        return phi.count_strict(box_rows(box, slab), r)
 
-    def count_slab(lo: int) -> int:
-        sl = first[lo:lo + slab_rows]
-        pts = np.empty((sl.size, rest.shape[0], phi.dim))
-        pts[:, :, 0] = sl[:, None]
-        pts[:, :, 1:] = rest[None, :, :]
-        return phi.count_strict(pts.reshape(-1, phi.dim), r)
-
-    starts = list(range(0, first.size, slab_rows))
-    workers = min(_thread_count(), len(starts))
+    parts = slabs(2 * box + 1)
+    workers = min(_thread_count(), len(parts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(count_slab, starts))
-    return sum(count_slab(lo) for lo in starts)
+            return sum(pool.map(count_slab, parts))
+    return sum(count_slab(slab) for slab in parts)
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,7 @@ def counting_limit_scan(phi: HomogeneousFunction, r_schedule=None,
     rows = []
     for r in r_schedule:
         box = phi.lattice_box(float(r))
-        over = float(np.prod(2.0 * box.astype(float) + 1.0)) > _COUNT_BUDGET
+        over = box_size(box) > _COUNT_BUDGET
         if over and default_schedule:
             # the default schedule trims itself to the budget; an explicit
             # schedule gets the budget error from lattice_count instead

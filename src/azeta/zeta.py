@@ -36,6 +36,7 @@ from .homog import (
     Scaled,
 )
 from .kernel import Kernel, fourier_transform
+from .lattice import box_rows, box_size, slabs
 from .quadrature import gl_nodes
 from .special import gamma as gamma_fn
 from .theta import ESTIMATED, RIGOROUS, BoundedValue, theta_star_matrix
@@ -85,6 +86,12 @@ def _caches(phi: HomogeneousFunction) -> dict:
 _HEAD_CAP = 1.0e4  # φ below this is kept in float64, above in float32
 
 
+def _isotropic(phi: HomogeneousFunction) -> bool:
+    """Whether the generator of φ is a multiple of the identity."""
+    entries = phi.generator.entries
+    return bool(np.allclose(entries, entries[0, 0] * np.eye(phi.dim)))
+
+
 def _default_box_budget(phi: HomogeneousFunction) -> float:
     """Enumeration budget sized to the counting-fluctuation scale of φ.
 
@@ -94,17 +101,13 @@ def _default_box_budget(phi: HomogeneousFunction) -> float:
     """
     if phi.dim == 1:
         return 4e6
-    entries = phi.generator.entries
-    isotropic = np.allclose(entries, entries[0, 0] * np.eye(phi.dim))
-    return 2.5e7 if isotropic else 5.5e7
+    return 2.5e7 if _isotropic(phi) else 5.5e7
 
 
 def _fluct_exponent(phi: HomogeneousFunction) -> float:
     if phi.dim == 1:
         return 0.0
-    entries = phi.generator.entries
-    isotropic = np.allclose(entries, entries[0, 0] * np.eye(phi.dim))
-    return 0.35 if isotropic else 0.5
+    return 0.35 if _isotropic(phi) else 0.5
 
 
 def _sorted_log_values(phi: HomogeneousFunction, box_budget: float):
@@ -114,7 +117,8 @@ def _sorted_log_values(phi: HomogeneousFunction, box_budget: float):
     tail is float32 logs for the rest.  The split keeps tens of millions of
     values affordable; float32 noise on log φ perturbs each term by a relative
     ~|s| 1e-6, harmless beyond the cap where terms are already below 1e-5.
-    Cached on φ; a larger budget rebuilds.
+    The box is walked in slabs by `lattice.slabs`; the sort makes the result
+    independent of the slab size.  Cached on φ; a larger budget rebuilds.
     """
     cache = _caches(phi)
     entry = cache.get("lattice_logs")
@@ -123,40 +127,23 @@ def _sorted_log_values(phi: HomogeneousFunction, box_budget: float):
     t_max = 1.0
     while True:
         box = phi.lattice_box(2.0 * t_max)
-        if float(np.prod(2.0 * box.astype(float) + 1.0)) > box_budget:
+        if box_size(box) > box_budget:
             break
         t_max *= 2.0
     for frac in (1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1):
         box = phi.lattice_box(frac * t_max)
-        if float(np.prod(2.0 * box.astype(float) + 1.0)) <= box_budget:
+        if box_size(box) <= box_budget:
             t_max *= frac
             break
     box = phi.lattice_box(t_max)
     head = []
     tail = []
-
-    def keep(vals):
+    for slab in slabs(2 * box + 1):
+        vals = phi.evaluate_many(box_rows(box, slab, nonzero=True))
         vals = vals[vals < t_max]
         low = vals < _HEAD_CAP
         head.append(np.log(vals[low]))
         tail.append(np.log(vals[~low]).astype(np.float32))
-
-    if phi.dim == 1:
-        pts = np.arange(1, box[0] + 1, dtype=float)[:, None]
-        keep(np.concatenate([phi.evaluate_many(pts), phi.evaluate_many(-pts)]))
-    else:
-        axis0 = np.arange(-box[0], box[0] + 1)
-        rest = [np.arange(-b, b + 1) for b in box[1:]]
-        rest_mesh = np.meshgrid(*rest, indexing="ij")
-        rest_pts = np.stack([m.ravel() for m in rest_mesh], axis=-1).astype(float)
-        slab_rows = max(1, int(4_000_000 // max(1, rest_pts.shape[0])))
-        for start in range(0, axis0.size, slab_rows):
-            chunk = axis0[start:start + slab_rows]
-            reps = np.repeat(chunk.astype(float), rest_pts.shape[0])
-            tile = np.tile(rest_pts, (chunk.size, 1))
-            pts = np.concatenate([reps[:, None], tile], axis=1)
-            nz = np.any(pts != 0.0, axis=1)
-            keep(phi.evaluate_many(pts[nz]))
     head = np.sort(np.concatenate(head))
     tail = np.sort(np.concatenate(tail))
     cache["lattice_logs"] = (t_max, head, tail, box_budget)
@@ -188,7 +175,7 @@ def _window_coefficient(alpha: float, s: complex) -> complex:
     return complex(np.sum(0.25 * w * vals)) + 1.0 / (s - alpha)
 
 
-def _near_pole_data(phi: HomogeneousFunction, s: complex):
+def _near_pole_data(phi: HomogeneousFunction):
     res = residue_at_alpha(phi)
     alpha = phi.alpha
     locals_ = []
@@ -200,8 +187,8 @@ def _near_pole_data(phi: HomogeneousFunction, s: complex):
     return res.value, c0
 
 
-def _near_pole_value(phi, s: complex, kind: str):
-    residue, constant = _near_pole_data(phi, s)
+def _near_pole_value(phi, s: complex):
+    residue, constant = _near_pole_data(phi)
     dist = abs(s - phi.alpha)
     if dist == 0.0:
         raise DomainError(
@@ -236,7 +223,7 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
             f"ζ(φ,s) diverges for Re s <= α = {alpha:.6g}, got {s}"
         )
     if abs(s - alpha) < _NEAR_POLE:
-        return _near_pole_value(phi, s, ESTIMATED)
+        return _near_pole_value(phi, s)
 
     gen = phi.generator
     beta_n = gen.beta * phi.dim
@@ -324,16 +311,7 @@ def _rigorous_box(phi, re_s: float, c3: float, target: float):
 
 
 def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
-    dim = phi.dim
-    axes = [np.arange(-m_box, m_box + 1)] * dim
-    if dim == 1:
-        pts = axes[0][axes[0] != 0].astype(float)[:, None]
-        vals = phi.evaluate_many(pts)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
-        nz = np.any(pts != 0.0, axis=1)
-        vals = phi.evaluate_many(pts[nz])
+    vals = phi.evaluate_many(box_rows([m_box] * phi.dim, nonzero=True))
     total = complex(np.sum(np.exp(-s * np.log(vals))))
     return total, _integral_test_tail(phi, s.real, c3, m_box)
 
@@ -555,7 +533,7 @@ def zeta_continued(phi: HomogeneousFunction, s: complex, *,
     s = complex(s)
     alpha = phi.alpha
     if abs(s - alpha) < _NEAR_POLE:
-        return _near_pole_value(phi, s, ESTIMATED)
+        return _near_pole_value(phi, s)
     c = default_power(phi, max(0.0, -s.real)) if power is None else float(power)
     sc = s + c
     if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from azeta.lattice import box_rows, box_size, grid_rows, shell, slabs
+from oracles import lattice_points
+
+
+@pytest.mark.parametrize("dim,box", [(1, 7), (2, 5), (3, 3)])
+def test_nonzero_box_rows_match_oracle_row_for_row(dim, box):
+    got = box_rows([box] * dim, nonzero=True)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, lattice_points(dim, box))
+
+
+@pytest.mark.parametrize("box", [[6], [4, 3], [3, 2, 5]])
+def test_slabs_rebuild_the_box_under_the_cap(box):
+    sizes = 2 * np.asarray(box) + 1
+    rest = int(np.prod(sizes[1:]))
+    cap = 2 * rest + 1
+    parts = slabs(sizes, cap)
+    pieces = [box_rows(box, part) for part in parts]
+    assert len(parts) > 1
+    assert all(0 < p.shape[0] <= cap for p in pieces)
+    np.testing.assert_array_equal(np.concatenate(pieces), box_rows(box))
+
+
+def test_grid_rows_of_float_axes_slice_the_first_axis():
+    axes = [np.array([0.5, 1.5, 2.5]), np.array([-1.0, 2.0])]
+    full = grid_rows(axes)
+    assert full.tolist() == [[0.5, -1.0], [0.5, 2.0], [1.5, -1.0],
+                             [1.5, 2.0], [2.5, -1.0], [2.5, 2.0]]
+    np.testing.assert_array_equal(grid_rows(axes, slice(1, 3)), full[2:])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shells_partition_the_nonzero_box(dim):
+    top = 4
+    rings = []
+    for m in range(1, top + 1):
+        rows = shell(dim, m)
+        assert rows.shape == ((2 * m + 1) ** dim - (2 * m - 1) ** dim, dim)
+        box = box_rows([m] * dim)
+        np.testing.assert_array_equal(rows, box[np.max(np.abs(box), axis=1) == m])
+        assert not rows.flags.writeable
+        rings.append(rows)
+    together = sorted(map(tuple, np.concatenate(rings).tolist()))
+    whole = sorted(map(tuple, box_rows([top] * dim, nonzero=True).tolist()))
+    assert together == whole
+
+
+@pytest.mark.parametrize("box", [[0], [9], [2, 5], [1, 2, 3]])
+def test_box_size_counts_the_rows(box):
+    assert box_size(box) == box_rows(box).shape[0]
+    assert isinstance(box_size(box), float)
