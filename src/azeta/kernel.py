@@ -16,6 +16,9 @@ off-grid values use the same trapezoid sum directly (no interpolation), so the
 only errors are the domain tail and aliasing.  Aliasing is measured by halving
 the spacing and comparing (the trapezoid error for a sampled Schwartz-type
 function IS the aliasing sum, so this difference is the honest estimate).
+Lattice box sums Σ_k ĝ(s∘k) use the same trapezoid sum in closed form:
+summed over a box, its phases e^{-2πi x_i s_i k_i} give one real Dirichlet
+kernel per axis, so no ĝ value is formed.
 """
 
 from __future__ import annotations
@@ -215,12 +218,25 @@ def _nudft_points(axes_x, values, spacing, points):
         elif dim == 3:
             p1 = np.exp(-2j * math.pi * np.outer(axes_x[1], block[:, 1]))
             p2 = np.exp(-2j * math.pi * np.outer(axes_x[2], block[:, 2]))
-            w = np.tensordot(values, p2, axes=([2], [0]))
+            w = values @ p2
             w = np.einsum("jkm,km->jm", w, p1)
             out[start:start + chunk] = np.einsum("jm,jm->m", p0, w)
         else:
             raise DomainError("pointwise transform evaluation supports n <= 3")
     return vol * out
+
+
+def _dirichlet(u: np.ndarray, k: int) -> np.ndarray:
+    """D_K(u) = Σ_{|j| ≤ K} e^{-2πi j u} = sin((2K+1)πu) / sin(πu).
+
+    D_K has period 1, so u is first reduced to r = u - round(u); at r = 0
+    the removable singularity takes its value 2K+1.
+    """
+    r = u - np.round(u)
+    out = np.full(r.shape, 2.0 * k + 1.0)
+    hit = r != 0.0
+    out[hit] = np.sin((2 * k + 1) * math.pi * r[hit]) / np.sin(math.pi * r[hit])
+    return out
 
 
 def _band_ratio_mesh(axes_y, band) -> np.ndarray:
@@ -278,6 +294,10 @@ class SampledTransform:
         self.tail_error = float(tail_error)
         self.inherited_error = float(inherited_error)
         self.edge_level, self.decay_tau = self._fit_decay()
+        # ĝ(0) = h^n Σ g summed the way box_sum sums, so that subtracting it
+        # from a box sum drops the ω = 0 term consistently
+        self.center_term = self.box_sum(np.zeros(self.dim),
+                                        np.zeros(self.dim, dtype=int))
 
     # -- decay diagnostics ---------------------------------------------------
 
@@ -350,28 +370,17 @@ class SampledTransform:
                                     pts[inside])
         return out
 
-    def evaluate_grid(self, axes_points) -> np.ndarray:
-        """ĝ on a tensor grid given per-axis coordinates; complex array.
+    def box_sum(self, scales, box):
+        """Σ ĝ(s∘k) over the integer box |k_i| ≤ K_i, in closed form.
 
-        Out-of-band coordinates on any axis give zero rows/columns.
+        The sum over k of the trapezoid sum h^n Σ_x g(x) e^{-2πi <x, s∘k>}
+        is h^n Σ_x g(x) Π_i D_{K_i}(x_i s_i): one real Dirichlet vector per
+        axis, contracted into the samples last axis first.  Queries outside
+        the band are not masked; the caller keeps the box inside it.
         """
-        axes_points = [np.asarray(a, dtype=float) for a in axes_points]
-        if len(axes_points) != self.dim:
-            raise DomainError("need one coordinate array per axis")
-        phases = []
-        masks = []
-        for axis, q in enumerate(axes_points):
-            mask = np.abs(q) <= self.band[axis]
-            masks.append(mask)
-            p = np.exp(-2j * math.pi * np.outer(self.axes_x[axis], q))
-            p[:, ~mask] = 0.0
-            phases.append(p)
-        out = np.asarray(self.values, dtype=complex)
-        for p in reversed(phases):
-            # contract the last sample axis against its phase matrix
-            out = np.tensordot(out, p, axes=([out.ndim - 1], [0]))
-            out = np.moveaxis(out, -1, 0)
-        # axes got cycled back into original order by the moveaxis trick
+        out = self.values
+        for axis in reversed(range(self.dim)):
+            out = out @ _dirichlet(self.axes_x[axis] * scales[axis], box[axis])
         return out * float(np.prod(self.spacing))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -418,10 +427,7 @@ class SeparableTransform:
         self.edge_level = float(np.prod([max(f.edge_level, 1e-300) for f in self.factors])) ** (1.0 / self.dim)
         self.decay_tau = float(min(f.decay_tau for f in self.factors))
         self.real_even = all(f.real_even for f in self.factors)
-
-    def band_mask(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(np.abs(pts) <= self.band[None, :], axis=1)
+        self.center_term = math.prod(f.center_term for f in self.factors)
 
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -430,15 +436,10 @@ class SeparableTransform:
             out *= f.evaluate_points(pts[:, axis][:, None])
         return out
 
-    def evaluate_grid(self, axes_points) -> np.ndarray:
-        parts = [
-            f.evaluate_points(np.asarray(q, dtype=float)[:, None])
-            for f, q in zip(self.factors, axes_points)
-        ]
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.multiply.outer(out, p)
-        return out
+    def box_sum(self, scales, box):
+        """Σ ĝ(s∘k) over the box |k_i| ≤ K_i: the product of one-axis sums."""
+        return math.prod(f.box_sum(scales[i:i + 1], box[i:i + 1])
+                         for i, f in enumerate(self.factors))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate_points(points).real

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta as hurwitz_zeta
 
 from .errors import DomainError, DivergenceError
 from .lattice import box_size, shell
@@ -82,38 +83,37 @@ def _grid_sum_error(func, count_in_band: int) -> float:
 
 
 def _tensor_theta_star(generator: GeneratorMatrix, func, t: float):
-    """Fast path: diagonal flow and a transform with a tensor-grid evaluator.
+    """Fast path: diagonal flow and a transform with a closed-form box sum.
 
-    Sums ĝ over the full lattice box that the band admits, in one contraction
-    per axis, then subtracts the ω = 0 term.  Points beyond the box are out of
-    band; their total is bounded by the fitted decay model.
+    With scales s_i = t^{a_i}, the box |k_i| ≤ K_i = ⌊band_i / s_i⌋ holds
+    every lattice point whose image s∘k lies in the band, since
+    |s_i k_i| ≤ s_i K_i ≤ band_i.  The transform is a trapezoid sum, so
+    its sum over the box is h^n Σ_x g(x) Π_i D_{K_i}(x_i s_i) with
+    D_K(u) = sin((2K+1)πu) / sin(πu): one real contraction per axis.  The
+    ω = 0 term is then subtracted.  Points beyond the box are out of band;
+    their total is bounded by the fitted decay model.
     """
     a_diag = np.diag(generator.entries)
     scales = np.exp(a_diag * math.log(t))
     band = func.band
     k_axis = np.floor(band / scales).astype(int)
-    axes_points = [s * np.arange(-k, k + 1) for s, k in zip(scales, k_axis)]
-    grid = func.evaluate_grid(axes_points)
-    center = tuple(k for k in k_axis)
-    total = complex(grid.sum() - grid[center])
+    # complex: the samples of a transform() may be complex
+    total = complex(func.box_sum(scales, k_axis) - func.center_term)
     count = int(box_size(k_axis)) - 1
 
-    # out-of-box remainder via the product decay model
-    tau = max(func.decay_tau, 1.5 * generator.dim)
-    per_axis_in, per_axis_out = [], []
-    for s, k, b in zip(scales, k_axis, band):
-        j = np.arange(1, k + 4000)
-        r = np.maximum(s * j / b, 1.0) ** (-tau / generator.dim)
-        inside = 1.0 + 2.0 * float(np.sum(r[:k]))
-        outside = 2.0 * float(np.sum(r[k:]))
-        per_axis_in.append(inside)
-        per_axis_out.append(outside)
+    # out-of-box remainder via the product decay model: on each axis the
+    # in-box j (|j| ≤ K) count 1 apiece, and the out-of-box j count
+    # (s j / b)^{-p} out to j = K + 3999, a Hurwitz zeta difference
+    p = max(func.decay_tau, 1.5 * generator.dim) / generator.dim
+    inside = 2.0 * k_axis + 1.0
+    outside = 2.0 * (scales / band) ** (-p) * (
+        hurwitz_zeta(p, k_axis + 1) - hurwitz_zeta(p, k_axis + 4000))
     dropped = 0.0
     for i in range(generator.dim):
         others = math.prod(
-            per_axis_in[j] + per_axis_out[j] for j in range(generator.dim) if j != i
+            inside[j] + outside[j] for j in range(generator.dim) if j != i
         )
-        dropped += per_axis_out[i] * others
+        dropped += outside[i] * others
     dropped *= func.edge_level
 
     err = _grid_sum_error(func, count) + dropped + abs(total.imag)
@@ -129,11 +129,7 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError(f"flow time must be positive and finite, got {t}")
-    if (
-        generator.is_diagonal
-        and hasattr(func, "evaluate_grid")
-        and hasattr(func, "band")
-    ):
+    if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_theta_star(generator, func, t)
 
     flow = generator.flow(t)

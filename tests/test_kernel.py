@@ -5,7 +5,14 @@ import pytest
 
 from azeta.errors import DomainError
 from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm
-from azeta.kernel import Kernel, SeparableTransform, fourier_transform
+from azeta.kernel import (
+    Kernel,
+    SampledTransform,
+    SeparableTransform,
+    _nudft_points,
+    fourier_transform,
+)
+from azeta.lattice import box_rows
 
 
 def test_kernel_needs_exactly_one_exponent():
@@ -129,3 +136,69 @@ def test_band_trust_handles_anisotropic_corner_mass():
     ratio = _band_ratio_mesh(tr.axes_y, tr.band)
     shell = (ratio >= 0.85) & (ratio <= 1.0)
     assert mags[shell].max() <= 2e-8 * scale
+
+
+def _explicit_box_sum(tr, scales, box):
+    """(Σ ĝ(s∘k), Σ |ĝ(s∘k)|) over |k_i| ≤ K_i, one evaluate_points call."""
+    vals = tr.evaluate_points(box_rows(box) * np.asarray(scales)[None, :])
+    return vals.sum(), np.abs(vals).sum()
+
+
+def _boxes(tr):
+    """(scales, box) pairs whose images stay inside the band: a small box
+    with unequal axes, where every term counts, and the whole band."""
+    axes = np.arange(tr.dim)
+    small = (0.05 * tr.band * (1.0 + 0.3 * axes), 2 + axes)
+    scales = 0.37 * tr.band / (3 + axes)
+    return [small, (scales, np.floor(tr.band / scales).astype(int))]
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel(PNorm(1, 1.0), power=2.0),                      # 1-D sampled
+    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
+    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # separable
+], ids=["sampled-1d", "sampled-2d", "separable"])
+def test_box_sum_is_the_sum_over_the_box(kernel):
+    tr = fourier_transform(kernel)
+    for scales, box in _boxes(tr):
+        want, scale = _explicit_box_sum(tr, scales, box)
+        assert abs(tr.box_sum(scales, box) - want) <= 1e-12 * scale
+
+
+def test_box_sum_of_a_complex_transform():
+    # a shifted Gaussian is not even, so the samples of its transform are
+    # complex (and Hermitian, so the box sums of transform() are real)
+    x = np.arange(-60, 61) / 8.0
+    g = np.exp(-((x - 0.4) ** 2))
+    back = SampledTransform([x], g, [1.0 / 8.0], quad_error=0.0,
+                            tail_error=0.0).transform()
+    assert np.iscomplexobj(back.values)
+    for scales, box in _boxes(back):
+        want, scale = _explicit_box_sum(back, scales, box)
+        assert abs(back.box_sum(scales, box) - want) <= 1e-12 * scale
+
+
+def test_box_sum_of_the_empty_box_is_the_center_term():
+    for tr in (fourier_transform(Kernel(PNorm(1, 1.0), power=2.0)),
+               fourier_transform(Kernel(QuadraticForm(np.eye(2)), root=1.0))):
+        box = np.zeros(tr.dim, dtype=int)
+        got = tr.box_sum(np.full(tr.dim, 0.7), box)
+        assert got == tr.center_term
+        want, scale = _explicit_box_sum(tr, np.full(tr.dim, 0.7), box)
+        assert abs(got - want) <= 1e-12 * scale
+
+
+def test_box_sum_at_integer_phases():
+    # s h = 1 makes every x s an integer, where D_K(x s) = 2K + 1.  Those k
+    # lie beyond the Nyquist band, where evaluate_points returns 0, so the
+    # reference is the unmasked trapezoid sum that it evaluates in band.
+    h = 1.0 / 8.0
+    x = np.arange(-60, 61) * h
+    tr = SampledTransform([x], np.exp(-x * x), [h], quad_error=0.0,
+                          tail_error=0.0)
+    for box in ([0], [1], [4]):
+        pts = box_rows(box) / h
+        vals = _nudft_points(tr.axes_x, tr.values, tr.spacing, pts)
+        got = tr.box_sum([1.0 / h], box)
+        assert abs(got - vals.sum()) <= 1e-12 * np.abs(vals).sum()
+        assert got == pytest.approx((2 * box[0] + 1) * tr.center_term, rel=1e-15)

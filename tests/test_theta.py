@@ -82,3 +82,30 @@ def test_jacobi_rejects_nonpositive_time():
     k = Kernel(phi, root=2.0)
     with pytest.raises(DomainError):
         jacobi_residual(k.generator, k, k, 0.0)
+
+
+class _ShellOnly:
+    """A transform seen only through the generic interface of theta_star_matrix."""
+
+    def __init__(self, transform):
+        self._transform = transform
+        self.quad_error = transform.quad_error
+
+    def evaluate_many(self, points):
+        return self._transform.evaluate_many(points)
+
+    def decay_bound(self, radius):
+        return self._transform.decay_bound(radius)
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel(PNorm(1, 1.0), root=2.0),
+    Kernel(QuadraticForm(np.eye(2)), root=1.0),
+], ids=["sampled-1d", "separable-2d"])
+def test_box_sum_path_agrees_with_shell_path(kernel):
+    tr = fourier_transform(kernel)
+    generator = kernel.generator.transpose()
+    for t in (1.3, 2.7, 5.0):
+        fast = theta_star_matrix(generator, tr, t)
+        shells = theta_star_matrix(generator, _ShellOnly(tr), t)
+        assert abs(fast.value - shells.value) <= fast.error + shells.error

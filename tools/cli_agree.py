@@ -1,0 +1,87 @@
+"""Check that two source trees give zeta values that agree within their bars.
+
+    python3 tools/cli_agree.py PARENT_TREE
+
+A change that reorders a floating-point sum cannot keep the CLI outputs
+byte-identical; it is judged by agreement within the stated error bars
+instead.  This script runs the `zeta` and `zeta-direct` commands of
+`cli_digest.py` on every config in configs/, once with the package sources
+of PARENT_TREE/src and once with the sources next to this script.  For each
+row of zeta.csv it prints
+
+    <config> <command> s=<s> ratio=<|Δvalue| / (err_parent + err_change)>
+
+then the worst row.  It exits 1 if any ratio is above 1, or if the two runs
+do not produce the same points, and 0 otherwise.  The script takes no other
+options; it runs one child at a time.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from cli_digest import COMMANDS, ROOT, _run
+
+LABELS = ("zeta", "zeta-direct")
+
+
+def _rows(config: Path, args: list, root: Path) -> list:
+    """The zeta.csv rows of one run as (s, value, error)."""
+    with tempfile.TemporaryDirectory(prefix="azeta-agree-") as tmp:
+        work = Path(tmp)
+        _run(config, args, work, root)
+        path = work / "out" / "zeta.csv"
+        if not path.is_file():
+            return []
+        with open(path, newline="") as fh:
+            return [
+                (complex(float(r["s_re"]), float(r["s_im"])),
+                 complex(float(r["value_re"]), float(r["value_im"])),
+                 float(r["error"]))
+                for r in csv.DictReader(fh)
+            ]
+
+
+def _ratio(diff: float, bar: float) -> float:
+    if diff == 0.0:
+        return 0.0
+    return diff / bar if bar > 0.0 else math.inf
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_agree.py PARENT_TREE", file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    if not (parent / "src" / "azeta").is_dir():
+        print(f"{parent} holds no src/azeta", file=sys.stderr)
+        return 2
+    worst = (-1.0, "")
+    failed = False
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        for label, args in COMMANDS:
+            if label not in LABELS:
+                continue
+            before = _rows(config, args, parent)
+            after = _rows(config, args, ROOT)
+            if not before or [r[0] for r in before] != [r[0] for r in after]:
+                print(f"{config.stem} {label}: the runs differ in their points "
+                      f"({len(before)} and {len(after)} rows)")
+                failed = True
+                continue
+            for (s, v0, e0), (_, v1, e1) in zip(before, after):
+                ratio = _ratio(abs(v1 - v0), e0 + e1)
+                line = f"{config.stem} {label} s={s} ratio={ratio:.3e}"
+                print(line, flush=True)
+                worst = max(worst, (ratio, line))
+                failed = failed or ratio > 1.0
+    print(f"worst: {worst[1]}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -51,15 +51,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run(config: Path, args: list, work: Path):
-    """Run one subcommand in `work`; returns (digest rows, peak RSS in MB)."""
+def _run(config: Path, args: list, work: Path, root: Path = ROOT):
+    """Run one subcommand in `work` with the sources of `root`/src.
+
+    The outputs stay in `work`/out.  Returns (digest rows, peak RSS in MB).
+    """
     cfg = json.loads(config.read_text())
     out_dir = work / "out"
     cfg["output_dir"] = str(out_dir)
     cfg_path = work / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     env = dict(os.environ)
-    src = str(ROOT / "src")
+    src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
     argv = [sys.executable, "-m", "azeta.cli", args[0], "--config",
