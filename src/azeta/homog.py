@@ -49,7 +49,9 @@ class HomogeneousFunction:
     #: kernel exponents are rounded up to a multiple of this to keep φ^c as
     #: smooth as the variant allows (helps the decay of its Fourier transform)
     smooth_step = 1
-    is_even = True
+    #: φ(-x) == φ(x) bit for bit, so a lattice sum may walk half the box;
+    #: variants whose arithmetic is sign-symmetric set it
+    is_even = False
 
     def __init__(self, generator: GeneratorMatrix):
         self.generator = generator
@@ -130,6 +132,7 @@ class QuadraticForm(HomogeneousFunction):
     """φ(x) = xᵀ Q x for symmetric positive definite Q; generator A = I/2."""
 
     label = "quadratic_form"
+    is_even = True
     smooth_step = 1
 
     def __init__(self, q_matrix):
@@ -177,6 +180,7 @@ class HomogeneousPolynomial(HomogeneousFunction):
     """
 
     label = "homogeneous_polynomial"
+    is_even = True
     smooth_step = 1
 
     def __init__(self, dim: int, terms: dict):
@@ -204,10 +208,17 @@ class HomogeneousPolynomial(HomogeneousFunction):
             )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        # Each monomial is |x|^e with the sign of its odd powers put back.
+        # A monomial of even degree has an even number of odd powers, so
+        # negating x gives the same bits.
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        mag = np.abs(pts)
+        neg = pts < 0.0
         out = np.zeros(pts.shape[0])
         for coeff, expo in zip(self.coefficients, self.exponents):
-            out += coeff * np.prod(pts ** expo[None, :], axis=1)
+            term = np.prod(mag ** expo[None, :], axis=1)
+            flip = np.logical_xor.reduce(neg[:, expo % 2 == 1], axis=1)
+            out += coeff * np.where(flip, -term, term)
         return out
 
 
@@ -215,6 +226,7 @@ class PNorm(HomogeneousFunction):
     """φ(x) = (sum |x_i|^p)^(1/p) for p >= 1; generator A = I, so alpha = n."""
 
     label = "p_norm"
+    is_even = True
 
     def __init__(self, dim: int, p: float):
         if p < 1:
@@ -243,6 +255,7 @@ class AnisotropicSuperellipse(HomogeneousFunction):
     """
 
     label = "superellipse"
+    is_even = True
 
     def __init__(self, powers, root: float):
         powers = np.asarray(powers, dtype=float)
@@ -366,11 +379,6 @@ class Profile(HomogeneousFunction):
             norm = np.linalg.norm(dirs, axis=1, keepdims=True)
             self._dirs_unit = dirs / norm
             self._vals = vals
-        # Evenness is a sampled property for profiles.
-        probe = generator.sphere_points(64, seed=11)
-        plus = self.profile_values(probe)
-        minus = self.profile_values(-probe)
-        self.is_even = bool(np.max(np.abs(plus - minus)) <= 1e-9 * np.max(plus))
 
     @classmethod
     def from_function(cls, generator: GeneratorMatrix, fn, resolution: int = 256):

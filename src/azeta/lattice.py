@@ -4,7 +4,11 @@ Every quantity azeta computes is a sum over a grid: ζ(φ,s) = Σ φ(ω)^{-s}
 and the count #{φ(ω) < r} over an integer box, θ sums over sup-norm shells,
 and the graded Gauss grids of `quadrature.box_integral`.  This module builds
 those rows, walks a large grid in first-axis slabs of bounded row count, gives
-the size of an integer box and the points of a sup-norm shell.
+the size of an integer box and the points of a sup-norm shell.  It also walks
+half an integer box: the rows after the origin, which are the lexicographically
+positive rows (first nonzero coordinate positive).  With their negatives they
+partition the nonzero rows of the box, so a sum over an even φ needs only them,
+each counted twice.
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
@@ -22,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SLAB_ROWS", "grid_rows", "box_rows", "slabs", "box_size", "shell"]
+__all__ = ["SLAB_ROWS", "grid_rows", "box_rows", "slabs", "half_box_slabs",
+           "box_size", "shell"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
@@ -67,6 +72,20 @@ def slabs(sizes, cap: int = SLAB_ROWS) -> list:
         rest *= int(size)
     step = max(1, cap // max(1, rest))
     return [slice(lo, lo + step) for lo in range(0, int(sizes[0]), step)]
+
+
+def half_box_slabs(box, cap: int = SLAB_ROWS):
+    """The rows of the integer box prod [-B_i, B_i] after the origin, in slabs.
+
+    In C order these are the x_0 = 0 slab past the origin's row, then the
+    first-axis slabs x_0 = 1, ..., B_0 in `slabs` steps of at most `cap` rows.
+    Concatenated, the yielded arrays are ``box_rows(box)`` past the origin.
+    """
+    box = [int(b) for b in box]
+    zero = box_rows(box, slice(box[0], box[0] + 1))
+    yield zero[zero.shape[0] // 2 + 1:]
+    for part in slabs([box[0]] + [2 * b + 1 for b in box[1:]], cap):
+        yield box_rows(box, slice(part.start + box[0] + 1, part.stop + box[0] + 1))
 
 
 def box_size(box) -> float:

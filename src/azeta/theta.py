@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -49,16 +50,18 @@ def _shell_count(dim: int, m: int) -> int:
     return (2 * m + 1) ** dim - (2 * m - 1) ** dim
 
 
-def _lattice_tail(func, sigma_min: float, m0: int, dim: int):
-    """Bound on sum of |f| over shells m >= m0; (bound, rigorous_flag)."""
+def _lattice_tail(shell_term, m0: int):
+    """Bound on sum of |f| over shells m >= m0; (bound, rigorous_flag).
+
+    `shell_term(m)` gives shell m's (bound, rigorous) pair.
+    """
     total = 0.0
     rigorous = True
     m = m0
     last = math.inf
     while m < m0 + 8000:
-        bound, rig = func.decay_bound(sigma_min * m)
+        term, rig = shell_term(m)
         rigorous = rigorous and rig
-        term = _shell_count(dim, m) * bound
         total += term
         if term <= 1e-18 * (abs(total) + 1e-300) or term == 0.0:
             return total, rigorous
@@ -135,6 +138,13 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
     flow = generator.flow(t)
     sigma_min = float(np.linalg.svd(flow, compute_uv=False)[-1])
     dim = generator.dim
+
+    # each shell's tail term is computed once per call
+    @lru_cache(maxsize=None)
+    def shell_term(m):
+        bound, rig = func.decay_bound(sigma_min * m)
+        return _shell_count(dim, m) * bound, rig
+
     total = 0.0
     evaluated = 0
     for m in range(1, max_shell + 1):
@@ -143,7 +153,9 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
         vals = func.evaluate_many(pts)
         total += float(np.sum(vals))
         evaluated += offsets.shape[0]
-        tail, rigorous = _lattice_tail(func, sigma_min, m + 1, dim)
+        if shell_term(m + 1)[0] > target:
+            continue  # the tail holds this term, so it cannot meet target
+        tail, rigorous = _lattice_tail(shell_term, m + 1)
         if tail <= target:
             err = tail + _grid_sum_error(func, evaluated)
             kind = (
@@ -169,17 +181,22 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     _, _, c3, _ = phi.growth()
     beta = phi.generator.beta
     dim = phi.dim
+
+    # every shell j sits at φ >= c3 j^{1/beta}; each term is computed once
+    @lru_cache(maxsize=None)
+    def shell_term(j):
+        return _shell_count(dim, j) * math.exp(-w.real * c3 * j ** (1.0 / beta))
+
     total = 1.0 + 0.0j
     for m in range(1, 100000):
         vals = phi.evaluate_many(shell(dim, m))
         total += complex(np.sum(np.exp(-w * vals)))
-        # every shell j >= m+1 sits at φ >= c3 j^{1/beta}
+        if shell_term(m + 1) > target:
+            continue  # the tail holds this term, so it cannot meet target
         tail = 0.0
         j = m + 1
         while j < m + 20000:
-            term = _shell_count(dim, j) * math.exp(
-                -w.real * c3 * j ** (1.0 / beta)
-            )
+            term = shell_term(j)
             tail += term
             if term <= 1e-18 * (tail + 1e-300):
                 break

@@ -69,12 +69,16 @@ def _gamma(z: complex) -> complex:
     return complex(sp_gamma(z))
 
 
+def box_points(box) -> np.ndarray:
+    """All integer vectors of the box prod [-B_i, B_i], origin excluded."""
+    axes = [np.arange(-int(b), int(b) + 1) for b in box]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return grid[np.any(grid != 0, axis=1)].astype(float)
+
+
 def lattice_points(dim: int, box: int) -> np.ndarray:
     """All integer vectors with sup norm <= box, origin excluded."""
-    axes = [np.arange(-box, box + 1)] * dim
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    keep = np.any(grid != 0, axis=1)
-    return grid[keep].astype(float)
+    return box_points([box] * dim)
 
 
 def brute_zeta_sum(phi_values: np.ndarray, s: complex) -> complex:
@@ -105,3 +109,47 @@ def bernoulli_exact(count: int) -> list:
             acc += comb(m + 1, j) * out[j]
         out.append(-acc / (m + 1))
     return out
+
+
+def sorted_logs_full_box(phi, t_max: float, head_cap: float = 1.0e4):
+    """Sorted log φ below t_max over the whole nonzero box of {φ < t_max}.
+
+    Returns (head, tail): float64 logs below head_cap, float32 logs above.
+    """
+    vals = phi.evaluate_many(box_points(phi.lattice_box(t_max)))
+    vals = vals[vals < t_max]
+    low = vals < head_cap
+    return np.sort(np.log(vals[low])), np.sort(np.log(vals[~low]).astype(np.float32))
+
+
+def _bump_ramp(x: np.ndarray) -> np.ndarray:
+    """exp(-1/x) / (exp(-1/x) + exp(-1/(1-x))) on (0, 1), 0 below, 1 above."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    inner = (x > 0.0) & (x < 1.0)
+    a = np.exp(-1.0 / x[inner])
+    b = np.exp(-1.0 / (1.0 - x[inner]))
+    out[inner] = a / (a + b)
+    return out
+
+
+def windowed_sums(s: complex, head, tail, t_lows) -> np.ndarray:
+    """Σ φ^{-s} (1 - η(φ/t_j)) per cutoff t_j, one window at a time.
+
+    The direct estimator's windowed series summed the plain way: the full
+    series below min(t_lows)/2, then for each window its own slice of the
+    tail from there to t_j, weighted by one minus the bump ramp η.
+    """
+    s = complex(s)
+    shared = float(np.min(t_lows)) / 2.0
+    shared_idx = int(np.searchsorted(tail, np.float32(math.log(shared))))
+    base = complex(np.sum(np.exp(-s * head)))
+    base += complex(np.sum(np.exp(-s * tail[:shared_idx].astype(float))))
+    out = []
+    for t_j in t_lows:
+        log_tj = math.log(t_j)
+        hi = int(np.searchsorted(tail, np.float32(log_tj)))
+        seg = tail[shared_idx:hi].astype(float)
+        weights = 1.0 - _bump_ramp((np.exp(seg - log_tj) - 0.5) / 0.5)
+        out.append(base + complex(np.sum(np.exp(-s * seg) * weights)))
+    return np.asarray(out)

@@ -12,6 +12,7 @@ from azeta.homog import (
     PNorm,
     Profile,
     QuadraticForm,
+    Scaled,
     evaluate,
     growth_bounds,
     sandwich_smooth,
@@ -148,6 +149,35 @@ def test_profile_round_trips_smooth_function():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(50, 2)) * 3.0
     assert np.allclose(prof(pts), base(pts), rtol=1e-5)
+
+
+EVEN_VARIANTS = {
+    "quadratic_form": QuadraticForm([[2.0, 0.7], [0.7, 1.0]]),
+    "polynomial": HomogeneousPolynomial(
+        2, {(4, 0): 1.0, (3, 1): 0.5, (1, 3): 0.25, (0, 4): 2.0}),
+    "pnorm_1": PNorm(2, 1.0),
+    "pnorm_2": PNorm(3, 2.0),
+    "pnorm_3.5": PNorm(2, 3.5),
+    "superellipse": AnisotropicSuperellipse([12.0, 18.0], 6.0),
+    "scaled": Scaled(QuadraticForm([[2.0, 0.7], [0.7, 1.0]]), 1.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVEN_VARIANTS))
+def test_even_variants_are_even_bit_for_bit(name):
+    phi = EVEN_VARIANTS[name]
+    assert phi.is_even
+    rng = np.random.default_rng(9)
+    pts = np.concatenate([lattice_points(phi.dim, 4),
+                          rng.normal(size=(200, phi.dim)) * 3.0])
+    np.testing.assert_array_equal(phi(-pts), phi(pts))
+
+
+def test_profile_is_never_marked_even():
+    base = PNorm(2, 4.0)
+    prof = Profile.from_function(base.generator, base, resolution=64)
+    assert not prof.is_even
+    assert not Scaled(prof, 2.0).is_even
 
 
 def test_profile_needs_enough_samples():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from azeta.lattice import box_rows, box_size, grid_rows, shell, slabs
+from azeta.lattice import box_rows, box_size, grid_rows, half_box_slabs, shell, slabs
 from oracles import lattice_points
 
 
@@ -52,3 +52,24 @@ def test_shells_partition_the_nonzero_box(dim):
 def test_box_size_counts_the_rows(box):
     assert box_size(box) == box_rows(box).shape[0]
     assert isinstance(box_size(box), float)
+
+
+@pytest.mark.parametrize("box", [[0], [5], [3, 0], [2, 4], [1, 2, 3]])
+def test_half_box_is_the_rows_after_the_origin(box):
+    rows = box_rows(box)
+    origin = rows.shape[0] // 2
+    assert not np.any(rows[origin])
+    cap = 2 * int(np.prod(2 * np.asarray(box[1:]) + 1)) + 1
+    half = np.concatenate(list(half_box_slabs(box, cap)))
+    np.testing.assert_array_equal(half, rows[origin + 1:])
+
+
+@pytest.mark.parametrize("dim,box", [(1, 6), (2, 4), (3, 2)])
+def test_half_box_and_its_negative_partition_the_nonzero_box(dim, box):
+    half = np.concatenate(list(half_box_slabs([box] * dim, cap=7)))
+    # lexicographically positive: the first nonzero coordinate is positive
+    first = half[np.arange(half.shape[0]), np.argmax(half != 0.0, axis=1)]
+    assert np.all(first > 0.0)
+    both = sorted(map(tuple, np.concatenate([half, -half]).tolist()))
+    assert both == sorted(map(tuple, lattice_points(dim, box).tolist()))
+    assert len(set(both)) == len(both)

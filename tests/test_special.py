@@ -5,15 +5,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from azeta.special import bernoulli_numbers, gamma, reciprocal_gamma
+from azeta.special import bernoulli_numbers, gamma, gamma_rel_error, reciprocal_gamma
 
-from oracles import bernoulli_exact
+from oracles import _gamma, bernoulli_exact
 
 
 def test_gamma_real_matches_math():
     for x in (0.5, 1.0, 1.5, 11.0 / 6.0, 4.25, 9.0):
         assert gamma(x).imag == 0.0
         assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-13)
+
+
+def test_gamma_rel_error_bounds_the_right_half_plane():
+    for re in np.linspace(0.5, 20.0, 40):
+        for im in np.linspace(-34.0, 34.0, 69):
+            z = complex(re, im)
+            want = _gamma(z)
+            assert abs(gamma(z) - want) <= gamma_rel_error(z) * abs(want)
 
 
 def test_gamma_half_integer_closed_form():

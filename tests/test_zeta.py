@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from azeta.errors import DivergenceError, DomainError
-from azeta.homog import PNorm
+from azeta.homog import AnisotropicSuperellipse, Profile, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
 from azeta.zeta import (
     default_power,
@@ -16,9 +16,10 @@ from azeta.zeta import (
     zeta_direct,
     zeta_negative_integers,
 )
+from azeta.zeta import _sorted_log_values, _window_sums
 
-from oracles import dirichlet_beta, riemann_zeta
-from shapes import ABSVAL, DISC, SUPERELLIPSE
+from oracles import dirichlet_beta, riemann_zeta, sorted_logs_full_box, windowed_sums
+from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 
 # frozen from the alternating-series oracle (tests/oracles.py):
@@ -168,3 +169,61 @@ def test_superellipse_overlap():
     c = zeta_continued(phi, s)
     assert abs(d.value - c.value) <= d.error + c.error
     assert abs(d.value - c.value) < 1e-6
+
+
+# budgets small enough for a full-box reference, large enough that the
+# smallest cutoff clears eight times the head cap
+WINDOW_SHAPES = {
+    "disc": (lambda: QuadraticForm(np.eye(2)), 1e6),
+    "superellipse": (lambda: AnisotropicSuperellipse([12.0, 18.0], 6.0), 2e5),
+}
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.3 + 2.5j])
+@pytest.mark.parametrize("name", sorted(WINDOW_SHAPES))
+def test_window_sums_match_the_per_window_loop(name, offset):
+    make, budget = WINDOW_SHAPES[name]
+    phi = make()  # fresh: the enumeration cache holds one budget per φ
+    t_max, head, tail, mult = _sorted_log_values(phi, budget)
+    assert mult == 2
+    full_head, full_tail = sorted_logs_full_box(phi, t_max)
+    np.testing.assert_array_equal(np.repeat(head, 2), full_head)
+    np.testing.assert_array_equal(np.repeat(tail, 2), full_tail)
+    t_lows = t_max * 2.0 ** (-np.arange(6) / 6)
+    assert 0.25 * t_lows[-1] > 1.05e4
+    s = complex(phi.alpha + offset)
+    base, windowed = _window_sums(s, head, tail, mult, t_lows)
+    want = windowed_sums(s, full_head, full_tail, t_lows)
+    assert np.max(np.abs(base + windowed - want) / np.abs(want)) <= 1e-12
+
+
+def test_uneven_profile_enumerates_both_halves():
+    generator = QuadraticForm(np.eye(2)).generator
+
+    def lopsided(pts):
+        return 1.0 + 0.3 * pts[:, 0] / np.linalg.norm(pts, axis=1)
+
+    phi = Profile.from_function(generator, lopsided, resolution=64)
+    assert not phi.is_even
+    t_max, head, tail, mult = _sorted_log_values(phi, 1.5e5)
+    assert mult == 1
+    full_head, full_tail = sorted_logs_full_box(phi, t_max, head_cap=1e4)
+    assert tail.size > 0
+    np.testing.assert_array_equal(head, full_head)
+    np.testing.assert_array_equal(tail, full_tail)
+
+
+# to the right of the pole, where the bars are a few ulps of the value
+ROUNDING_POINTS = {
+    "absval": (ABSVAL, 3.661 - 1.014j, lambda s: 2.0 * riemann_zeta(s)),
+    "square": (SQUARE, 3.182 - 1.018j, lambda s: 2.0 * riemann_zeta(2.0 * s)),
+    "disc": (DISC, 3.650 - 1.024j,
+             lambda s: 4.0 * riemann_zeta(s) * dirichlet_beta(s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_POINTS))
+def test_continued_bars_cover_rounding_right_of_the_pole(name):
+    phi, s, closed_form = ROUNDING_POINTS[name]
+    got = zeta_continued(phi, s)
+    assert abs(got.value - closed_form(s)) <= got.error

@@ -4,10 +4,10 @@
 
 A change that reorders a floating-point sum cannot keep the CLI outputs
 byte-identical; it is judged by agreement within the stated error bars
-instead.  This script runs the `zeta` and `zeta-direct` commands of
-`cli_digest.py` on every config in configs/, once with the package sources
-of PARENT_TREE/src and once with the sources next to this script.  For each
-row of zeta.csv it prints
+instead.  This script runs the `zeta`, `zeta-direct` and `zeta-estimated`
+commands of `cli_digest.py` on every config in configs/, once with the
+package sources of PARENT_TREE/src and once with the sources next to this
+script.  For each row of zeta.csv it prints
 
     <config> <command> s=<s> ratio=<|Δvalue| / (err_parent + err_change)>
 
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from cli_digest import COMMANDS, ROOT, _run
 
-LABELS = ("zeta", "zeta-direct")
+LABELS = ("zeta", "zeta-direct", "zeta-estimated")
 
 
 def _rows(config: Path, args: list, root: Path) -> list:

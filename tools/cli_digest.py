@@ -19,7 +19,7 @@ sections of their runs agree, so
     diff <(sed '/^# peak RSS/q' before.txt) <(sed '/^# peak RSS/q' after.txt)
 
 is the whole gate.  The script takes no options.  It runs one child at a
-time; `count` and `verify` on superellipse2d each peak near 2.4 GB.
+time; `count` and `verify` on superellipse2d each peak near 0.5 GB.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ COMMANDS = (
               "--s", "0+0i"]),
     ("zeta-direct", ["zeta", "--method", "direct", "--s", "4+0.5i",
                      "--s", "2.9+0i"]),
+    # between α and βn + 0.25 on every config: the estimated direct route
+    ("zeta-estimated", ["zeta", "--method", "direct", "--s", "1.2+0.5i"]),
     ("theta", ["theta", "--w", "0.05", "--w", "0.5+0.2i", "--w", "2"]),
     ("volume", ["volume"]),
     ("count", ["count"]),
