@@ -28,7 +28,7 @@ from .homog import HomogeneousFunction
 from .special import bernoulli_numbers
 from .theta import theta_phi
 from .volume import volume_exp_integral
-from .zeta import _caches, zeta_negative_integers
+from .zeta import cache_for, zeta_negative_integers
 
 __all__ = [
     "theta_expansion",
@@ -40,17 +40,8 @@ __all__ = [
 ]
 
 
-def _expansion_coefficient(phi: HomogeneousFunction, k: int) -> complex:
-    """(-1)^k zeta(phi,-k)/k!, computed once per phi and remembered."""
-    cache = _caches(phi).setdefault("asymp_coeffs", {})
-    if k not in cache:
-        z = zeta_negative_integers(phi, k)
-        cache[k] = (-1.0) ** k * z.value / math.factorial(k)
-    return cache[k]
-
-
 def _leading_constant(phi: HomogeneousFunction) -> float:
-    cache = _caches(phi)
+    cache = cache_for(phi)
     if "asymp_leading" not in cache:
         vol = volume_exp_integral(phi)
         cache["asymp_leading"] = float(_gamma(phi.alpha + 1.0)) * vol.value
@@ -71,7 +62,8 @@ def theta_expansion(phi: HomogeneousFunction, w: complex, n_terms: int):
         raise DomainError(f"term count must be a nonnegative integer, got {n_terms}")
     terms = [_leading_constant(phi) * w ** complex(-phi.alpha)]
     for k in range(1, int(n_terms) + 1):
-        terms.append(_expansion_coefficient(phi, k) * w**k)
+        z = zeta_negative_integers(phi, k)
+        terms.append((-1.0) ** k * z.value / math.factorial(k) * w**k)
     return sum(terms), terms
 
 

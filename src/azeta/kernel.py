@@ -397,6 +397,7 @@ class SampledTransform:
 
         For an even real g this lands back on g (reflection), but computed by a
         second honest trapezoid pass rather than by the inversion identity.
+        It is trusted on the whole real-space box the samples came from.
         """
         spacing = np.asarray([a[1] - a[0] for a in self.axes_y])
         values = self.hat_grid.real if self.real_even else self.hat_grid
@@ -406,6 +407,7 @@ class SampledTransform:
             spacing,
             quad_error=self.quad_error,
             tail_error=self.tail_error + self.edge_level,
+            band=[float(np.max(np.abs(a))) for a in self.axes_x],
             inherited_error=self.quad_error + self.tail_error,
         )
 

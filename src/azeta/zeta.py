@@ -13,16 +13,22 @@ Continuation side: with g = φ^c e^{-φ} one has Γ(s+c) ζ(φ,s) = ξ_A(g,s) an
     ξ_A(g,s) = -g(0)/s - ĝ(0)/(α-s) + ξ⁺_A(g,s) + ξ⁺_{A^T}(ĝ, α-s),
 
 where ξ⁺ integrates θ*(it) t^{s-1} over [1, ∞).  Both ξ⁺ integrands are
-s-independent apart from the t^{s-1} factor, so each (kernel, transform) pair
-gets octave panel tables of θ* built once and dotted with power weights per s.
-The kernel-side tail beyond the table is controlled by a certified exponential
-bound; the transform side ends where its band empties, with a fitted power-law
-model for what is dropped (reported as an estimate, never as rigorous).
+s-independent apart from the t^{s-1} factor, so each side is one `_XiSide`:
+octave panel tables of θ* built once and dotted with power weights per s.
+The side's summand sets where its table ends and how its tail is bounded: a
+kernel side carries a certified exponential bound; a transform side ends where
+its band empties, with a fitted power-law model for what is dropped (reported
+as an estimate, never as rigorous).  `_XiMachine` is the one four-term
+combination, behind `zeta_continued`, `zeta_at_zero`, `xi_plus` and `xi_full`.
+
+Derived values live in `cache_for(owner)`, one weak-keyed cache: lattice logs,
+ξ machines and residues die with their φ, side tables with their summand.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,7 @@ from .homog import (
     QuadraticForm,
     Scaled,
 )
-from .kernel import Kernel, fourier_transform
+from .kernel import Kernel, SampledTransform, SeparableTransform, fourier_transform
 from .lattice import box_rows, box_size, half_box_slabs
 from .quadrature import gl_nodes
 from .special import gamma as gamma_fn, gamma_rel_error
@@ -57,6 +63,7 @@ _NEAR_POLE = 1e-6
 _EPS = 2.0**-52
 _CUTOFF_COUNT = 6
 _MAX_IMAG = 32.0
+_THETA_TARGET = 1e-14  # θ* target of every ξ⁺ side table
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,16 @@ class MeromorphicValue:
     near_pole: tuple | None = None  # (pole, distance, residue, constant)
 
 
-def _caches(phi: HomogeneousFunction) -> dict:
-    store = getattr(phi, "_azeta_caches", None)
-    if store is None:
-        store = {}
-        phi._azeta_caches = store
-    return store
+_CACHES = weakref.WeakKeyDictionary()
+
+
+def cache_for(owner) -> dict:
+    """The dict of values derived from `owner`; it dies with the owner.
+
+    No stored value may hold a strong reference to its owner, or the weak
+    key never dies.
+    """
+    return _CACHES.setdefault(owner, {})
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +138,7 @@ def _sorted_log_values(phi: HomogeneousFunction, box_budget: float):
     sort makes the result independent of the slab size.  Cached on φ; a
     larger budget rebuilds.
     """
-    cache = _caches(phi)
+    cache = cache_for(phi)
     entry = cache.get("lattice_logs")
     if entry is not None and entry[4] >= box_budget:
         return entry[:4]
@@ -357,29 +368,57 @@ def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
 
 
 class _XiSide:
-    """Octave panel tables of θ*(t) for one side of the split Mellin integral.
+    """Octave panel tables of θ*(t) for one side of the split Mellin integral,
+    with the bound on what lies past their end.
 
-    Per-s evaluation is Σ w_i θ*(t_i) t_i^{s-1} over the high-order nodes; the
-    low-order nodes estimate panel quadrature error.  Tails beyond t_end are
-    bounded by `tail_fn(t_end, re_s)` supplied by the owner.
+    The summand decides both.  A Kernel decays like t^c e^{-μt} along the flow
+    (μ = φ_min for φ^c e^{-φ}, φ_min^b and c = 0 for e^{-φ^b}): the table ends
+    at the fixed point below and the tail is a certified exponential bound.  A
+    band-limited transform's box sums are exactly zero once the flow pushes
+    every nonzero lattice point out of its band: the table ends there and the
+    tail is the fitted power-law model of what the band dropped, an estimate
+    that needs Re s < γτ.  Per-s evaluation is Σ w_i θ*(t_i) t_i^{s-1} over the
+    high-order nodes; the low-order nodes estimate panel quadrature error.  The
+    side keeps no reference to the summand, so it can be cached on it.
     """
 
-    def __init__(self, generator, func, t_end: float, theta_target: float):
-        self.generator = generator
-        self.func = func
-        self.t_end = max(2.0, float(t_end))
+    def __init__(self, generator, func):
+        estimated = False
+        if isinstance(func, Kernel):
+            phi_min = func.phi.lattice_minimum()
+            if func.kind == "exp_power":
+                self.mu, self.c_pow = phi_min**func.root, 0.0
+            else:
+                self.mu, self.c_pow = phi_min, func.power
+            t_end = 46.0 / self.mu
+            for _ in range(40):
+                t_new = (46.0 + (self.c_pow + 9.0) * math.log(max(t_end, 2.0))) / self.mu
+                if abs(t_new - t_end) < 1e-9 * t_end:
+                    break
+                t_end = t_new
+        else:
+            band = np.asarray(func.band, dtype=float)
+            if generator.is_diagonal:
+                t_end = float(np.max(band ** (1.0 / np.diag(generator.entries))))
+            else:
+                t_end = float(np.max(band)) ** (1.0 / generator.gamma)
+            t_end *= 1.05
+            self.mu = None
+            self.decay = generator.gamma * float(func.decay_tau)
+            self.edge_level = func.edge_level
+            estimated = True
+        self.t_end = max(2.0, t_end)
         edges = [1.0]
         while edges[-1] < self.t_end:
             edges.append(min(2.0 * edges[-1], self.t_end))
         self.panels = []
-        estimated = False
         for a, b in zip(edges[:-1], edges[1:]):
             panel = {}
             for tag, order in (("hi", 24), ("lo", 12)):
                 x, w = gl_nodes(order)
                 ts = 0.5 * (b - a) * x + 0.5 * (a + b)
                 ws = 0.5 * (b - a) * w
-                rows = [theta_star_matrix(generator, func, t, target=theta_target)
+                rows = [theta_star_matrix(generator, func, t, target=_THETA_TARGET)
                         for t in ts]
                 panel[tag] = (
                     ts,
@@ -414,100 +453,80 @@ class _XiSide:
             quad_err += abs(hi - lo)
         return value, quad_err, table_err
 
-
-class _XiMachine:
-    """Everything needed to evaluate ξ_A(g, s) repeatedly for one kernel."""
-
-    def __init__(self, kernel: Kernel, *, floor_rel: float | None = None,
-                 theta_target: float = 1e-14):
-        self.kernel = kernel
-        self.generator = kernel.generator
-        self.alpha = self.generator.alpha
-        self.transform = fourier_transform(kernel, floor_rel=floor_rel)
-        self.g_zero = float(kernel.value_at_origin)
-        self.ghat_zero = complex(self.transform.value_at_origin).real
-        self.ghat_zero_error = self.transform.quad_error + self.transform.tail_error
-
-        # kernel side: exponential decay sets the end of the table
-        phi_min = kernel.phi.lattice_minimum()
-        if kernel.kind == "exp_power":
-            self.mu = phi_min**kernel.root
-            self.c_pow = 0.0
-        else:
-            self.mu = phi_min
-            self.c_pow = kernel.power
-        t_end = _integration_end(self.generator, kernel)
-        self.side_kernel = _XiSide(self.generator, kernel, t_end, theta_target)
-
-        # transform side: the band empties at t_empty; beyond that the tensor
-        # sums are exactly zero and only the fitted decay model remains
-        gen_t = self.generator.transpose()
-        band = np.asarray(self.transform.band, dtype=float)
-        if self.generator.is_diagonal:
-            a_diag = np.diag(self.generator.entries)
-            t_empty = float(np.max(band ** (1.0 / a_diag)))
-        else:
-            t_empty = float(np.max(band)) ** (1.0 / self.generator.gamma)
-        self.t_empty = max(2.0, 1.05 * t_empty)
-        self.side_transform = _XiSide(gen_t, self.transform, self.t_empty,
-                                      theta_target)
-        self.tau = float(self.transform.decay_tau)
-        self.gamma = self.generator.gamma
-
-    # -- tails ---------------------------------------------------------------
-
-    def _kernel_tail(self, re_s: float) -> float:
-        """∫_{t_end}^∞ bound, from θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)}."""
-        T = self.side_kernel.t_end
-        base = self.side_kernel.theta_at_end
-        # numeric bound integral on [T, T + 60/μ] with 64 GL nodes
+    def tail(self, re_s: float) -> float:
+        """Bound on ∫_{t_end}^∞ |θ*| t^{re_s-1} dt."""
+        T = self.t_end
+        if self.mu is None:
+            if re_s >= self.decay - 0.25:
+                raise StripError(
+                    f"transform decay γτ ≈ {self.decay:.3g} cannot cover "
+                    f"Re(α-s) = {re_s:.3g}",
+                    suggestion="increase the kernel exponent c (smoother φ^c) or "
+                    "request a transform with a lower band floor",
+                )
+            return self.edge_level * T**re_s / (self.decay - re_s)
+        # θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)}, integrated on [T, T + 60/μ] with
+        # 64 GL nodes
         x, w = gl_nodes(64)
         span = 60.0 / self.mu
         ts = 0.5 * span * x + 0.5 * (2 * T + span)
         ws = 0.5 * span * w
         vals = (
-            base
+            self.theta_at_end
             * (ts / T) ** self.c_pow
             * np.exp(-self.mu * (ts - T))
             * ts ** (re_s - 1.0)
         )
         return float(np.sum(ws * vals))
 
-    def _transform_tail(self, re_u: float) -> float:
-        """Model tail of the ĝ side beyond t_empty; needs re_u < γ τ."""
-        decay = self.gamma * self.tau
-        if re_u >= decay - 0.25:
-            raise StripError(
-                f"transform decay γτ ≈ {decay:.3g} cannot cover Re(α-s) = "
-                f"{re_u:.3g}",
-                suggestion="increase the kernel exponent c (smoother φ^c) or "
-                "request a transform with a lower band floor",
-            )
-        T = self.t_empty
-        level = self.transform.edge_level
-        return level * T**re_u / (decay - re_u)
+    def xi_plus(self, s: complex) -> BoundedValue:
+        value, quad, table = self.integral(s)
+        return BoundedValue(value, quad + table + self.tail(s.real), self.kind)
 
-    # -- the ξ pieces ----------------------------------------------------------
 
-    def xi_plus_kernel(self, s: complex) -> BoundedValue:
-        value, quad, table = self.side_kernel.integral(s)
-        err = quad + table + self._kernel_tail(s.real)
-        return BoundedValue(value, err, self.side_kernel.kind)
+def _xi_side(generator, func) -> _XiSide:
+    """The side table of func along the flow of generator, cached on func."""
+    if not isinstance(func, (Kernel, SampledTransform, SeparableTransform)):
+        raise DomainError(
+            f"ξ⁺ needs a Kernel or a band-limited transform, got {type(func).__name__}"
+        )
+    store = cache_for(func)
+    key = ("xi_side", generator.entries.tobytes())
+    side = store.get(key)
+    if side is None:
+        side = store[key] = _XiSide(generator, func)
+    return side
 
-    def xi_plus_transform(self, u: complex) -> BoundedValue:
-        value, quad, table = self.side_transform.integral(u)
-        err = quad + table + self._transform_tail(u.real)
-        return BoundedValue(value, err, ESTIMATED)
+
+class _XiMachine:
+    """ξ_A(f, s) by the four-term split, for a summand f and its transform f̂.
+
+    It keeps the two side tables and the origin terms f(0), f̂(0) and the
+    error of f̂(0), never f or f̂ themselves, so it can be cached on φ.
+    """
+
+    def __init__(self, generator, func, func_hat):
+        self.alpha = generator.alpha
+        self.side = _xi_side(generator, func)
+        self.side_hat = _xi_side(generator.transpose(), func_hat)
+        both = (self.side.kind, self.side_hat.kind)
+        self.kind = RIGOROUS if both == (RIGOROUS, RIGOROUS) else ESTIMATED
+        self.g_zero = complex(func.value_at_origin).real
+        self.ghat_zero = complex(func_hat.value_at_origin).real
+        # a Kernel standing for its own transform (a self-dual Gaussian) has an
+        # exact value at the origin; a sampled one carries its quadrature error
+        self.ghat_zero_error = (0.0 if isinstance(func_hat, Kernel)
+                                else func_hat.quad_error + func_hat.tail_error)
 
     def xi(self, s: complex):
-        """ξ_A(g,s) via the four-term split; DomainError at s=0 or s=α poles."""
+        """(value, error) of ξ_A(f,s); DomainError at the s=0 and s=α poles."""
         if abs(s) < 1e-12 and self.g_zero != 0.0:
             raise DomainError("ξ has a pole at s = 0 for kernels with g(0) ≠ 0")
         if abs(s - self.alpha) < 1e-12:
             raise DomainError(f"ξ has a pole at s = α = {self.alpha:.6g}")
         u = self.alpha - s
-        plus_g = self.xi_plus_kernel(s)
-        plus_ghat = self.xi_plus_transform(u)
+        plus_g = self.side.xi_plus(s)
+        plus_ghat = self.side_hat.xi_plus(u)
         value = plus_g.value + plus_ghat.value - self.ghat_zero / u
         err = plus_g.error + plus_ghat.error
         err += self.ghat_zero_error / abs(u)
@@ -523,17 +542,16 @@ class _XiMachine:
 
 
 def _xi_machine(phi: HomogeneousFunction, kind: str, exponent: float) -> _XiMachine:
-    cache = _caches(phi)
+    cache = cache_for(phi)
     key = ("xi", kind, round(float(exponent), 12))
     machine = cache.get(key)
     if machine is None:
-        floor = 1e-15 if phi.dim == 1 else None
         if kind == "power_exp":
             kernel = Kernel(phi, power=exponent)
         else:
             kernel = Kernel(phi, root=exponent)
-        machine = _XiMachine(kernel, floor_rel=floor)
-        cache[key] = machine
+        transform = fourier_transform(kernel, floor_rel=1e-15 if phi.dim == 1 else None)
+        machine = cache[key] = _XiMachine(kernel.generator, kernel, transform)
     return machine
 
 
@@ -618,7 +636,7 @@ def residue_at_alpha(phi: HomogeneousFunction, *,
                      target: float = 1e-9) -> BoundedValue:
     """Res_{s=α} ζ(φ,s) = ĝ(0)/Γ(α+c), with ĝ(0) = ∫ φ^c e^{-φ} by direct
     real-space quadrature (better conditioned than the Fourier grid)."""
-    cache = _caches(phi)
+    cache = cache_for(phi)
     key = ("residue", power, target)
     hit = cache.get(key)
     if hit is not None:
@@ -648,86 +666,23 @@ def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue
     raise DomainError("unreachable")
 
 
-def _integration_end(generator, func) -> float:
-    """Where the θ* integrand becomes negligible for this summand.
+def xi_plus(generator, func, s: complex) -> BoundedValue:
+    """ξ⁺(f, s) = ∫_1^∞ θ*(f, it) t^{s-1} dt for a Kernel or a band-limited
+    transform f, with the side table's tail bound in the error bar.
 
-    Kernels decay exponentially once t φ_min dominates; sampled transforms go
-    quiet when the flow pushes every nonzero lattice point out of the band.
-    Anything else is probed octave by octave against its own t = 2 scale.
+    The θ* table is built once per (f, generator) and cached on f.
     """
-    band = getattr(func, "band", None)
-    if band is not None:
-        top = float(np.max(np.asarray(band, dtype=float)))
-        return max(2.0, 1.05 * top ** (1.0 / generator.gamma))
-    if isinstance(func, Kernel):
-        phi_min = func.phi.lattice_minimum()
-        mu = phi_min**func.root if func.kind == "exp_power" else phi_min
-        c_pow = 0.0 if func.kind == "exp_power" else func.power
-        t_end = 46.0 / mu
-        for _ in range(40):
-            t_new = (46.0 + (c_pow + 9.0) * math.log(max(t_end, 2.0))) / mu
-            if abs(t_new - t_end) < 1e-9 * t_end:
-                break
-            t_end = t_new
-        return max(2.0, t_end)
-    scale = abs(theta_star_matrix(generator, func, 2.0).value) + 1e-300
-    probe_t = 4.0
-    while probe_t < 1e5:
-        v = theta_star_matrix(generator, func, probe_t)
-        if abs(v.value) + v.error < 1e-15 * scale:
-            break
-        probe_t *= 2.0
-    return probe_t
-
-
-def _xi_side_for(generator, func, t_end: float, target: float) -> _XiSide:
-    """The θ* table for (generator, func), cached on the func object.
-
-    The table holds only s-independent node values, so one build serves every
-    later evaluation point; functional-equation sweeps hit this repeatedly.
-    """
-    try:
-        store = func._xi_side_tables
-    except AttributeError:
-        store = {}
-        func._xi_side_tables = store
-    key = (generator.entries.tobytes(), round(float(t_end), 9), float(target))
-    side = store.get(key)
-    if side is None:
-        side = _XiSide(generator, func, t_end, target)
-        store[key] = side
-    return side
-
-
-def xi_plus(generator, func, s: complex, *, target: float = 1e-13) -> BoundedValue:
-    """ξ⁺(f, s) = ∫_1^∞ θ*(f, it) t^{s-1} dt for any summable f.
-
-    One-shot version of the table machinery: integrates out to where the
-    summand is negligible and charges the dropped remainder to the error bar.
-    """
-    s = complex(s)
-    t_end = _integration_end(generator, func)
-    side = _xi_side_for(generator, func, t_end, target)
-    value, quad, table = side.integral(s)
-    tail = side.theta_at_end * t_end ** max(s.real, 1.0)
-    return BoundedValue(value, quad + table + tail, side.kind)
+    return _xi_side(generator, func).xi_plus(complex(s))
 
 
 def xi_full(generator, func, func_hat, s: complex) -> BoundedValue:
-    """ξ(f, s) by the four-term split, for functional-equation checks."""
-    s = complex(s)
-    alpha = generator.alpha
-    u = alpha - s
-    if abs(s) < 1e-9 or abs(u) < 1e-9:
-        raise DomainError("ξ has poles at s = 0 and s = α")
-    plus_f = xi_plus(generator, func, s)
-    plus_hat = xi_plus(generator.transpose(), func_hat, u)
-    f0 = complex(func.value_at_origin).real
-    fhat0 = complex(func_hat.value_at_origin).real
-    value = -f0 / s - fhat0 / u + plus_f.value + plus_hat.value
-    err = plus_f.error + plus_hat.error
-    err += getattr(func_hat, "quad_error", 0.0) / abs(u)
-    return BoundedValue(value, err, plus_f.combine_kind(plus_hat))
+    """ξ(f, s) by the four-term split, for functional-equation checks.
+
+    func_hat is the sampled transform of func; the side tables are cached on
+    func and func_hat, so repeated calls reuse them.
+    """
+    machine = _XiMachine(generator, func, func_hat)
+    return BoundedValue(*machine.xi(complex(s)), machine.kind)
 
 
 def growth_scan(phi: HomogeneousFunction, *, re_line: float | None = None,

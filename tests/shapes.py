@@ -1,8 +1,9 @@
 """Shared test fixtures: one instance per shape for the whole pytest run.
 
-The library caches lattice enumerations and transform machines on the phi
-instance, so sharing instances across test modules keeps the suite fast.
-Nothing in the package mutates a phi after construction.
+The library caches lattice enumerations and ξ machines per phi instance, in
+one weak-keyed cache (`azeta.zeta.cache_for`) whose entries die with phi, so
+sharing instances across test modules keeps the suite fast.  Nothing in the
+package mutates a phi after construction.
 """
 
 import numpy as np

@@ -109,7 +109,8 @@ def test_transform_quoted_error_covers_closed_form_gap():
 def test_double_transform_reflects_back():
     tr = fourier_transform(Kernel(PNorm(1, 1.0), root=2.0))
     back = tr.transform()
-    xs = np.array([[0.0], [0.5], [1.25]])
+    # 3.5 lies past half the sampled radius: the band covers all of it
+    xs = np.array([[0.0], [0.5], [1.25], [3.5]])
     want = np.exp(-xs[:, 0] ** 2)
     assert np.allclose(back.evaluate_points(xs).real, want, atol=1e-9)
 

@@ -1,16 +1,20 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.special import gamma as sp_gamma
 
 from azeta.errors import DivergenceError, DomainError
-from azeta.homog import AnisotropicSuperellipse, Profile, QuadraticForm
+from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
 from azeta.zeta import (
     default_power,
     growth_scan,
     residue_at_alpha,
     xi_full,
+    xi_plus,
     zeta_at_zero,
     zeta_continued,
     zeta_direct,
@@ -153,6 +157,69 @@ def test_functional_equation_strip_points():
         lhs = xi_full(k.generator, k, khat, s)
         rhs = xi_full(k.generator.transpose(), khat, khathat, alpha - s)
         assert abs(lhs.value - rhs.value) <= lhs.error + rhs.error
+
+
+# ξ_{A^T}(ĝ, α-s) = ξ_A(g, s) = Γ(s+c) ζ(φ, s), with ζ(φ, s) in closed form
+XI_SHAPES = {
+    "absval": (ABSVAL, lambda s: 2.0 * riemann_zeta(s)),
+    "square": (SQUARE, lambda s: 2.0 * riemann_zeta(2.0 * s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(XI_SHAPES))
+def test_xi_full_is_the_sum_of_its_xi_plus_sides(name):
+    phi, closed_form = XI_SHAPES[name]
+    c = default_power(phi)
+    k = Kernel(phi, power=c)
+    khat = fourier_transform(k)
+    khathat = khat.transform()
+    alpha = phi.alpha
+    for s in (alpha / 2 + 0.1 + 0.6j, complex(alpha / 2 + 0.2)):
+        u = alpha - s
+        full = xi_full(k.generator, k, khat, s)
+        side = xi_plus(k.generator, k, s)
+        side_hat = xi_plus(k.generator.transpose(), khat, u)
+        parts = (-k.value_at_origin / s - khat.value_at_origin / u
+                 + side.value + side_hat.value)
+        assert abs(full.value - parts) <= full.error + side.error + side_hat.error
+        reverse = xi_full(k.generator.transpose(), khat, khathat, u)
+        miss = abs(reverse.value - complex(sp_gamma(s + c)) * closed_form(s))
+        assert miss <= reverse.error
+        assert miss <= 1e-8
+
+
+def test_xi_full_of_the_self_dual_gaussian():
+    # g = e^{-πx²} is its own transform: ξ(g, s) = Γ(s) π^{-s} 2ζ(2s), a
+    # rigorous value on both sides of the strip
+    g = Kernel(PNorm(1, 1.0).scale(math.sqrt(math.pi)), root=2.0)
+    for s in (0.2 + 0.7j, -0.7 + 0.2j):
+        got = xi_full(g.generator, g, g, s)
+        exact = complex(sp_gamma(s)) * math.pi ** (-s) * 2.0 * riemann_zeta(2.0 * s)
+        assert got.kind == "rigorous"
+        assert abs(got.value - exact) <= got.error
+
+
+def test_xi_plus_rejects_other_summands():
+    with pytest.raises(DomainError):
+        xi_plus(ABSVAL.generator, ABSVAL, 0.5)
+
+
+def test_caches_die_with_their_owner():
+    phi = QuadraticForm(np.eye(2))
+    zeta_continued(phi, 0.25 + 1j)
+    zeta_direct(phi, 1.5, box_budget=1e6)
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+
+    k = Kernel(QuadraticForm([[1.0]]), power=4.0)
+    khat = fourier_transform(k)
+    xi_full(k.generator, k, khat, 0.3 + 0.2j)
+    refs = (weakref.ref(k), weakref.ref(khat))
+    del k, khat
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_growth_scan_1d_decay_rate():
