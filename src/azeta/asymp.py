@@ -21,11 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma as _gamma
-
 from .errors import DomainError
 from .homog import HomogeneousFunction
-from .special import bernoulli_numbers
+from .special import bernoulli_numbers, gamma
 from .theta import theta_phi
 from .volume import volume_exp_integral
 from .zeta import cache_for, zeta_negative_integers
@@ -44,7 +42,7 @@ def _leading_constant(phi: HomogeneousFunction) -> float:
     cache = cache_for(phi)
     if "asymp_leading" not in cache:
         vol = volume_exp_integral(phi)
-        cache["asymp_leading"] = float(_gamma(phi.alpha + 1.0)) * vol.value
+        cache["asymp_leading"] = gamma(phi.alpha + 1.0).real * vol.value
     return cache["asymp_leading"]
 
 

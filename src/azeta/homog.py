@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, InternalInvariantError
 from .lattice import box_rows, box_size
@@ -373,6 +372,8 @@ class Profile(HomogeneousFunction):
                 raise DomainError("need at least 8 profile samples in dimension 2")
             ang_wrapped = np.concatenate([ang, [ang[0] + 2.0 * math.pi]])
             vals_wrapped = np.concatenate([vals, [vals[0]]])
+            from scipy.interpolate import CubicSpline  # the only 2-D Profile use
+
             self._spline = CubicSpline(ang_wrapped, vals_wrapped, bc_type="periodic")
             self._base_angle = float(ang[0])
         else:

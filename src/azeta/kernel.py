@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from .errors import DomainError
 from .homog import (

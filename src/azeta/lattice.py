@@ -97,12 +97,30 @@ def box_size(box) -> float:
 def shell(dim: int, m: int) -> np.ndarray:
     """Integer vectors with sup norm exactly m, as read-only float64 rows.
 
-    The face mask is an outer OR of per-axis tests, cheap next to a per-row max.
+    The rows are those of the box [-m, m]^dim with sup norm m, in the box's
+    C order, built face by face in O(m^(dim-1)) rows (see `_shell_rows`).
     """
-    axis = np.arange(-m, m + 1)
-    mask = on_face = np.abs(axis) == m
-    for _ in range(dim - 1):
-        mask = np.logical_or.outer(mask, on_face)
-    rows = grid_rows([axis] * dim)[mask.ravel()]
+    rows = _shell_rows(dim, m)
     rows.setflags(write=False)
+    return rows
+
+
+def _shell_rows(dim: int, m: int) -> np.ndarray:
+    """The rows of `shell` in C order: with the first coordinate at -m, the
+    whole (dim-1)-box; at each -m < x_0 < m, the (dim-1)-shell; at m, the
+    whole (dim-1)-box again."""
+    if m == 0:
+        return np.zeros((1, dim))
+    if dim == 1:
+        return np.array([[-m], [m]], dtype=float)
+    axis = np.arange(-m, m + 1)
+    face = grid_rows([axis] * (dim - 1))
+    inner = _shell_rows(dim - 1, m)
+    rows = np.empty((2 * face.shape[0] + (2 * m - 1) * inner.shape[0], dim))
+    n = face.shape[0]
+    rows[:n, 0], rows[:n, 1:] = -m, face
+    rows[-n:, 0], rows[-n:, 1:] = m, face
+    middle = rows[n:-n].reshape(2 * m - 1, inner.shape[0], dim)
+    middle[..., 0] = axis[1:-1, None]
+    middle[..., 1:] = inner
     return rows

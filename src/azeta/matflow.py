@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     DegenerateSystemError,
@@ -55,17 +54,21 @@ def solve_lyapunov(matrix: np.ndarray) -> np.ndarray:
 
     Solvability plus positive definiteness is equivalent to every eigenvalue of A
     having positive real part; a Cholesky factorization of the result is the check.
+    The equation is solved in Kronecker form, (Aᵀ ⊗ I + I ⊗ Aᵀ) vec L = vec I,
+    an n² × n² linear system.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
+    eye = np.eye(n)
     try:
-        lyap = solve_continuous_lyapunov(a.T, np.eye(n))
+        vec = np.linalg.solve(np.kron(a.T, eye) + np.kron(eye, a.T), eye.ravel())
     except (LinAlgError, ValueError) as exc:
         raise DegenerateSystemError(f"Lyapunov system is singular: {exc}") from exc
+    lyap = vec.reshape(n, n)
     lyap = 0.5 * (lyap + lyap.T)
-    residual = a.T @ lyap + lyap @ a - np.eye(n)
+    residual = a.T @ lyap + lyap @ a - eye
     scale = 1.0 + float(np.linalg.norm(lyap))
     if not np.all(np.isfinite(lyap)) or np.linalg.norm(residual) > 1e-9 * scale:
         raise DegenerateSystemError("Lyapunov residual too large; system near-singular")
@@ -83,6 +86,8 @@ def _flow_matrix(entries, eigvals, eigvecs, eigvecs_inv, diagonalizable, t: floa
     if diagonalizable:
         powered = eigvecs * np.exp(eigvals * np.log(t))[None, :]
         return np.real(powered @ eigvecs_inv)
+    from scipy.linalg import expm  # defective generators only
+
     return expm(np.log(t) * entries)
 
 
@@ -279,6 +284,7 @@ class GeneratorMatrix:
                 return np.real(self._eigvecs @ (scale * vinv_x)).T
 
         else:
+            from scipy.linalg import expm  # defective generators only
 
             def pullback(t):
                 return np.vstack(

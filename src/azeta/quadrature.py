@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BudgetExceededError
 from .lattice import grid_rows, slabs
@@ -28,8 +28,7 @@ __all__ = [
 
 @functools.lru_cache(maxsize=64)
 def gl_nodes(n: int):
-    x, w = roots_legendre(n)
-    return x.copy(), w.copy()
+    return leggauss(n)
 
 
 def panel_points(edges: np.ndarray, n: int):

@@ -22,12 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction
 from .kernel import Kernel
 from .lattice import box_rows, box_size, slabs
+from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
 
 __all__ = [
@@ -54,13 +54,14 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
     """|B| from int e^{-phi} dx = Gamma(alpha+1) |B|.
 
     Runs the graded box quadrature on the certified decay box of e^{-phi}.
-    If the refinement budget runs out first, the best value so far is
-    returned flagged as estimated rather than raising.
+    The bar adds Gamma's relative error times the value.  If the refinement
+    budget runs out first, the best value so far is returned flagged as
+    estimated rather than raising.
     """
     if phi.dim > 3:
         raise DomainError("volume_exp_integral supports n <= 3")
     kernel = Kernel(phi, root=1.0)
-    g = float(_gamma(phi.alpha + 1.0))
+    g = gamma(phi.alpha + 1.0).real
     try:
         value, err, _ = kernel.integral_over_space(target=target * g)
     except BudgetExceededError as stop:
@@ -68,8 +69,9 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
             raise
         value = stop.best_value
         err = stop.best_error if stop.best_error is not None else abs(value)
-        return BoundedValue(float(np.real(value)) / g, float(err) / g, ESTIMATED)
-    return BoundedValue(float(np.real(value)) / g, float(abs(err)) / g, ESTIMATED)
+    volume = float(np.real(value)) / g
+    err = float(abs(err)) / g + gamma_rel_error(phi.alpha + 1.0) * abs(volume)
+    return BoundedValue(volume, err, ESTIMATED)
 
 
 def volume_monte_carlo(phi: HomogeneousFunction, samples: int,

@@ -32,9 +32,10 @@ def test_grid_rows_of_float_axes_slice_the_first_axis():
     np.testing.assert_array_equal(grid_rows(axes, slice(1, 3)), full[2:])
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_shells_partition_the_nonzero_box(dim):
     top = 4
+    np.testing.assert_array_equal(shell(dim, 0), np.zeros((1, dim)))
     rings = []
     for m in range(1, top + 1):
         rows = shell(dim, m)

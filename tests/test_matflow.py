@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from azeta.errors import DomainError, NotPositiveSpectrumError
+from azeta.errors import DegenerateSystemError, DomainError, NotPositiveSpectrumError
 from azeta.matflow import (
     GeneratorMatrix,
     matrix_power,
@@ -65,6 +65,37 @@ def test_lyapunov_solves_equation():
     ell = solve_lyapunov(a)
     assert np.allclose(a.T @ ell + ell @ a, np.eye(2), atol=1e-12)
     assert np.min(np.linalg.eigvalsh(ell)) > 0.0
+
+
+def _stable_generators():
+    """Random generators with spectrum in Re > 0, dims 1-3; half far from normal."""
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        for skew in (0.0, 5.0, 40.0):
+            for _ in range(4):
+                q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                upper = np.triu(rng.normal(size=(dim, dim)), 1) * skew
+                diag = np.diag(rng.uniform(0.1, 3.0, size=dim))
+                yield q @ (diag + upper) @ q.T
+
+
+def test_lyapunov_residuals_on_random_stable_generators():
+    for a in _stable_generators():
+        ell = solve_lyapunov(a)
+        n = a.shape[0]
+        residual = a.T @ ell + ell @ a - np.eye(n)
+        assert np.linalg.norm(residual) <= 1e-12 * (1.0 + np.linalg.norm(ell)), a
+        assert np.array_equal(ell, ell.T)
+        assert np.min(np.linalg.eigvalsh(ell)) > 0.0
+
+
+def test_lyapunov_error_types():
+    with pytest.raises(DegenerateSystemError):
+        solve_lyapunov(np.zeros((2, 2)))  # A^T L + L A = 0 for every L
+    with pytest.raises(NotPositiveSpectrumError):
+        solve_lyapunov(np.diag([1.0, -0.5]))
+    with pytest.raises(DomainError):
+        solve_lyapunov(np.ones((2, 3)))
 
 
 def test_spectral_bounds_straddle_eigenvalues():

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,3 +75,13 @@ def test_bernoulli_first_values():
 
 def test_bernoulli_matches_oracle_recursion():
     assert bernoulli_numbers(20) == bernoulli_exact(20)
+
+
+def test_gamma_at_alpha_plus_one_within_rel_error():
+    # Γ(α+1) turns ∫e^{-φ} into |B|; α = 1/2 (x²), 5/6 (superellipse), 1, 3/2
+    for alpha in (0.5, 5.0 / 6.0, 1.0, 1.5, *np.linspace(0.05, 3.0, 60)):
+        want = mpmath.gamma(mpmath.mpf(float(alpha)) + 1)
+        got = gamma(alpha + 1.0)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= gamma_rel_error(alpha + 1.0) * want
+

@@ -6,9 +6,11 @@ import pytest
 from azeta.errors import DomainError
 from azeta.homog import PNorm, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
-from azeta.theta import jacobi_residual, theta_phi, theta_star_matrix
+from azeta.theta import _power_sum_bound, jacobi_residual, theta_phi, theta_star_matrix
+from azeta.zeta import default_power
 
 from oracles import theta3_sum
+from shapes import SUPERELLIPSE
 
 # frozen closed form: theta(|x|, i*1) = 1 + 2/(e - 1)
 _THETA_ABS_AT_1 = 1.0 + 2.0 / (math.e - 1.0)
@@ -109,3 +111,40 @@ def test_box_sum_path_agrees_with_shell_path(kernel):
         fast = theta_star_matrix(generator, tr, t)
         shells = theta_star_matrix(generator, _ShellOnly(tr), t)
         assert abs(fast.value - shells.value) <= fast.error + shells.error
+
+
+class _Recording:
+    """A kernel seen through the generic interface, keeping every value summed."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+        self.values = []
+
+    def evaluate_many(self, points):
+        vals = self._kernel.evaluate_many(points)
+        self.values.extend(vals.tolist())
+        return vals
+
+    def decay_bound(self, radius):
+        return self._kernel.decay_bound(radius)
+
+
+@pytest.mark.parametrize("t", [1.5, 5.0, 25.5, 80.0])
+def test_rigorous_shell_bar_covers_the_rounding_of_the_sum(t):
+    # the kernel side of the superellipse continuation, at the side tables'
+    # target: the truncated tail alone is far below one ulp of the value
+    kernel = Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))
+    recorder = _Recording(kernel)
+    got = theta_star_matrix(SUPERELLIPSE.generator, recorder, t, target=1e-14)
+    assert got.kind == "rigorous"
+    assert abs(got.value - math.fsum(recorder.values)) <= got.error
+
+
+def test_power_sum_bound_is_above_the_sum():
+    # the box-sum path's dropped term: Σ_{K < j < K+4000} j^{-p}
+    for p in (1.5, 2.0, 3.3, 6.0, 12.0, 40.0):
+        for k in (0, 1, 2, 5, 31, 1000, 10000):
+            direct = math.fsum(j**-p for j in range(k + 1, k + 4000))
+            bound = _power_sum_bound(p, k + 1.0, k + 4000.0)
+            assert direct <= bound <= 1.03 * direct, (p, k)
+    assert _power_sum_bound(2.5, 2.0, 3.0) == 2.0**-2.5
