@@ -39,7 +39,7 @@ from .volume import (
     volume_exp_integral,
     volume_monte_carlo,
 )
-from .zeta import zeta_at_zero, zeta_continued, zeta_direct
+from .zeta import zeta_continued, zeta_direct
 
 __all__ = ["main"]
 
@@ -205,8 +205,6 @@ def _cmd_zeta(cfg: dict, args) -> int:
             got = zeta_direct(phi, s)
         elif args.method == "continued":
             got = zeta_continued(phi, s, power=power)
-        elif abs(s) < 1e-12:
-            got = zeta_at_zero(phi)
         else:
             try:
                 got = zeta_continued(phi, s, power=power)

@@ -1,4 +1,4 @@
-"""Gamma function and Bernoulli numbers.
+"""Gamma, digamma and Bernoulli numbers.
 
 The gamma evaluation is a Lanczos approximation (g = 7, 9 coefficients) with the
 reflection formula for Re z < 1/2.  Its relative error grows with |z|: for
@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["gamma", "gamma_rel_error", "reciprocal_gamma", "bernoulli_numbers"]
+__all__ = ["gamma", "gamma_rel_error", "reciprocal_gamma", "digamma",
+           "bernoulli_numbers"]
 
 # Classic g=7 Lanczos coefficient set (double precision).
 _LANCZOS_G = 7.0
@@ -78,6 +79,28 @@ def reciprocal_gamma(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         return 0.0 + 0.0j
     return 1.0 / gamma(z)
+
+
+def digamma(x: float) -> float:
+    """ψ(x) = Γ'(x)/Γ(x) for real x >= 2.
+
+    The recurrence ψ(x) = ψ(x+1) - 1/x lifts x to at least 10, where the
+    asymptotic series ln x - 1/(2x) - Σ_k B_2k / (2k x^2k) with eight terms
+    leaves a remainder below B_18 / (18 x^18) < 1e-17.
+    """
+    x = float(x)
+    if not x >= 2.0:
+        raise DomainError(f"digamma needs real x >= 2, got {x}")
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    b2k = bernoulli_numbers(16)[2::2]  # B_2 .. B_16
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    for k in range(8, 0, -1):
+        series = inv2 * (float(b2k[k - 1]) / (2 * k) + series)
+    return math.log(x) - 0.5 / x - series - shift
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:

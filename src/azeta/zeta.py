@@ -19,7 +19,11 @@ The side's summand sets where its table ends and how its tail is bounded: a
 kernel side carries a certified exponential bound; a transform side ends where
 its band empties, with a fitted power-law model for what is dropped (reported
 as an estimate, never as rigorous).  `_XiMachine` is the one four-term
-combination, behind `zeta_continued`, `zeta_at_zero`, `xi_plus` and `xi_full`.
+combination, behind `zeta_continued`, `xi_plus` and `xi_full`.  One machine
+per exponent c serves every s: g(0) = 0 makes s = 0 a regular point
+(`zeta_at_zero` is the continuation there), and within 1e-6 of the pole the
+same value comes with its Laurent data in closed form; `zeta_direct` hands
+that neighbourhood to the machine too.
 
 Derived values live in `cache_for(owner)`, one weak-keyed cache: lattice logs,
 ξ machines and residues die with their φ, side tables with their summand.
@@ -34,17 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, StripError
-from .homog import (
-    AnisotropicSuperellipse,
-    HomogeneousFunction,
-    PNorm,
-    QuadraticForm,
-    Scaled,
-)
+from .homog import HomogeneousFunction
 from .kernel import Kernel, SampledTransform, SeparableTransform, fourier_transform
 from .lattice import box_rows, box_size, half_box_slabs
 from .quadrature import gl_nodes
-from .special import gamma as gamma_fn, gamma_rel_error
+from .special import digamma, gamma as gamma_fn, gamma_rel_error
 from .theta import ESTIMATED, RIGOROUS, BoundedValue, theta_star_matrix
 
 __all__ = [
@@ -231,35 +229,6 @@ def _window_coefficient(alpha: float, s: complex) -> complex:
     return complex(np.sum(0.25 * w * vals)) + 1.0 / (s - alpha)
 
 
-def _near_pole_data(phi: HomogeneousFunction):
-    res = residue_at_alpha(phi)
-    alpha = phi.alpha
-    locals_ = []
-    for sigma in (alpha + 0.05, alpha + 0.1):
-        z = zeta_continued(phi, sigma)
-        locals_.append(z.value - res.value / (sigma - alpha))
-    # two-point linear extrapolation of the regular part to s = alpha
-    c0 = 2.0 * locals_[0] - locals_[1]
-    return res.value, c0
-
-
-def _near_pole_value(phi, s: complex):
-    residue, constant = _near_pole_data(phi)
-    dist = abs(s - phi.alpha)
-    if dist == 0.0:
-        raise DomainError(
-            f"s = {s} is the pole of ζ(φ, s); residue {residue:.9g}"
-        )
-    value = residue / (s - phi.alpha) + constant
-    return MeromorphicValue(
-        s=complex(s),
-        value=value,
-        error=abs(residue) * 1e-3,
-        kind=ESTIMATED,
-        near_pole=(phi.alpha, dist, residue, constant),
-    )
-
-
 def zeta_direct(phi: HomogeneousFunction, s: complex, *,
                 target: float = 2.5e-7,
                 box_budget: float | None = None) -> MeromorphicValue:
@@ -283,7 +252,7 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
             f"ζ(φ,s) diverges for Re s <= α = {alpha:.6g}, got {s}"
         )
     if abs(s - alpha) < _NEAR_POLE:
-        return _near_pole_value(phi, s)
+        return zeta_continued(phi, s)
 
     gen = phi.generator
     beta_n = gen.beta * phi.dim
@@ -519,10 +488,14 @@ class _XiMachine:
                                 else func_hat.quad_error + func_hat.tail_error)
 
     def xi(self, s: complex):
-        """(value, error) of ξ_A(f,s); DomainError at the s=0 and s=α poles."""
+        """(value, error) of ξ_A(f,s); DomainError at the s=0 and s=α poles.
+
+        Near α the pole term -f̂(0)/(α-s) dominates; α - s is exact for s that
+        close, so the value keeps its relative accuracy down to s = α itself.
+        """
         if abs(s) < 1e-12 and self.g_zero != 0.0:
             raise DomainError("ξ has a pole at s = 0 for kernels with g(0) ≠ 0")
-        if abs(s - self.alpha) < 1e-12:
+        if s == self.alpha:
             raise DomainError(f"ξ has a pole at s = α = {self.alpha:.6g}")
         u = self.alpha - s
         plus_g = self.side.xi_plus(s)
@@ -541,15 +514,13 @@ class _XiMachine:
         return value, err
 
 
-def _xi_machine(phi: HomogeneousFunction, kind: str, exponent: float) -> _XiMachine:
+def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
+    """The machine of the kernel φ^c e^{-φ} and its transform, cached on φ."""
     cache = cache_for(phi)
-    key = ("xi", kind, round(float(exponent), 12))
+    key = ("xi", round(float(c), 12))
     machine = cache.get(key)
     if machine is None:
-        if kind == "power_exp":
-            kernel = Kernel(phi, power=exponent)
-        else:
-            kernel = Kernel(phi, root=exponent)
+        kernel = Kernel(phi, power=c)
         transform = fourier_transform(kernel, floor_rel=1e-15 if phi.dim == 1 else None)
         machine = cache[key] = _XiMachine(kernel.generator, kernel, transform)
     return machine
@@ -568,67 +539,60 @@ def default_power(phi: HomogeneousFunction, k_max: float = 0.0) -> float:
     return float(c)
 
 
-def natural_exp_power(phi: HomogeneousFunction) -> float:
-    """Exponent b making g = e^{-φ^b} as smooth as the variant allows."""
-    base = phi.base if isinstance(phi, Scaled) else phi
-    if isinstance(base, AnisotropicSuperellipse):
-        return float(base.root)
-    if isinstance(base, QuadraticForm):
-        return 1.0
-    if isinstance(base, PNorm):
-        p = base.p
-        if p == int(p) and int(p) % 2 == 0:
-            return float(p)
-        return 2.0
-    return 2.0
-
-
 def zeta_continued(phi: HomogeneousFunction, s: complex, *,
                    power: float | None = None) -> MeromorphicValue:
     """Analytic continuation of ζ(φ,s) to C∖{α} via the PowerExp kernel.
 
     ζ(φ,s) = [ -ĝ(0)/(α-s) + ξ⁺_A(g,s) + ξ⁺_{A^T}(ĝ, α-s) ] / Γ(s+c).
+
+    g(0) = 0, so s = 0 is a regular point like any other.  Within 1e-6 of
+    the pole the value carries its Laurent data (`_laurent`) in `near_pole`.
     """
     s = complex(s)
     alpha = phi.alpha
-    if abs(s - alpha) < _NEAR_POLE:
-        return _near_pole_value(phi, s)
     c = default_power(phi, max(0.0, -s.real)) if power is None else float(power)
     sc = s + c
     if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):
         raise DomainError(
             f"Γ(s+c) pole at s+c = {sc.real:g}; choose a different kernel power"
         )
-    machine = _xi_machine(phi, "power_exp", c)
+    machine = _xi_machine(phi, c)
+    near_pole = None
+    dist = abs(s - alpha)
+    if dist < _NEAR_POLE:
+        residue, constant = _laurent(machine, c)
+        if dist == 0.0:
+            raise DomainError(
+                f"s = {s} is the pole of ζ(φ, s); residue {residue:.9g}"
+            )
+        near_pole = (alpha, dist, residue, constant)
     xi_value, xi_err = machine.xi(s)
     gam = gamma_fn(sc)
     value = xi_value / gam
     # the default power keeps Re(s + c) >= α + 2, where gamma_rel_error
     # holds; one more ulp for the division
     error = xi_err / abs(gam) + (gamma_rel_error(sc) + _EPS) * abs(value)
-    return MeromorphicValue(s, value, error, ESTIMATED)
+    return MeromorphicValue(s, value, error, ESTIMATED, near_pole)
+
+
+def _laurent(machine: _XiMachine, c: float) -> tuple:
+    """(residue, constant) of ζ(φ,s) = residue/(s-α) + constant + O(s-α).
+
+    ξ(s) = ĝ(0)/(s-α) + R(s) with R(α) = ξ⁺(g,α) + ξ⁺(ĝ,0), and
+    1/Γ(s+c) = [1 - ψ(α+c)(s-α) + O((s-α)^2)] / Γ(α+c).
+    """
+    alpha = machine.alpha
+    gam = gamma_fn(alpha + c).real
+    r_alpha = (machine.side.xi_plus(complex(alpha)).value
+               + machine.side_hat.xi_plus(0j).value).real
+    residue = machine.ghat_zero / gam
+    constant = (r_alpha - machine.ghat_zero * digamma(alpha + c)) / gam
+    return residue, constant
 
 
 def zeta_at_zero(phi: HomogeneousFunction) -> MeromorphicValue:
-    """ζ(φ,0) by removable-singularity evaluation of the ExpPower route.
-
-    With g = e^{-φ^b} and B = A/b: Γ(s/b) ζ(φ,s) = ξ_B(g, s/b).  The two-sided
-    average at s = ±1e-3 cancels the O(s) error of each one-sided value.
-    """
-    b = natural_exp_power(phi)
-    machine = _xi_machine(phi, "exp_power", b)
-    delta = 1e-3
-    vals = []
-    errs = []
-    for s in (delta, -delta):
-        u = s / b
-        xi_value, xi_err = machine.xi(u)
-        gam = gamma_fn(u)
-        vals.append(xi_value / gam)
-        errs.append(xi_err / abs(gam))
-    value = 0.5 * (vals[0] + vals[1])
-    error = 0.5 * (errs[0] + errs[1]) + 0.25 * abs(vals[0] - vals[1])
-    return MeromorphicValue(0.0, value, error, ESTIMATED)
+    """ζ(φ,0), the continuation at s = 0 on the machine of every Re s >= 0."""
+    return zeta_continued(phi, 0.0)
 
 
 def residue_at_alpha(phi: HomogeneousFunction, *,

@@ -69,6 +69,15 @@ def test_zeta_methods_agree(tmp_path):
     assert gap <= values["direct"]["error"] + values["continued"]["error"]
 
 
+def test_zeta_at_zero_auto_route(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["zeta", "--config", str(cfg), "--s", "0+0i"]) == 0
+    row = load_summary(tmp_path, "zeta_summary.json")["results"][0]
+    assert (row["s_re"], row["s_im"]) == (0.0, 0.0)
+    assert abs(row["value_re"] + 1.0) <= row["error"] <= 1e-6
+    assert abs(row["value_im"]) <= row["error"]
+
+
 def test_zeta_needs_a_point(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["zeta", "--config", str(cfg)]) == 2

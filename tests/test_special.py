@@ -6,7 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from azeta.special import bernoulli_numbers, gamma, gamma_rel_error, reciprocal_gamma
+from azeta.errors import DomainError
+from azeta.special import (
+    bernoulli_numbers,
+    digamma,
+    gamma,
+    gamma_rel_error,
+    reciprocal_gamma,
+)
 
 from oracles import _gamma, bernoulli_exact
 
@@ -85,3 +92,14 @@ def test_gamma_at_alpha_plus_one_within_rel_error():
         assert got.imag == 0.0
         assert abs(got.real - want) <= gamma_rel_error(alpha + 1.0) * want
 
+
+
+def test_digamma_matches_mpmath():
+    for x in (2.0, 2.5, 3.0, 4.7, 9.99, 10.0, 12.3, 50.0, 1e3, 1e6):
+        want = float(mpmath.digamma(x))
+        assert abs(digamma(x) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_digamma_rejects_small_arguments():
+    with pytest.raises(DomainError):
+        digamma(1.5)

@@ -2,14 +2,17 @@ import gc
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
+from azeta import zeta as zeta_module
 from azeta.errors import DivergenceError, DomainError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
 from azeta.zeta import (
+    cache_for,
     default_power,
     growth_scan,
     residue_at_alpha,
@@ -90,6 +93,8 @@ def test_direct_rejects_divergent_strip():
 def test_exact_pole_raises():
     with pytest.raises(DomainError):
         zeta_continued(absval(), 1.0)
+    with pytest.raises(DomainError, match="residue 3.14159265"):
+        zeta_continued(disc(), 1.0)
 
 
 def test_near_pole_carries_laurent_data():
@@ -104,9 +109,68 @@ def test_near_pole_carries_laurent_data():
 
 
 def test_zeta_at_zero_is_minus_one():
-    for phi in (absval(), disc()):
+    for phi in (ABSVAL, SQUARE, DISC, DISC.scale(1.7), SUPERELLIPSE):
         got = zeta_at_zero(phi)
-        assert got.value.real == pytest.approx(-1.0, abs=1e-4)
+        assert got.error <= 1e-6
+        assert abs(got.value + 1.0) <= got.error
+
+
+def test_zeta_at_zero_reuses_the_continuation_machine(monkeypatch):
+    phi = QuadraticForm(np.eye(2))
+    zeta_continued(phi, 0.25 + 1j)
+    keys = set(cache_for(phi))
+
+    def no_new_side(*args, **kwargs):
+        raise AssertionError("zeta_at_zero built a side table")
+
+    monkeypatch.setattr(zeta_module, "_XiSide", no_new_side)
+    got = zeta_at_zero(phi)
+    assert set(cache_for(phi)) == keys
+    assert abs(got.value + 1.0) <= got.error
+
+
+def _dirichlet_beta(s):
+    return mpmath.dirichlet(s, [0, 1, 0, -1])
+
+
+# Laurent data at α from the closed forms: 2ζ(s), 2ζ(2s) and 4ζ(s)β(s)
+LAURENT = {
+    "absval": (ABSVAL, lambda s: 2 * mpmath.zeta(s), 2.0,
+               lambda: 2 * mpmath.euler),
+    "square": (SQUARE, lambda s: 2 * mpmath.zeta(2 * s), 1.0,
+               lambda: 2 * mpmath.euler),
+    "disc": (DISC, lambda s: 4 * mpmath.zeta(s) * _dirichlet_beta(s), math.pi,
+             lambda: mpmath.pi * mpmath.euler + 4 * mpmath.diff(_dirichlet_beta, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAURENT))
+def test_laurent_ring_around_the_pole(name):
+    phi, closed_form, residue, constant = LAURENT[name]
+    with mpmath.workdps(30):  # the closed forms cancel near the pole
+        constant = float(constant())
+    alpha = phi.alpha
+    for dist in (1e-10, 1e-7, 1e-4, 1e-2):
+        for angle in (0.3, 1.9, 3.5, 5.0):
+            s = alpha + dist * complex(math.cos(angle), math.sin(angle))
+            got = zeta_continued(phi, s)
+            with mpmath.workdps(30):
+                want = complex(closed_form(mpmath.mpc(s.real, s.imag)))
+            assert abs(got.value - want) <= got.error, (dist, angle)
+            if dist < 1e-6:
+                pole, d, res, const = got.near_pole
+                assert (pole, d) == (alpha, abs(s - alpha))
+                assert abs(res - residue) <= 1e-8
+                assert abs(const - constant) <= 1e-8
+            else:
+                assert got.near_pole is None
+
+
+def test_direct_hands_the_pole_neighbourhood_to_the_machine():
+    s = 1.0 + 2e-7 + 2e-7j
+    got = zeta_direct(disc(), s)
+    assert got == zeta_continued(disc(), s)
+    assert got.near_pole is not None
 
 
 def test_residue_closed_forms():
