@@ -44,7 +44,13 @@ from .matflow import (
     spectral_bounds,
 )
 from .propsuite import CheckRow, verify_suite
-from .theta import BoundedValue, jacobi_residual, theta_phi, theta_star_matrix
+from .theta import (
+    BoundedValue,
+    jacobi_residual,
+    theta_phi,
+    theta_star_matrix,
+    theta_star_table,
+)
 from .volume import (
     CountingScan,
     counting_limit_scan,
@@ -107,6 +113,7 @@ __all__ = [
     "theta_expansion",
     "theta_phi",
     "theta_star_matrix",
+    "theta_star_table",
     "unit_ball_membership",
     "verify_suite",
     "volume_exp_integral",

@@ -323,7 +323,7 @@ def _cmd_asymp(cfg: dict, args) -> int:
     _write_csv(os.path.join(_out_dir(cfg), "asymp.csv"),
                ("abs_w", "remainder", "slope", "threshold"),
                [(m, e, report.slope, report.threshold) for m, e in report.rows])
-    value, terms = theta_expansion(
+    value, terms, bars = theta_expansion(
         phi, mags[-1] * complex(math.cos(args.ray_angle), math.sin(args.ray_angle)),
         args.terms)
     _emit(cfg, "asymp_summary.json", {
@@ -333,12 +333,15 @@ def _cmd_asymp(cfg: dict, args) -> int:
         "terms": args.terms,
         "eps": args.eps,
         "ray_angle": args.ray_angle,
-        "rows": [{"abs_w": m, "remainder": e} for m, e in report.rows],
+        "rows": [{"abs_w": m, "remainder": e, "bar": bar}
+                 for (m, e), bar in zip(report.rows, report.bars)],
         "slope": report.slope,
         "threshold": report.threshold,
         "passed": bool(report.passed),
-        "expansion_at_largest_w": _value_entry(value, 0.0, "estimated"),
-        "expansion_terms": [_value_entry(t, 0.0, "estimated") for t in terms],
+        "within_bars": bool(report.within_bars),
+        "expansion_at_largest_w": _value_entry(value, sum(bars), "estimated"),
+        "expansion_terms": [_value_entry(t, bar, "estimated")
+                            for t, bar in zip(terms, bars)],
     })
     return 0
 

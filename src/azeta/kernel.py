@@ -45,6 +45,7 @@ __all__ = ["Kernel", "SampledTransform", "SeparableTransform", "fourier_transfor
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _MAX_GRID_1D = 1 << 17
 _MAX_GRID_ND = 4096
+_BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 
 
 def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
@@ -65,7 +66,11 @@ def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
 
 
 class Kernel:
-    """g = φ^c e^{-φ} (kind "power_exp") or g = e^{-φ^b} (kind "exp_power")."""
+    """g = φ^c e^{-φ} (kind "power_exp") or g = e^{-φ^b} (kind "exp_power").
+
+    Along its own generator B, φ(t^B x) = t^degree φ(x) (degree 1 for
+    power_exp, 1/b for exp_power), so g(t^B x) = radial(t^degree φ(x)).
+    """
 
     def __init__(self, phi: HomogeneousFunction, *, power: float | None = None,
                  root: float | None = None):
@@ -78,6 +83,7 @@ class Kernel:
             self.kind = "power_exp"
             self.power = float(power)
             self.generator = phi.generator
+            self.degree = 1.0
             self.value_at_origin = 0.0
         else:
             if root <= 0:
@@ -85,21 +91,41 @@ class Kernel:
             self.kind = "exp_power"
             self.root = float(root)
             self.generator = phi.generator.scaled(1.0 / root)
+            self.degree = 1.0 / root
             self.value_at_origin = 1.0
 
     @property
     def dim(self) -> int:
         return self.phi.dim
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        v = self.phi.evaluate_many(points)
+    def radial(self, level: np.ndarray) -> np.ndarray:
+        """g as a function of v = φ(x): v^c e^{-v}, or e^{-v^b}."""
         if self.kind == "power_exp":
-            out = np.zeros_like(v)
-            pos = v > 0.0
+            out = np.zeros_like(level)
+            pos = level > 0.0
             # work in logs to dodge overflow of v^c for large shells
-            out[pos] = np.exp(self.power * np.log(v[pos]) - v[pos])
+            out[pos] = np.exp(self.power * np.log(level[pos]) - level[pos])
             return out
-        return np.exp(-np.clip(v, 0.0, 700.0) ** self.root)
+        return np.exp(-np.clip(level, 0.0, 700.0) ** self.root)
+
+    def radial_error(self, level: np.ndarray) -> np.ndarray:
+        """Relative rounding error of radial(v) at v > 0, v itself off by up
+        to 4 ulps (from φ and the flow scaling).
+
+        v^c e^{-v} is exp(c ln v - v): the log-derivative c - v amplifies
+        the error of v, and forming c ln v - v rounds by up to about
+        (c|ln v| + v) ulps; e^{-v^b} amplifies it by b v^b.  The last ulps
+        are the exp's and the power's own.
+        """
+        if self.kind == "power_exp":
+            c = self.power
+            return (2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
+                    + level + 2.0) * 2.0**-52
+        vb = np.clip(level, 0.0, 700.0) ** self.root
+        return ((2.0 * self.root + 1.0) * vb + 1.0) * 2.0**-52
+
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        return self.radial(self.phi.evaluate_many(points))
 
     def _envelope(self, level: float) -> float:
         """sup of the radial factor over φ >= level."""
@@ -227,17 +253,39 @@ def _nudft_points(axes_x, values, spacing, points):
     return vol * out
 
 
-def _dirichlet(u: np.ndarray, k: int) -> np.ndarray:
+def _dirichlet(u: np.ndarray, k) -> np.ndarray:
     """D_K(u) = Σ_{|j| ≤ K} e^{-2πi j u} = sin((2K+1)πu) / sin(πu).
 
     D_K has period 1, so u is first reduced to r = u - round(u); at r = 0
-    the removable singularity takes its value 2K+1.
+    the removable singularity takes its value 2K+1.  K broadcasts against
+    u (one K per row of a block).
     """
     r = u - np.round(u)
-    out = np.full(r.shape, 2.0 * k + 1.0)
+    width = np.broadcast_to(2.0 * np.asarray(k, dtype=float) + 1.0, r.shape)
+    out = width.copy()
     hit = r != 0.0
-    out[hit] = np.sin((2 * k + 1) * math.pi * r[hit]) / np.sin(math.pi * r[hit])
+    out[hit] = np.sin(width[hit] * math.pi * r[hit]) / np.sin(math.pi * r[hit])
     return out
+
+
+def _fold_even(axes, values):
+    """(axes, samples) folded onto x_i >= 0 along every symmetric axis.
+
+    D_K is even, so on an odd axis with x_{c-j} = -x_{c+j} the samples at
+    ±x_j can be added before any Dirichlet vector meets them: the box sums
+    then form half the vectors and contract half the samples per axis.
+    """
+    axes = list(axes)
+    for axis, a in enumerate(axes):
+        c = a.size // 2
+        if a.size % 2 == 0 or c == 0 or not np.array_equal(a, -a[::-1]):
+            continue
+        lead = (slice(None),) * axis
+        folded = values[lead + (slice(c, None),)].copy()
+        folded[lead + (slice(1, None),)] += values[lead + (slice(c - 1, None, -1),)]
+        values = folded
+        axes[axis] = a[c:]
+    return axes, values
 
 
 def _band_ratio_mesh(axes_y, band) -> np.ndarray:
@@ -295,6 +343,7 @@ class SampledTransform:
         self.tail_error = float(tail_error)
         self.inherited_error = float(inherited_error)
         self.edge_level, self.decay_tau = self._fit_decay()
+        self._fold_axes, self._fold_values = _fold_even(self.axes_x, self.values)
         # ĝ(0) = h^n Σ g summed the way box_sum sums, so that subtracting it
         # from a box sum drops the ω = 0 term consistently
         self.center_term = self.box_sum(np.zeros(self.dim),
@@ -376,12 +425,31 @@ class SampledTransform:
 
         The sum over k of the trapezoid sum h^n Σ_x g(x) e^{-2πi <x, s∘k>}
         is h^n Σ_x g(x) Π_i D_{K_i}(x_i s_i): one real Dirichlet vector per
-        axis, contracted into the samples last axis first.  Queries outside
-        the band are not masked; the caller keeps the box inside it.
+        axis, contracted into the samples (folded onto x_i >= 0 where the
+        axis is symmetric, `_fold_even`) last axis first.  2-D scales and
+        box (one row per query) give one sum per row; the rows' Dirichlet
+        matrices are built and contracted in blocks of at most
+        `_BOX_BLOCK` entries per axis.  Queries outside the band are not
+        masked; the caller keeps the box inside it.
         """
-        out = self.values
-        for axis in reversed(range(self.dim)):
-            out = out @ _dirichlet(self.axes_x[axis] * scales[axis], box[axis])
+        scales = np.asarray(scales, dtype=float)
+        box = np.asarray(box)
+        if scales.ndim == 1:
+            return self.box_sum(scales[None, :], box[None, :])[0]
+        axes, values = self._fold_axes, self._fold_values
+        rows = max(1, _BOX_BLOCK // max(a.size for a in axes))
+        out = np.empty(scales.shape[0], dtype=np.result_type(values, float))
+        for start in range(0, scales.shape[0], rows):
+            block = slice(start, start + rows)
+            acc = values
+            for axis in reversed(range(self.dim)):
+                dirichlet = _dirichlet(np.outer(scales[block, axis], axes[axis]),
+                                       box[block, axis, None])
+                if axis == self.dim - 1:
+                    acc = acc @ dirichlet.T
+                else:
+                    acc = np.einsum("...jr,rj->...r", acc, dirichlet)
+            out[block] = acc
         return out * float(np.prod(self.spacing))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -440,8 +508,10 @@ class SeparableTransform:
         return out
 
     def box_sum(self, scales, box):
-        """Σ ĝ(s∘k) over the box |k_i| ≤ K_i: the product of one-axis sums."""
-        return math.prod(f.box_sum(scales[i:i + 1], box[i:i + 1])
+        """Σ ĝ(s∘k) over the box |k_i| ≤ K_i: the product of one-axis sums,
+        per row for 2-D scales and box."""
+        scales, box = np.asarray(scales, dtype=float), np.asarray(box)
+        return math.prod(f.box_sum(scales[..., i:i + 1], box[..., i:i + 1])
                          for i, f in enumerate(self.factors))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:

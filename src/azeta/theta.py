@@ -1,11 +1,18 @@
 """Lattice theta sums along a matrix flow.
 
 theta_A(f, it) = sum over the integer lattice of f(t^A ω); the starred variant
-drops ω = 0.  Sums run shell by shell in the sup norm.  Tails are controlled by
-the smallest singular value of the flow matrix: every lattice point in shell m
+drops ω = 0.  Sums run over sup-norm shells.  Tails are controlled by the
+smallest singular value of the flow matrix: every lattice point in shell m
 lands at Euclidean norm >= sigma_min(t^A) m, where the summand's decay bound
 takes over.  Bounds from kernels are certified; bounds from sampled transforms
 use their fitted decay model and are flagged as estimates.
+
+`theta_star_table` gives θ* at a whole table of flow times in one call, with
+one route per summand type: a kernel on its own flow evaluates φ once and
+scales it, since φ(t^A ω) = t φ(ω); a transform on a diagonal flow sums its
+in-band boxes in closed form, all nodes in one blocked contraction; anything
+else is walked shell by shell per node.  `theta_star_matrix` is its one-node
+call.
 
 The transform law reads theta_A(g, i/t) = t^alpha theta_{A^T}(ghat, it) in the
 convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
@@ -20,13 +27,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, DivergenceError
-from .lattice import box_size, shell
+from .kernel import Kernel
+from .lattice import shell
 from .matflow import GeneratorMatrix
 
-__all__ = ["BoundedValue", "theta_star_matrix", "theta_phi", "jacobi_residual"]
+__all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
+           "jacobi_residual"]
 
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
+
+# entries per (nodes × points) block of a kernel table: blocks of 2^18 raised
+# plane_grid's peak RSS from 100.4 to 101.4 MB
+_TABLE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,98 +107,174 @@ def _power_sum_bound(p: float, a, b):
     return a ** -p + ((a + 0.5) ** (1.0 - p) - (b - 0.5) ** (1.0 - p)) / (p - 1.0)
 
 
-def _tensor_theta_star(generator: GeneratorMatrix, func, t: float):
-    """Fast path: diagonal flow and a transform with a closed-form box sum.
+def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
+    """Box-sum path: diagonal flow and a transform with a closed-form box sum.
 
     With scales s_i = t^{a_i}, the box |k_i| ≤ K_i = ⌊band_i / s_i⌋ holds
     every lattice point whose image s∘k lies in the band, since
     |s_i k_i| ≤ s_i K_i ≤ band_i.  The transform is a trapezoid sum, so
     its sum over the box is h^n Σ_x g(x) Π_i D_{K_i}(x_i s_i) with
-    D_K(u) = sin((2K+1)πu) / sin(πu): one real contraction per axis.  The
-    ω = 0 term is then subtracted.  Points beyond the box are out of band;
-    their total is bounded by the fitted decay model.
+    D_K(u) = sin((2K+1)πu) / sin(πu): one real contraction per axis, for
+    all nodes at once (`box_sum` on one row of scales per node).  The ω = 0
+    term is then subtracted.  A node whose box is the origin alone sums
+    nothing and is set to exactly 0, since its contraction inside a block
+    can differ from `center_term` in the last bits.  Points beyond the box
+    are out of band; their total is bounded by the fitted decay model.
     """
-    a_diag = np.diag(generator.entries)
-    scales = np.exp(a_diag * math.log(t))
+    scales = np.exp(np.outer(np.log(ts), np.diag(generator.entries)))
     band = func.band
     k_axis = np.floor(band / scales).astype(int)
     # complex: the samples of a transform() may be complex
-    total = complex(func.box_sum(scales, k_axis) - func.center_term)
-    count = int(box_size(k_axis)) - 1
+    total = np.asarray(func.box_sum(scales, k_axis) - func.center_term,
+                       dtype=complex)
+    total[~np.any(k_axis, axis=1)] = 0.0
+    inside = 2.0 * k_axis + 1.0
+    count = np.prod(inside, axis=1) - 1.0
 
     # out-of-box remainder via the product decay model: on each axis the
     # in-box j (|j| ≤ K) count 1 apiece, and the out-of-box j count
     # (s j / b)^{-p} out to j = K + 3999, bounded above by `_power_sum_bound`
     p = float(max(func.decay_tau, 1.5 * generator.dim) / generator.dim)
-    inside = 2.0 * k_axis + 1.0
-    # in Python floats: ufunc calls on arrays of dim elements cost more
-    outside = 2.0 * (scales / band) ** (-p) * np.array(
-        [_power_sum_bound(p, k + 1.0, k + 4000.0) for k in k_axis.tolist()])
+    outside = 2.0 * (scales / band) ** (-p) * _power_sum_bound(
+        p, k_axis + 1.0, k_axis + 4000.0)
     dropped = 0.0
     for i in range(generator.dim):
-        others = math.prod(
-            inside[j] + outside[j] for j in range(generator.dim) if j != i
-        )
-        dropped += outside[i] * others
-    dropped *= func.edge_level
+        others = np.prod(np.delete(inside + outside, i, axis=1), axis=1)
+        dropped = dropped + outside[:, i] * others
+    dropped = dropped * func.edge_level
 
-    err = _grid_sum_error(func, count) + dropped + abs(total.imag)
-    return BoundedValue(float(total.real), float(err), ESTIMATED)
+    err = _grid_sum_error(func, count) + dropped + np.abs(total.imag)
+    return total.real, err, ESTIMATED
 
 
-def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
-                      target: float = 1e-12, max_shell: int = 2000) -> BoundedValue:
-    """sum over nonzero lattice points of f(t^A ω), with a tail bound.
+def _node_stop(generator: GeneratorMatrix, func, t: float, target: float,
+               max_shell: int):
+    """(flow, m, tail, rigorous) at flow time t: t^A, and the first shell m
+    after which the lattice tail bound `_lattice_tail` meets target.
 
-    `func` needs evaluate_many(points) and decay_bound(radius); kernels give
-    certified bounds, sampled transforms fitted ones.
+    Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A, so the
+    stop rests on the decay bound alone and is known before any value of
+    the summand is formed.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError(f"flow time must be positive and finite, got {t}")
-    if generator.is_diagonal and hasattr(func, "box_sum"):
-        return _tensor_theta_star(generator, func, t)
-
     flow = generator.flow(t)
     sigma_min = float(np.linalg.svd(flow, compute_uv=False)[-1])
     dim = generator.dim
 
-    # each shell's tail term is computed once per call
+    # each shell's tail term is computed once per node
     @lru_cache(maxsize=None)
     def shell_term(m):
         bound, rig = func.decay_bound(sigma_min * m)
         return _shell_count(dim, m) * bound, rig
 
-    total = 0.0
-    magnitude = 0.0
-    evaluated = 0
     for m in range(1, max_shell + 1):
-        offsets = shell(dim, m)
-        pts = offsets @ flow.T
-        vals = func.evaluate_many(pts)
-        total += float(np.sum(vals))
-        magnitude += float(np.sum(np.abs(vals)))
-        evaluated += offsets.shape[0]
         if shell_term(m + 1)[0] > target:
             continue  # the tail holds this term, so it cannot meet target
         tail, rigorous = _lattice_tail(shell_term, m + 1)
         if tail <= target:
-            # rounding: numpy's pairwise sum of a shell of n terms (blocks of
-            # 128 over 8 accumulators) rounds a term at most log2(n) + 25
-            # times, adding up the m shell sums m times more; one rounding
-            # moves the sum by at most 2^-53 of the summed magnitudes,
-            # charged at 2^-52 to cover the second-order terms
-            depth = m + math.log2(offsets.shape[0]) + 25.0
-            rounding = depth * 2.0**-52 * magnitude
-            err = tail + rounding + _grid_sum_error(func, evaluated)
-            kind = (
-                RIGOROUS
-                if rigorous and not hasattr(func, "quad_error")
-                else ESTIMATED
-            )
-            return BoundedValue(total, err, kind)
+            return flow, m, tail, rigorous
     raise DivergenceError(
         f"theta sum did not meet target {target:g} within {max_shell} shells"
     )
+
+
+def _pairwise_rounding(magnitude, count, passes: int = 1):
+    """Bound on the rounding of numpy sums of `count` terms.
+
+    numpy's pairwise sum (blocks of 128 over 8 accumulators) rounds a term
+    at most log2(count) + 25 times, and adding up `passes` partial sums
+    `passes` times more; one rounding moves the sum by at most 2^-53 of the
+    summed magnitudes, charged at 2^-52 to cover the second-order terms.
+    """
+    return (passes + np.log2(count) + 25.0) * 2.0**-52 * magnitude
+
+
+def _kernel_table(kernel, ts: np.ndarray, target: float, max_shell: int):
+    """A kernel on its own flow: g(t^A ω) = radial(t^degree φ(ω)).
+
+    Each node keeps its own stopping shell and tail bound; φ is evaluated
+    once on the shells out to the farthest stop, and each block of nodes'
+    terms forms one (nodes × points) array, zero past each node's stop.  The
+    bar adds, to the tail and the rounding of the row sum, each term's own
+    rounding (`Kernel.radial_error`): at x = tφ ≫ c a relative error of x
+    moves x^c e^{-x} by about |c - x| times as much.
+    """
+    _, m_stop, tails, rigorous = zip(*(
+        _node_stop(kernel.generator, kernel, t, target, max_shell) for t in ts.tolist()))
+    shells = [shell(kernel.dim, m) for m in range(1, max(m_stop) + 1)]
+    used = np.cumsum([rows.shape[0] for rows in shells])[np.asarray(m_stop) - 1]
+    phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
+    scales = ts**kernel.degree
+    values = np.empty(ts.size)
+    errors = np.asarray(tails, dtype=float)
+    step = max(1, _TABLE_BLOCK // phi_vals.size)
+    for start in range(0, ts.size, step):
+        block = slice(start, start + step)
+        width = int(used[block].max())
+        level = np.outer(scales[block], phi_vals[:width])
+        terms = kernel.radial(level)
+        terms[np.arange(width)[None, :] >= used[block, None]] = 0.0
+        # the terms are positive, so each row sum is also its magnitude
+        values[block] = terms.sum(axis=1)
+        errors[block] += (_pairwise_rounding(values[block], width)
+                          + (terms * kernel.radial_error(level)).sum(axis=1))
+    return values, errors, RIGOROUS if all(rigorous) else ESTIMATED
+
+
+def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float,
+                max_shell: int):
+    """(value, error, kind) of one node, summed shell by shell."""
+    flow, m_stop, tail, rigorous = _node_stop(generator, func, t, target, max_shell)
+    total = 0.0
+    magnitude = 0.0
+    evaluated = 0
+    for m in range(1, m_stop + 1):
+        offsets = shell(generator.dim, m)
+        vals = func.evaluate_many(offsets @ flow.T)
+        total += float(np.sum(vals))
+        magnitude += float(np.sum(np.abs(vals)))
+        evaluated += offsets.shape[0]
+    # the m_stop shell sums are added up m_stop times more
+    rounding = _pairwise_rounding(magnitude, offsets.shape[0], m_stop)
+    err = tail + rounding + _grid_sum_error(func, evaluated)
+    kind = (
+        RIGOROUS
+        if rigorous and not hasattr(func, "quad_error")
+        else ESTIMATED
+    )
+    return total, err, kind
+
+
+def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12,
+                     max_shell: int = 2000):
+    """θ*(t) = Σ over nonzero lattice ω of f(t^A ω) at every node t of ts.
+
+    Returns (values, errors, kind): two arrays and one tag for the table.
+    `func` needs evaluate_many(points) and decay_bound(radius); kernels give
+    certified bounds, sampled transforms fitted ones.  Three routes, one
+    per summand type: a Kernel on its own flow (`_kernel_table`), a
+    transform with a closed-form box sum on a diagonal flow
+    (`_tensor_table`), and a shell walk per node for everything else.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    if not np.all((ts > 0.0) & np.isfinite(ts)):
+        raise DomainError(f"flow times must be positive and finite, got {ts}")
+    if isinstance(func, Kernel) and np.array_equal(generator.entries,
+                                                   func.generator.entries):
+        return _kernel_table(func, ts, target, max_shell)
+    if generator.is_diagonal and hasattr(func, "box_sum"):
+        return _tensor_table(generator, func, ts)
+    values, errors, kinds = zip(*(_shell_walk(generator, func, t, target, max_shell)
+                                  for t in ts.tolist()))
+    kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
+    return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
+
+
+def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
+                      target: float = 1e-12, max_shell: int = 2000) -> BoundedValue:
+    """Σ over nonzero lattice points of f(t^A ω), with a tail bound: the
+    one-node `theta_star_table`."""
+    values, errors, kind = theta_star_table(generator, func, [t], target, max_shell)
+    return BoundedValue(float(values[0]), float(errors[0]), kind)
 
 
 def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:

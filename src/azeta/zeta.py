@@ -14,7 +14,9 @@ Continuation side: with g = φ^c e^{-φ} one has Γ(s+c) ζ(φ,s) = ξ_A(g,s) an
 
 where ξ⁺ integrates θ*(it) t^{s-1} over [1, ∞).  Both ξ⁺ integrands are
 s-independent apart from the t^{s-1} factor, so each side is one `_XiSide`:
-octave panel tables of θ* built once and dotted with power weights per s.
+octave panel tables of θ* built in one `theta_star_table` call over all
+their nodes and kept as flat arrays, so that each s costs one exp and one
+row sum per node order.
 The side's summand sets where its table ends and how its tail is bounded: a
 kernel side carries a certified exponential bound; a transform side ends where
 its band empties, with a fitted power-law model for what is dropped (reported
@@ -23,10 +25,11 @@ combination, behind `zeta_continued`, `xi_plus` and `xi_full`.  One machine
 per exponent c serves every s: g(0) = 0 makes s = 0 a regular point
 (`zeta_at_zero` is the continuation there), and within 1e-6 of the pole the
 same value comes with its Laurent data in closed form; `zeta_direct` hands
-that neighbourhood to the machine too.
+that neighbourhood to the machine too, and `residue_at_alpha` reads the
+residue ĝ(0)/Γ(α+c) off the same machine.
 
-Derived values live in `cache_for(owner)`, one weak-keyed cache: lattice logs,
-ξ machines and residues die with their φ, side tables with their summand.
+Derived values live in `cache_for(owner)`, one weak-keyed cache: lattice logs
+and ξ machines die with their φ, side tables with their summand.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from .errors import DivergenceError, DomainError, StripError
 from .homog import HomogeneousFunction
 from .kernel import Kernel, SampledTransform, SeparableTransform, fourier_transform
 from .lattice import box_rows, box_size, half_box_slabs
-from .quadrature import gl_nodes
+from .quadrature import gl_nodes, panel_points
 from .special import digamma, gamma as gamma_fn, gamma_rel_error
-from .theta import ESTIMATED, RIGOROUS, BoundedValue, theta_star_matrix
+from .theta import ESTIMATED, RIGOROUS, BoundedValue, theta_star_table
 
 __all__ = [
     "MeromorphicValue",
@@ -346,13 +349,15 @@ class _XiSide:
     band-limited transform's box sums are exactly zero once the flow pushes
     every nonzero lattice point out of its band: the table ends there and the
     tail is the fitted power-law model of what the band dropped, an estimate
-    that needs Re s < γτ.  Per-s evaluation is Σ w_i θ*(t_i) t_i^{s-1} over the
-    high-order nodes; the low-order nodes estimate panel quadrature error.  The
-    side keeps no reference to the summand, so it can be cached on it.
+    that needs Re s < γτ.  The whole table is one `theta_star_table` call over
+    the nodes of every panel, kept flat as (panels × nodes) arrays of log t,
+    w θ* and w err; per s, Σ w_i θ*(t_i) t_i^{s-1} over the high-order nodes
+    is one exp and one row sum, and the low-order nodes, one more of each,
+    estimate each panel's quadrature error.  The side keeps no reference to
+    the summand, so it can be cached on it.
     """
 
     def __init__(self, generator, func):
-        estimated = False
         if isinstance(func, Kernel):
             phi_min = func.phi.lattice_minimum()
             if func.kind == "exp_power":
@@ -375,31 +380,23 @@ class _XiSide:
             self.mu = None
             self.decay = generator.gamma * float(func.decay_tau)
             self.edge_level = func.edge_level
-            estimated = True
         self.t_end = max(2.0, t_end)
         edges = [1.0]
         while edges[-1] < self.t_end:
             edges.append(min(2.0 * edges[-1], self.t_end))
-        self.panels = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            panel = {}
-            for tag, order in (("hi", 24), ("lo", 12)):
-                x, w = gl_nodes(order)
-                ts = 0.5 * (b - a) * x + 0.5 * (a + b)
-                ws = 0.5 * (b - a) * w
-                rows = [theta_star_matrix(generator, func, t, target=_THETA_TARGET)
-                        for t in ts]
-                panel[tag] = (
-                    ts,
-                    ws,
-                    np.asarray([r.value for r in rows], dtype=float),
-                    np.asarray([r.error for r in rows], dtype=float),
-                )
-                estimated = estimated or any(r.kind == ESTIMATED for r in rows)
-            self.panels.append(panel)
-        self.kind = ESTIMATED if estimated else RIGOROUS
-        last = self.panels[-1]["hi"]
-        self.theta_at_end = float(abs(last[2][-1]) + last[3][-1])
+        hi_t, hi_w = panel_points(edges, 24)
+        lo_t, lo_w = panel_points(edges, 12)
+        values, errors, kind = theta_star_table(
+            generator, func, np.concatenate([hi_t, lo_t]), target=_THETA_TARGET)
+        panels = len(edges) - 1
+        n_hi = hi_t.size
+        self.log_t_hi = np.log(hi_t).reshape(panels, 24)
+        self.log_t_lo = np.log(lo_t).reshape(panels, 12)
+        self.weighted_hi = (hi_w * values[:n_hi]).reshape(panels, 24)
+        self.weighted_lo = (lo_w * values[n_hi:]).reshape(panels, 12)
+        self.weighted_error_hi = (hi_w * errors[:n_hi]).reshape(panels, 24)
+        self.kind = ESTIMATED if self.mu is None else kind
+        self.theta_at_end = float(abs(values[n_hi - 1]) + errors[n_hi - 1])
 
     def integral(self, s: complex):
         """(value, quadrature error, table error) of ∫_1^{t_end} θ* t^{s-1} dt."""
@@ -408,19 +405,11 @@ class _XiSide:
                 f"|Im s| = {abs(s.imag):.3g} too large for the panel tables "
                 f"(max {_MAX_IMAG:g})"
             )
-        value = 0.0 + 0.0j
-        quad_err = 0.0
-        table_err = 0.0
-        for panel in self.panels:
-            ts, ws, vals, errs = panel["hi"]
-            weights = ws * np.exp((s - 1.0) * np.log(ts))
-            hi = complex(np.sum(weights * vals))
-            table_err += float(np.sum(np.abs(weights) * errs))
-            ts2, ws2, vals2, _ = panel["lo"]
-            lo = complex(np.sum(ws2 * np.exp((s - 1.0) * np.log(ts2)) * vals2))
-            value += hi
-            quad_err += abs(hi - lo)
-        return value, quad_err, table_err
+        power_hi = np.exp((s - 1.0) * self.log_t_hi)
+        hi = (power_hi * self.weighted_hi).sum(axis=1)
+        lo = (np.exp((s - 1.0) * self.log_t_lo) * self.weighted_lo).sum(axis=1)
+        table_err = float(np.sum(np.abs(power_hi) * self.weighted_error_hi))
+        return complex(hi.sum()), float(np.sum(np.abs(hi - lo))), table_err
 
     def tail(self, re_s: float) -> float:
         """Bound on ∫_{t_end}^∞ |θ*| t^{re_s-1} dt."""
@@ -596,22 +585,18 @@ def zeta_at_zero(phi: HomogeneousFunction) -> MeromorphicValue:
 
 
 def residue_at_alpha(phi: HomogeneousFunction, *,
-                     power: float | None = None,
-                     target: float = 1e-9) -> BoundedValue:
-    """Res_{s=α} ζ(φ,s) = ĝ(0)/Γ(α+c), with ĝ(0) = ∫ φ^c e^{-φ} by direct
-    real-space quadrature (better conditioned than the Fourier grid)."""
-    cache = cache_for(phi)
-    key = ("residue", power, target)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+                     power: float | None = None) -> BoundedValue:
+    """Res_{s=α} ζ(φ,s) = ĝ(0)/Γ(α+c), from the ĝ(0) of the continuation's
+    own ξ machine, with its bar, Γ's relative error and an ulp for the
+    division."""
     c = default_power(phi) if power is None else float(power)
-    kernel = Kernel(phi, power=c)
-    integral, err, _ = kernel.integral_over_space(target=target)
-    gam = float(np.real(gamma_fn(phi.alpha + c)))
-    out = BoundedValue(float(np.real(integral)) / gam, abs(err) / gam, ESTIMATED)
-    cache[key] = out
-    return out
+    machine = _xi_machine(phi, c)
+    z = phi.alpha + c
+    gam = gamma_fn(z).real
+    value = machine.ghat_zero / gam
+    error = (machine.ghat_zero_error / abs(gam)
+             + (gamma_rel_error(z) + _EPS) * abs(value))
+    return BoundedValue(value, error, ESTIMATED)
 
 
 def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue:

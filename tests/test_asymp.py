@@ -12,13 +12,13 @@ from azeta.asymp import (
 from azeta.errors import DomainError
 from azeta.theta import theta_phi
 from oracles import bernoulli_exact
-from shapes import ABSVAL, SQUARE
+from shapes import ABSVAL, DISC, SQUARE
 
 
 def test_expansion_tracks_theta_on_the_line():
     w = 0.1
     theta = theta_phi(ABSVAL, w)
-    approx, terms = theta_expansion(ABSVAL, w, 3)
+    approx, terms, _ = theta_expansion(ABSVAL, w, 3)
     assert len(terms) == 4
     assert abs(theta.value - approx) < 1e-8
     assert approx == sum(terms)
@@ -26,15 +26,15 @@ def test_expansion_tracks_theta_on_the_line():
 
 def test_expansion_prefix_is_stable():
     w = 0.3 + 0.1j
-    _, short = theta_expansion(ABSVAL, w, 2)
-    _, long = theta_expansion(ABSVAL, w, 5)
+    _, short, _ = theta_expansion(ABSVAL, w, 2)
+    _, long, _ = theta_expansion(ABSVAL, w, 5)
     assert long[:3] == short
 
 
 def test_square_leading_term_is_sqrt_pi_over_sqrt_w():
     # theta(x^2, iw) = sum e^{-w m^2} has the Gaussian-integral leading term
     w = 0.2
-    approx, terms = theta_expansion(SQUARE, w, 0)
+    approx, terms, _ = theta_expansion(SQUARE, w, 0)
     assert len(terms) == 1
     assert abs(approx - math.sqrt(math.pi) * w**-0.5) < 1e-9
     theta = theta_phi(SQUARE, w)
@@ -62,6 +62,29 @@ def test_remainder_slope_on_the_real_ray():
 def test_remainder_slope_on_a_tilted_ray():
     report = remainder_check(ABSVAL, math.pi / 3, 2, 0.1, [0.4, 0.2, 0.1, 0.05])
     assert report.passed
+
+
+def test_expansion_bars_cover_the_exact_terms():
+    # θ(|x|, iw) = coth(w/2): leading term 2/w, then (-1)^k 2ζ(-k) w^k / k!
+    w = 0.3 + 0.1j
+    _, terms, bars = theta_expansion(ABSVAL, w, 3)
+    exact = [2.0 / w] + [(-1) ** k * 2.0 * z / math.factorial(k) * w**k
+                         for k, z in ((1, -1.0 / 12.0), (2, 0.0), (3, 1.0 / 120.0))]
+    for term, bar, want in zip(terms, bars, exact):
+        assert 0.0 < bar <= 1e-8
+        assert abs(term - want) <= bar
+
+
+def test_remainder_within_bars_passes_and_says_so():
+    # on |x| the three fitted remainders are far above the bars, so the
+    # slope decides; on the disc they are all inside them, the slope reads
+    # noise, and the check passes on the bars
+    absval = remainder_check(ABSVAL, 0.0, 3, 0.1, [0.4, 0.2, 0.1, 0.05])
+    assert not absval.within_bars
+    assert any(e > bar for (_, e), bar in zip(absval.rows[:3], absval.bars))
+    disc = remainder_check(DISC, 0.0, 3, 0.1, [0.4, 0.2, 0.1, 0.05])
+    assert disc.within_bars and disc.passed
+    assert all(e <= bar for (_, e), bar in zip(disc.rows[:3], disc.bars))
 
 
 def test_remainder_check_rejects_bad_requests():

@@ -13,6 +13,8 @@ from azeta.kernel import (
     fourier_transform,
 )
 from azeta.lattice import box_rows
+from azeta.quadrature import panel_points
+from azeta.theta import theta_star_table
 
 
 def test_kernel_needs_exactly_one_exponent():
@@ -164,6 +166,14 @@ def test_box_sum_is_the_sum_over_the_box(kernel):
     for scales, box in _boxes(tr):
         want, scale = _explicit_box_sum(tr, scales, box)
         assert abs(tr.box_sum(scales, box) - want) <= 1e-12 * scale
+    # one row per query: small boxes that differ from row to row, where
+    # every term counts
+    rows = _boxes(tr) + [(0.05 * tr.band * (1.0 + 0.2 * j), np.full(tr.dim, 1 + j % 4))
+                         for j in range(8)]
+    batch = tr.box_sum(np.array([s for s, _ in rows]), np.array([b for _, b in rows]))
+    for (scales, box), got in zip(rows, batch):
+        want, scale = _explicit_box_sum(tr, scales, box)
+        assert abs(got - want) <= 1e-12 * scale
 
 
 def test_box_sum_of_a_complex_transform():
@@ -203,3 +213,41 @@ def test_box_sum_at_integer_phases():
         got = tr.box_sum([1.0 / h], box)
         assert abs(got - vals.sum()) <= 1e-12 * np.abs(vals).sum()
         assert got == pytest.approx((2 * box[0] + 1) * tr.center_term, rel=1e-15)
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel(PNorm(1, 1.0), power=6.0),                      # 1-D sampled
+    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
+    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # separable
+], ids=["sampled-1d", "sampled-2d", "separable"])
+def test_batched_table_entries_are_the_box_sums(kernel):
+    # 24 Gauss nodes of a transform-side table in one call, where the boxes
+    # are small, not empty, and differ from node to node within a block of
+    # the contraction: each entry is the sum of ĝ over the node's in-band
+    # box minus the origin
+    tr = fourier_transform(kernel)
+    generator = kernel.generator.transpose()
+    rates = np.diag(generator.entries)
+    end = float(np.max(tr.band ** (1.0 / rates)))  # the band empties here
+    ts, _ = panel_points([end / 8.0, end / 2.0], 24)
+    values, _, kind = theta_star_table(generator, tr, ts)
+    assert kind == "estimated"
+    boxes = np.floor(tr.band / ts[:, None] ** rates).astype(int)
+    assert len({tuple(box) for box in boxes}) >= 2
+    center = tr.evaluate_points(np.zeros((1, tr.dim)))[0]
+    for t, value, box in zip(ts, values, boxes):
+        scales = t**rates
+        want, scale = _explicit_box_sum(tr, scales, box)
+        assert abs(value - (want - center).real) <= 1e-12 * scale, t
+
+
+def test_origin_only_box_gives_exactly_zero():
+    # past the band on every axis the box holds only ω = 0, which θ* drops;
+    # the batch also holds an in-band row, so the contraction still runs
+    kernel = Kernel(QuadraticForm(np.eye(2)), power=3.0)
+    tr = fourier_transform(kernel)
+    far = 1.5 * float(np.max(tr.band)) ** 2  # t^{1/2} > band on both axes
+    values, errors, _ = theta_star_table(kernel.generator, tr, [1.5, far, 2.0 * far])
+    assert values[1] == 0.0 and values[2] == 0.0
+    assert values[0] != 0.0
+    assert np.all(errors > 0.0)

@@ -1,16 +1,26 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from azeta import theta as theta_module
 from azeta.errors import DomainError
 from azeta.homog import PNorm, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
-from azeta.theta import _power_sum_bound, jacobi_residual, theta_phi, theta_star_matrix
+from azeta.lattice import box_rows
+from azeta.quadrature import panel_points
+from azeta.theta import (
+    _power_sum_bound,
+    jacobi_residual,
+    theta_phi,
+    theta_star_matrix,
+    theta_star_table,
+)
 from azeta.zeta import default_power
 
 from oracles import theta3_sum
-from shapes import SUPERELLIPSE
+from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 # frozen closed form: theta(|x|, i*1) = 1 + 2/(e - 1)
 _THETA_ABS_AT_1 = 1.0 + 2.0 / (math.e - 1.0)
@@ -148,3 +158,34 @@ def test_power_sum_bound_is_above_the_sum():
             bound = _power_sum_bound(p, k + 1.0, k + 4000.0)
             assert direct <= bound <= 1.03 * direct, (p, k)
     assert _power_sum_bound(2.5, 2.0, 3.0) == 2.0**-2.5
+
+
+@pytest.mark.parametrize("phi", [ABSVAL, SQUARE, DISC], ids=["absval", "square", "disc"])
+def test_kernel_table_bars_cover_the_conditioning_of_g(phi):
+    # the last octaves of a kernel-side table, where x = tφ is far above c
+    # and a rounding of x moves x^c e^{-x} by |c - x| times as much; these
+    # φ are exact at integer points, so a 30-digit sum of the same terms is
+    # the truth, and the box holds every term above 1e-300
+    c = default_power(phi)
+    kernel = Kernel(phi, power=c)
+    ts, _ = panel_points([16.0, 32.0, 64.0, 100.0], 24)
+    values, errors, kind = theta_star_table(kernel.generator, kernel, ts, target=1e-14)
+    assert kind == "rigorous"
+    levels = phi.evaluate_many(box_rows([8] * phi.dim, nonzero=True)).tolist()
+    with mpmath.workdps(30):
+        for t, value, error in zip(ts.tolist(), values, errors):
+            t = mpmath.mpf(t)
+            want = mpmath.fsum((t * v) ** int(c) * mpmath.exp(-t * v) for v in levels)
+            assert abs(value - want) <= error, float(t)
+
+
+def test_kernel_table_in_blocks_matches_one_node_calls(monkeypatch):
+    # blocks of a few nodes each, every block cut to its own farthest stop
+    kernel = Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))
+    ts, _ = panel_points([1.0, 2.0, 4.0], 12)
+    monkeypatch.setattr(theta_module, "_TABLE_BLOCK", 2000)
+    values, errors, _ = theta_star_table(kernel.generator, kernel, ts, target=1e-14)
+    for t, value, error in zip(ts, values, errors):
+        one = theta_star_matrix(kernel.generator, kernel, t, target=1e-14)
+        assert abs(value - one.value) <= 1e-15 * one.value
+        assert error == pytest.approx(one.error, rel=0.2)

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -10,7 +11,9 @@ from scipy.special import gamma as sp_gamma
 from azeta import zeta as zeta_module
 from azeta.errors import DivergenceError, DomainError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
-from azeta.kernel import Kernel, fourier_transform
+from azeta.kernel import Kernel, SampledTransform, fourier_transform
+from azeta.quadrature import panel_points
+from azeta.theta import theta_star_table
 from azeta.zeta import (
     cache_for,
     default_power,
@@ -178,6 +181,73 @@ def test_residue_closed_forms():
     assert got.value == pytest.approx(2.0, abs=1e-6)
     got = residue_at_alpha(disc())
     assert got.value == pytest.approx(math.pi, abs=1e-4)
+
+
+@pytest.mark.parametrize("phi, want", [(ABSVAL, 2.0), (SQUARE, 1.0), (DISC, math.pi)],
+                         ids=["absval", "square", "disc"])
+def test_residue_within_its_bar(phi, want):
+    # the volume of the unit ball times α; the residue is the machine's
+    # ĝ(0)/Γ(α+c), the one near_pole reports
+    got = residue_at_alpha(phi)
+    assert abs(got.value - want) <= got.error
+    assert got.error <= 1e-10
+    assert zeta_continued(phi, phi.alpha + 1e-9).near_pole[2] == got.value
+
+
+def _panel_loop(side_end, generator, func, s):
+    """∫_1^{t_end} θ* t^{s-1} dt summed panel by panel, on the side's own
+    table: every panel's 24 nodes, then every panel's 12, in one call."""
+    edges = [1.0]
+    while edges[-1] < side_end:
+        edges.append(min(2.0 * edges[-1], side_end))
+    panels = list(zip(edges[:-1], edges[1:]))
+    hi = [panel_points(panel, 24) for panel in panels]
+    lo = [panel_points(panel, 12) for panel in panels]
+    vals, errs, _ = theta_star_table(
+        generator, func, np.concatenate([ts for ts, _ in hi + lo]), target=1e-14)
+    value, quad, table = 0j, 0.0, 0.0
+    for p, ((ts, ws), (ts_lo, ws_lo)) in enumerate(zip(hi, lo)):
+        weights = ws * np.exp((s - 1.0) * np.log(ts))
+        hi_sum = complex(np.sum(weights * vals[24 * p:24 * p + 24]))
+        table += float(np.sum(np.abs(weights) * errs[24 * p:24 * p + 24]))
+        first = 24 * len(panels) + 12 * p
+        lo_sum = complex(np.sum(ws_lo * np.exp((s - 1.0) * np.log(ts_lo))
+                                * vals[first:first + 12]))
+        value += hi_sum
+        quad += abs(hi_sum - lo_sum)
+    return value, quad, table
+
+
+@pytest.mark.parametrize("side", ["kernel", "transform"])
+def test_flat_side_integral_matches_a_panel_loop(side):
+    kernel = Kernel(DISC, power=4.0)
+    generator, func = kernel.generator, kernel
+    if side == "transform":
+        generator, func = generator.transpose(), fourier_transform(kernel)
+    flat = zeta_module._XiSide(generator, func)
+    for s in (0.25 + 1j, -2.5 + 7j, 3.0):
+        value, quad, table = flat.integral(complex(s))
+        want_value, want_quad, want_table = _panel_loop(flat.t_end, generator, func, s)
+        assert abs(value - want_value) <= 1e-14 * abs(want_value)
+        assert abs(table - want_table) <= 1e-14 * want_table
+        # the panel differences cancel, so they agree to the values' rounding
+        assert abs(quad - want_quad) <= 1e-14 * abs(want_value)
+
+
+def test_side_build_memory_stays_in_blocks():
+    # a 1-D transform of 2^16 + 1 samples over 144 nodes: unblocked, its
+    # Dirichlet matrix alone would take 75 MB
+    h = 1.0 / 32.0
+    x = np.arange(-(1 << 15), (1 << 15) + 1) * h
+    tr = SampledTransform([x], np.exp(-x * x), [h], quad_error=0.0, tail_error=0.0)
+    tracemalloc.start()
+    try:
+        side = zeta_module._XiSide(ABSVAL.generator.transpose(), tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert side.log_t_hi.size >= 96
+    assert peak < 8 * 2**20
 
 
 def test_negative_integers_1d():
