@@ -10,8 +10,9 @@ negligible tail.  The flow generator attached to a kernel is the one that makes
 its theta transform law work out: φ's own generator for power_exp, and A/b for
 exp_power (since φ^b scales with exponent 1 along the flow of A/b).
 
-Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  Transforms are computed by
-trapezoid sums on symmetric odd grids, which the FFT evaluates on the dual grid;
+Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  Every transform is one
+type, `SampledTransform`: the samples of g on a full symmetric odd grid over
+the certified box, whose trapezoid sums the FFT evaluates on the dual grid;
 off-grid values use the same trapezoid sum directly (no interpolation), so the
 only errors are the domain tail and aliasing.  Aliasing is measured by halving
 the spacing and comparing (the trapezoid error for a sampled Schwartz-type
@@ -40,7 +41,7 @@ from .homog import (
 from .lattice import grid_rows
 from .quadrature import box_integral
 
-__all__ = ["Kernel", "SampledTransform", "SeparableTransform", "fourier_transform"]
+__all__ = ["Kernel", "SampledTransform", "fourier_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _MAX_GRID_1D = 1 << 17
@@ -166,30 +167,6 @@ class Kernel:
                 return float(r)
         raise DomainError("kernel decays too slowly to box")
 
-    def separable_factors(self):
-        """For exp_power kernels with φ^b additive across coordinates, the 1D
-        factor functions f_i with g(x) = prod f_i(x_i); else None."""
-        if self.kind != "exp_power":
-            return None
-        phi, b = self.phi, self.root
-        scale = 1.0
-        if isinstance(phi, Scaled):
-            scale = phi.factor**b
-            phi = phi.base
-        if isinstance(phi, AnisotropicSuperellipse) and phi.root == b:
-            return [_Axis1D(lambda t, m=m, s=scale: np.exp(-s * np.abs(t) ** m))
-                    for m in phi.powers]
-        if isinstance(phi, QuadraticForm) and b == 1.0:
-            # e^{-(xQx)^1} factors only when Q is diagonal
-            off = phi.q_matrix - np.diag(np.diag(phi.q_matrix))
-            if np.all(off == 0.0):
-                return [_Axis1D(lambda t, q=q, s=scale: np.exp(-s * q * t * t))
-                        for q in np.diag(phi.q_matrix)]
-        if isinstance(phi, PNorm) and phi.p == b:
-            return [_Axis1D(lambda t, p=phi.p, s=scale: np.exp(-s * np.abs(t) ** p))
-                    for _ in range(phi.dim)]
-        return None
-
     def integral_over_space(self, target: float = 1e-12):
         """∫ g over R^n by graded panel quadrature on the certified box."""
         if self.dim > 3:
@@ -197,17 +174,6 @@ class Kernel:
         g_top = self._envelope(0.0)
         radii = [self.axis_extent(i, _G_FLOOR * g_top) for i in range(self.dim)]
         return box_integral(self.evaluate_many, radii, target=target)
-
-
-class _Axis1D:
-    """Tiny adapter giving a 1D callable the evaluate_many(points) shape."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._fn(pts[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,30 +193,26 @@ def _fft_grid(values: np.ndarray, spacing: np.ndarray):
 
 
 def _nudft_points(axes_x, values, spacing, points):
-    """h^n * sum_j g_j e^{-2πi <x_j, y>} at arbitrary points, chunked."""
+    """h^n * sum_j g_j e^{-2πi <x_j, y>} at arbitrary points, chunked.
+
+    One phase matrix per axis, contracted into the samples last axis first,
+    as `SampledTransform.box_sum` contracts its Dirichlet vectors.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = len(axes_x)
-    vol = float(np.prod(spacing))
+    last = len(axes_x) - 1
     out = np.empty(pts.shape[0], dtype=complex)
     chunk = max(1, int(2_000_000 // max(1, values.shape[0])))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
-        p0 = np.exp(-2j * math.pi * np.outer(axes_x[0], block[:, 0]))
-        if dim == 1:
-            out[start:start + chunk] = values @ p0
-        elif dim == 2:
-            p1 = np.exp(-2j * math.pi * np.outer(axes_x[1], block[:, 1]))
-            w = values @ p1
-            out[start:start + chunk] = np.einsum("jm,jm->m", p0, w)
-        elif dim == 3:
-            p1 = np.exp(-2j * math.pi * np.outer(axes_x[1], block[:, 1]))
-            p2 = np.exp(-2j * math.pi * np.outer(axes_x[2], block[:, 2]))
-            w = values @ p2
-            w = np.einsum("jkm,km->jm", w, p1)
-            out[start:start + chunk] = np.einsum("jm,jm->m", p0, w)
-        else:
-            raise DomainError("pointwise transform evaluation supports n <= 3")
-    return vol * out
+        acc = values
+        for axis in reversed(range(last + 1)):
+            phase = np.exp(-2j * math.pi * np.outer(axes_x[axis], block[:, axis]))
+            if axis == last:
+                acc = acc @ phase
+            else:
+                acc = np.einsum("...jm,jm->...m", acc, phase)
+        out[start:start + chunk] = acc
+    return float(np.prod(spacing)) * out
 
 
 def _dirichlet(u: np.ndarray, k) -> np.ndarray:
@@ -481,60 +443,6 @@ class SampledTransform:
         )
 
 
-class SeparableTransform:
-    """Transform of a coordinate-product function, held as 1D factors."""
-
-    def __init__(self, factors):
-        self.factors = list(factors)
-        self.dim = len(self.factors)
-        self.band = np.asarray([float(f.band[0]) for f in self.factors])
-        self.hat_zero = float(np.prod([f.hat_zero for f in self.factors]))
-        scale = abs(self.hat_zero) if self.hat_zero else 1.0
-        rel = 0.0
-        for f in self.factors:
-            rel += (f.quad_error + f.tail_error) / max(abs(f.hat_zero), 1e-300)
-        self.quad_error = scale * rel
-        self.tail_error = 0.0
-        self.edge_level = float(np.prod([max(f.edge_level, 1e-300) for f in self.factors])) ** (1.0 / self.dim)
-        self.decay_tau = float(min(f.decay_tau for f in self.factors))
-        self.real_even = all(f.real_even for f in self.factors)
-        self.center_term = math.prod(f.center_term for f in self.factors)
-
-    def evaluate_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.ones(pts.shape[0], dtype=complex)
-        for axis, f in enumerate(self.factors):
-            out *= f.evaluate_points(pts[:, axis][:, None])
-        return out
-
-    def box_sum(self, scales, box):
-        """Σ ĝ(s∘k) over the box |k_i| ≤ K_i: the product of one-axis sums,
-        per row for 2-D scales and box."""
-        scales, box = np.asarray(scales, dtype=float), np.asarray(box)
-        return math.prod(f.box_sum(scales[..., i:i + 1], box[..., i:i + 1])
-                         for i, f in enumerate(self.factors))
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate_points(points).real
-
-    @property
-    def value_at_origin(self):
-        return self.hat_zero
-
-    def out_of_band_bound(self, ratio: float) -> float:
-        return self.edge_level * max(ratio, 1.0) ** (-self.decay_tau)
-
-    def decay_bound(self, radius: float):
-        ratio = radius / (math.sqrt(self.dim) * float(np.max(self.band)))
-        if ratio <= 1.0:
-            top = float(np.prod([np.max(np.abs(f.hat_grid)) for f in self.factors]))
-            return (top, False)
-        return (self.out_of_band_bound(ratio), False)
-
-    def transform(self) -> "SeparableTransform":
-        return SeparableTransform([f.transform() for f in self.factors])
-
-
 # ---------------------------------------------------------------------------
 # building transforms from kernels
 # ---------------------------------------------------------------------------
@@ -545,26 +453,25 @@ def _odd_grid(radius: float, h: float):
     return np.arange(-half, half + 1) * h
 
 
-def _transform_1d_samples(fn, radius: float, band0: float, floor_rel: float,
-                          max_n: int):
+def _transform_1d_samples(fn, radius: float, floor: float):
     """Adaptive 1D transform of a callable on [-R, R]; returns SampledTransform."""
-    band = band0
+    band = 4.0
     for _ in range(24):
         h = 1.0 / (4.0 * band)
         x = _odd_grid(radius, h)
-        if x.size > max_n:
+        if x.size > _MAX_GRID_1D:
             break
         g = fn(x[:, None])
         axes_y, hat = _fft_grid(g, np.asarray([h]))
         scale = float(np.max(np.abs(hat)))
         j = int(np.argmin(np.abs(axes_y[0] - band)))
-        if abs(hat[j]) <= floor_rel * scale:
+        if abs(hat[j]) <= floor * scale:
             break
         band *= 1.6
     h_fine = 0.5 / (4.0 * band)
     x_fine = _odd_grid(radius, h_fine)
-    if x_fine.size > max_n:
-        x_fine = _odd_grid(radius, (2.0 * radius) / (max_n - 1))
+    if x_fine.size > _MAX_GRID_1D:
+        x_fine = _odd_grid(radius, (2.0 * radius) / (_MAX_GRID_1D - 1))
         h_fine = float(x_fine[1] - x_fine[0])
     g_fine = fn(x_fine[:, None])
     # spacing comparison at fixed probe points: coarse = every other sample
@@ -580,33 +487,23 @@ def _transform_1d_samples(fn, radius: float, band0: float, floor_rel: float,
                             band=np.asarray([band]))
 
 
-def fourier_transform(kernel: Kernel, *, floor_rel: float | None = None):
-    """Sampled ĝ for a kernel, with measured quadrature and tail estimates."""
+def fourier_transform(kernel: Kernel):
+    """Sampled ĝ for a kernel, with measured quadrature and tail estimates.
+
+    The band grows until |ĝ| on its edge falls below a floor relative to
+    max |ĝ|: 1e-15 in one dimension, where the grid is cheap, and 3e-11 on
+    the full grids of two and three.
+    """
     n = kernel.dim
     if n > 3:
         raise DomainError("transforms are supported for n <= 3")
-    if floor_rel is None:
-        floor_rel = 1e-13 if n == 1 else 3e-11
-
-    factors = kernel.separable_factors()
-    if factors is not None and n >= 2:
-        g_top = 1.0
-        parts = []
-        for axis, f in enumerate(factors):
-            r = kernel.axis_extent(axis, _G_FLOOR * g_top)
-            parts.append(
-                _transform_1d_samples(f.evaluate_many, r, 4.0, 1e-13, _MAX_GRID_1D)
-            )
-        return SeparableTransform(parts)
-
+    floor = 1e-15 if n == 1 else 3e-11
     g_top = kernel._envelope(0.0)
     radii = [kernel.axis_extent(i, _G_FLOOR * g_top) for i in range(n)]
 
     if n == 1:
-        return _transform_1d_samples(kernel.evaluate_many, radii[0], 4.0,
-                                     floor_rel, _MAX_GRID_1D)
+        return _transform_1d_samples(kernel.evaluate_many, radii[0], floor)
 
-    # full-grid route
     band = np.full(n, 2.0)
     for _ in range(14):
         h = 1.0 / (4.0 * band)
@@ -622,7 +519,7 @@ def fourier_transform(kernel: Kernel, *, floor_rel: float | None = None):
         ratio = _band_ratio_mesh(axes_y, band)
         shell = (ratio >= 0.85) & (ratio <= 1.0)
         level = float(mags[shell].max()) if np.any(shell) else 0.0
-        if level <= floor_rel * scale:
+        if level <= floor * scale:
             break
         worst = np.unravel_index(int(np.argmax(np.where(shell, mags, 0.0))),
                                  mags.shape)

@@ -40,6 +40,7 @@ ESTIMATED = "estimated"
 # entries per (nodes × points) block of a kernel table: blocks of 2^18 raised
 # plane_grid's peak RSS from 100.4 to 101.4 MB
 _TABLE_BLOCK = 1 << 15
+_MAX_SHELL = 2000  # shells a θ* walk may take before its tail meets target
 
 
 @dataclass(frozen=True)
@@ -65,29 +66,30 @@ def _shell_count(dim: int, m: int) -> int:
 def _lattice_tail(shell_term, m0: int):
     """Bound on sum of |f| over shells m >= m0; (bound, rigorous_flag).
 
-    `shell_term(m)` gives shell m's (bound, rigorous) pair.
+    `shell_term(m)` gives shell m's (bound, rigorous) pair, a bound >= 0.
+    What lies past 8000 shells is bounded geometrically from the last ratio
+    of terms: a bound while the ratios do not rise, and flagged as an
+    estimate when the last ratio is above the one before it.
     """
     total = 0.0
     rigorous = True
-    m = m0
     last = math.inf
-    while m < m0 + 8000:
+    for m in range(m0, m0 + 8000):
         term, rig = shell_term(m)
         rigorous = rigorous and rig
         total += term
-        if term <= 1e-18 * (abs(total) + 1e-300) or term == 0.0:
+        if term <= 1e-18 * (total + 1e-300):
             return total, rigorous
-        if m > m0 + 4 and term >= last:
+        if term >= last and m > m0 + 4:
             # decay model not taking hold; give up on a finite bound
             return math.inf, False
         last = term
-        m += 1
-    # geometric-ish remainder from the last ratio
-    ratio = term / last if last > 0 else 0.0
-    if ratio < 0.999:
-        total += term * ratio / (1.0 - ratio)
-        return total, rigorous
-    return math.inf, False
+    # every term past m0 + 4 fell, so ratio < 1
+    before = shell_term(m - 1)[0]
+    ratio = last / before
+    rising = ratio > before / shell_term(m - 2)[0] * (1.0 + 1e-12)
+    total += last * ratio / (1.0 - ratio)
+    return total, rigorous and not rising
 
 
 def _grid_sum_error(func, count_in_band: int) -> float:
@@ -147,8 +149,7 @@ def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
     return total.real, err, ESTIMATED
 
 
-def _node_stop(generator: GeneratorMatrix, func, t: float, target: float,
-               max_shell: int):
+def _node_stop(generator: GeneratorMatrix, func, t: float, target: float):
     """(flow, m, tail, rigorous) at flow time t: t^A, and the first shell m
     after which the lattice tail bound `_lattice_tail` meets target.
 
@@ -166,14 +167,14 @@ def _node_stop(generator: GeneratorMatrix, func, t: float, target: float,
         bound, rig = func.decay_bound(sigma_min * m)
         return _shell_count(dim, m) * bound, rig
 
-    for m in range(1, max_shell + 1):
+    for m in range(1, _MAX_SHELL + 1):
         if shell_term(m + 1)[0] > target:
             continue  # the tail holds this term, so it cannot meet target
         tail, rigorous = _lattice_tail(shell_term, m + 1)
         if tail <= target:
             return flow, m, tail, rigorous
     raise DivergenceError(
-        f"theta sum did not meet target {target:g} within {max_shell} shells"
+        f"theta sum did not meet target {target:g} within {_MAX_SHELL} shells"
     )
 
 
@@ -188,7 +189,7 @@ def _pairwise_rounding(magnitude, count, passes: int = 1):
     return (passes + np.log2(count) + 25.0) * 2.0**-52 * magnitude
 
 
-def _kernel_table(kernel, ts: np.ndarray, target: float, max_shell: int):
+def _kernel_table(kernel, ts: np.ndarray, target: float):
     """A kernel on its own flow: g(t^A ω) = radial(t^degree φ(ω)).
 
     Each node keeps its own stopping shell and tail bound; φ is evaluated
@@ -199,7 +200,7 @@ def _kernel_table(kernel, ts: np.ndarray, target: float, max_shell: int):
     moves x^c e^{-x} by about |c - x| times as much.
     """
     _, m_stop, tails, rigorous = zip(*(
-        _node_stop(kernel.generator, kernel, t, target, max_shell) for t in ts.tolist()))
+        _node_stop(kernel.generator, kernel, t, target) for t in ts.tolist()))
     shells = [shell(kernel.dim, m) for m in range(1, max(m_stop) + 1)]
     used = np.cumsum([rows.shape[0] for rows in shells])[np.asarray(m_stop) - 1]
     phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
@@ -220,10 +221,9 @@ def _kernel_table(kernel, ts: np.ndarray, target: float, max_shell: int):
     return values, errors, RIGOROUS if all(rigorous) else ESTIMATED
 
 
-def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float,
-                max_shell: int):
+def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float):
     """(value, error, kind) of one node, summed shell by shell."""
-    flow, m_stop, tail, rigorous = _node_stop(generator, func, t, target, max_shell)
+    flow, m_stop, tail, rigorous = _node_stop(generator, func, t, target)
     total = 0.0
     magnitude = 0.0
     evaluated = 0
@@ -244,8 +244,7 @@ def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float,
     return total, err, kind
 
 
-def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12,
-                     max_shell: int = 2000):
+def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12):
     """θ*(t) = Σ over nonzero lattice ω of f(t^A ω) at every node t of ts.
 
     Returns (values, errors, kind): two arrays and one tag for the table.
@@ -260,20 +259,20 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
         raise DomainError(f"flow times must be positive and finite, got {ts}")
     if isinstance(func, Kernel) and np.array_equal(generator.entries,
                                                    func.generator.entries):
-        return _kernel_table(func, ts, target, max_shell)
+        return _kernel_table(func, ts, target)
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
-    values, errors, kinds = zip(*(_shell_walk(generator, func, t, target, max_shell)
+    values, errors, kinds = zip(*(_shell_walk(generator, func, t, target)
                                   for t in ts.tolist()))
     kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
     return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
 
 
 def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
-                      target: float = 1e-12, max_shell: int = 2000) -> BoundedValue:
+                      target: float = 1e-12) -> BoundedValue:
     """Σ over nonzero lattice points of f(t^A ω), with a tail bound: the
     one-node `theta_star_table`."""
-    values, errors, kind = theta_star_table(generator, func, [t], target, max_shell)
+    values, errors, kind = theta_star_table(generator, func, [t], target)
     return BoundedValue(float(values[0]), float(errors[0]), kind)
 
 
@@ -281,7 +280,8 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     """theta(φ, iw) = 1 + sum over nonzero ω of e^{-w φ(ω)}, for Re w > 0.
 
     Accepts complex w in the right half plane (the value is then complex);
-    the tail is certified from the lower growth bound of φ either way.
+    the tail is bounded from the lower growth bound of φ either way, by
+    `_lattice_tail` over the shells' counts.
     """
     w = complex(w)
     if not (w.real > 0.0):
@@ -293,25 +293,18 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     # every shell j sits at φ >= c3 j^{1/beta}; each term is computed once
     @lru_cache(maxsize=None)
     def shell_term(j):
-        return _shell_count(dim, j) * math.exp(-w.real * c3 * j ** (1.0 / beta))
+        return _shell_count(dim, j) * math.exp(-w.real * c3 * j ** (1.0 / beta)), True
 
     total = 1.0 + 0.0j
     for m in range(1, 100000):
         vals = phi.evaluate_many(shell(dim, m))
         total += complex(np.sum(np.exp(-w * vals)))
-        if shell_term(m + 1) > target:
+        if shell_term(m + 1)[0] > target:
             continue  # the tail holds this term, so it cannot meet target
-        tail = 0.0
-        j = m + 1
-        while j < m + 20000:
-            term = shell_term(j)
-            tail += term
-            if term <= 1e-18 * (tail + 1e-300):
-                break
-            j += 1
+        tail, rigorous = _lattice_tail(shell_term, m + 1)
         if tail <= target:
             value = total.real if w.imag == 0.0 else total
-            return BoundedValue(value, tail, RIGOROUS)
+            return BoundedValue(value, tail, RIGOROUS if rigorous else ESTIMATED)
     raise DivergenceError("theta sum did not converge within the shell budget")
 
 

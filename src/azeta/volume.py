@@ -17,8 +17,6 @@ counting scan doubles as an oracle for everything else.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +38,6 @@ __all__ = [
 
 _COUNT_BUDGET = int(1e8)
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("AZETA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> BoundedValue:
@@ -123,15 +113,8 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
             f"{_COUNT_BUDGET:.0e} budget"
         )
 
-    def count_slab(slab: slice) -> int:
-        return phi.count_strict(box_rows(box, slab), r)
-
-    parts = slabs(2 * box + 1)
-    workers = min(_thread_count(), len(parts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(count_slab, parts))
-    return sum(count_slab(slab) for slab in parts)
+    return sum(phi.count_strict(box_rows(box, slab), r)
+               for slab in slabs(2 * box + 1))
 
 
 @dataclass(frozen=True)

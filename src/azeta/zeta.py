@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, StripError
 from .homog import HomogeneousFunction
-from .kernel import Kernel, SampledTransform, SeparableTransform, fourier_transform
+from .kernel import Kernel, SampledTransform, fourier_transform
 from .lattice import box_rows, box_size, half_box_slabs
 from .quadrature import gl_nodes, panel_points
 from .special import digamma, gamma as gamma_fn, gamma_rel_error
@@ -419,23 +419,19 @@ class _XiSide:
                 raise StripError(
                     f"transform decay γτ ≈ {self.decay:.3g} cannot cover "
                     f"Re(α-s) = {re_s:.3g}",
-                    suggestion="increase the kernel exponent c (smoother φ^c) or "
-                    "request a transform with a lower band floor",
+                    suggestion="increase the kernel exponent c (smoother φ^c)",
                 )
             return self.edge_level * T**re_s / (self.decay - re_s)
-        # θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)}, integrated on [T, T + 60/μ] with
-        # 64 GL nodes
-        x, w = gl_nodes(64)
-        span = 60.0 / self.mu
-        ts = 0.5 * span * x + 0.5 * (2 * T + span)
-        ws = 0.5 * span * w
-        vals = (
-            self.theta_at_end
-            * (ts / T) ** self.c_pow
-            * np.exp(-self.mu * (ts - T))
-            * ts ** (re_s - 1.0)
-        )
-        return float(np.sum(ws * vals))
+        # θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)} integrates against t^{σ-1} to
+        # θ*(T) T^{-c} e^{μT} μ^{-a} Γ(a, μT) with a = c + σ, and
+        # Γ(a, x) <= x^{a-1} e^{-x} max(1, x/(x-a+1)) for x > a - 1
+        room = self.mu * T - max(self.c_pow + re_s - 1.0, 0.0)
+        if room <= 0.0:
+            raise StripError(
+                f"kernel decay μT ≈ {self.mu * T:.3g} cannot cover "
+                f"Re s = {re_s:.3g} past the table end"
+            )
+        return self.theta_at_end * T**re_s / room
 
     def xi_plus(self, s: complex) -> BoundedValue:
         value, quad, table = self.integral(s)
@@ -444,7 +440,7 @@ class _XiSide:
 
 def _xi_side(generator, func) -> _XiSide:
     """The side table of func along the flow of generator, cached on func."""
-    if not isinstance(func, (Kernel, SampledTransform, SeparableTransform)):
+    if not isinstance(func, (Kernel, SampledTransform)):
         raise DomainError(
             f"ξ⁺ needs a Kernel or a band-limited transform, got {type(func).__name__}"
         )
@@ -510,7 +506,7 @@ def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
     machine = cache.get(key)
     if machine is None:
         kernel = Kernel(phi, power=c)
-        transform = fourier_transform(kernel, floor_rel=1e-15 if phi.dim == 1 else None)
+        transform = fourier_transform(kernel)
         machine = cache[key] = _XiMachine(kernel.generator, kernel, transform)
     return machine
 

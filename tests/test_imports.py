@@ -1,8 +1,10 @@
-"""The import path: no scipy, and numpy's lazy submodules loaded up front.
+"""The import path: no scipy, no thread pool, and numpy's lazy submodules
+loaded up front.
 
 A fresh interpreter imports azeta, builds the three shipped configs and makes
 one call of each kind the CLI and the benchmark make.  scipy is only needed by
-the 2-D `Profile` and by defective generators, which none of these reach.
+the 2-D `Profile` and by defective generators, which none of these reach;
+`concurrent.futures` by nothing in the package.
 """
 
 import json
@@ -30,7 +32,8 @@ for path in sys.argv[1:]:
     azeta.volume_exp_integral(phi)
     azeta.lattice_count(phi, 100.0)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"early": early, "scipy": scipy}))
+futures = "concurrent.futures" in sys.modules
+print(json.dumps({"early": early, "scipy": scipy, "futures": futures}))
 """
 
 
@@ -44,4 +47,5 @@ def test_no_scipy_on_the_cli_and_benchmark_paths():
                          capture_output=True, text=True, timeout=300, check=True)
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["scipy"] == []
+    assert report["futures"] is False
     assert report["early"] == {"numpy.fft": True, "numpy.polynomial": True}

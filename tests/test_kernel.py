@@ -8,7 +8,6 @@ from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm
 from azeta.kernel import (
     Kernel,
     SampledTransform,
-    SeparableTransform,
     _nudft_points,
     fourier_transform,
 )
@@ -70,33 +69,11 @@ def test_transform_gaussian_closed_form():
 
 
 def test_transform_2d_gaussian_closed_form():
-    # g = e^{-(x^2+y^2)}, ghat(u) = pi e^{-pi^2 |u|^2}; diagonal form goes separable
+    # g = e^{-(x^2+y^2)}, ghat(u) = pi e^{-pi^2 |u|^2}
     tr = fourier_transform(Kernel(QuadraticForm(np.eye(2)), root=1.0))
-    assert isinstance(tr, SeparableTransform)
     pts = np.array([[0.0, 0.0], [0.4, -0.2], [1.0, 0.7]])
     want = math.pi * np.exp(-math.pi**2 * np.sum(pts**2, axis=1))
     assert np.allclose(tr.evaluate_points(pts).real, want, atol=1e-10)
-
-
-def test_power_substituted_quadratic_form_is_not_separable():
-    # e^{-(x Q x)^2} does not factor across coordinates
-    assert Kernel(QuadraticForm(np.diag([1.0, 2.0])), root=2.0).separable_factors() is None
-
-
-def test_separable_matches_dense_superellipse():
-    phi = AnisotropicSuperellipse([4.0, 6.0], 2.0)
-    k = Kernel(phi, root=2.0)  # e^{-(x^4+y^6)}, b = root, separable
-    sep = fourier_transform(k)
-    assert isinstance(sep, SeparableTransform)
-    factors = k.separable_factors()
-    assert factors is not None
-    # dense route on the same kernel, forced by hiding the factorization
-    k.separable_factors = lambda: None
-    dense = fourier_transform(k)
-    pts = np.array([[0.0, 0.0], [0.25, 0.5], [1.0, -0.75], [2.0, 1.5]])
-    a = sep.evaluate_points(pts)
-    b = dense.evaluate_points(pts)
-    assert np.allclose(a, b, atol=1e-8)
 
 
 def test_transform_quoted_error_covers_closed_form_gap():
@@ -159,8 +136,8 @@ def _boxes(tr):
 @pytest.mark.parametrize("kernel", [
     Kernel(PNorm(1, 1.0), power=2.0),                      # 1-D sampled
     Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
-    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # separable
-], ids=["sampled-1d", "sampled-2d", "separable"])
+    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # 2-D diagonal
+], ids=["sampled-1d", "sampled-2d", "sampled-2d-diagonal"])
 def test_box_sum_is_the_sum_over_the_box(kernel):
     tr = fourier_transform(kernel)
     for scales, box in _boxes(tr):
@@ -218,8 +195,8 @@ def test_box_sum_at_integer_phases():
 @pytest.mark.parametrize("kernel", [
     Kernel(PNorm(1, 1.0), power=6.0),                      # 1-D sampled
     Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
-    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # separable
-], ids=["sampled-1d", "sampled-2d", "separable"])
+    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # 2-D diagonal
+], ids=["sampled-1d", "sampled-2d", "sampled-2d-diagonal"])
 def test_batched_table_entries_are_the_box_sums(kernel):
     # 24 Gauss nodes of a transform-side table in one call, where the boxes
     # are small, not empty, and differ from node to node within a block of

@@ -113,7 +113,7 @@ class _ShellOnly:
 @pytest.mark.parametrize("kernel", [
     Kernel(PNorm(1, 1.0), root=2.0),
     Kernel(QuadraticForm(np.eye(2)), root=1.0),
-], ids=["sampled-1d", "separable-2d"])
+], ids=["sampled-1d", "sampled-2d-diagonal"])
 def test_box_sum_path_agrees_with_shell_path(kernel):
     tr = fourier_transform(kernel)
     generator = kernel.generator.transpose()
@@ -158,6 +158,18 @@ def test_power_sum_bound_is_above_the_sum():
             bound = _power_sum_bound(p, k + 1.0, k + 4000.0)
             assert direct <= bound <= 1.03 * direct, (p, k)
     assert _power_sum_bound(2.5, 2.0, 3.0) == 2.0**-2.5
+
+
+def test_lattice_tail_past_its_loop_is_geometric():
+    # ratio 0.999 reaches the 1e-18 stop only after about 41,000 terms; the
+    # remainder past the 8000 summed is then the geometric one, exactly
+    geometric = theta_module._lattice_tail(lambda m: (0.999**m, True), 10)
+    assert geometric[0] == pytest.approx(0.999**10 / 0.001, rel=1e-12)
+    assert geometric[1] is True
+    # rising ratios: the geometric remainder can fall short, so it is flagged
+    rising = theta_module._lattice_tail(
+        lambda m: (math.exp(-0.05 * math.sqrt(m)), True), 10)
+    assert math.isfinite(rising[0]) and rising[1] is False
 
 
 @pytest.mark.parametrize("phi", [ABSVAL, SQUARE, DISC], ids=["absval", "square", "disc"])

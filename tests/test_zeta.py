@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gamma as sp_gamma
 
 from azeta import zeta as zeta_module
-from azeta.errors import DivergenceError, DomainError
+from azeta.errors import DivergenceError, DomainError, StripError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
 from azeta.kernel import Kernel, SampledTransform, fourier_transform
 from azeta.quadrature import panel_points
@@ -331,6 +331,29 @@ def test_xi_full_of_the_self_dual_gaussian():
         exact = complex(sp_gamma(s)) * math.pi ** (-s) * 2.0 * riemann_zeta(2.0 * s)
         assert got.kind == "rigorous"
         assert abs(got.value - exact) <= got.error
+
+
+@pytest.mark.parametrize("phi", [ABSVAL, DISC, SUPERELLIPSE],
+                         ids=["absval", "disc", "superellipse"])
+def test_kernel_side_tail_bounds_its_dominating_integral(phi):
+    # past the table end T, θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)}; the closed
+    # form bounds that integral against t^{σ-1} from above, and within 2%
+    side = zeta_module._xi_machine(phi, default_power(phi)).side
+    T, mu, c, top = side.t_end, side.mu, side.c_pow, side.theta_at_end
+    for sigma in (-3.0, 0.0, phi.alpha, phi.alpha + 3.0):
+        def dominating(t, sigma=sigma):
+            return top * (t / T) ** c * mpmath.exp(-mu * (t - T)) * t ** (sigma - 1)
+
+        with mpmath.workdps(30):
+            want = mpmath.quad(dominating, [T, T + 1 / mu, T + 4 / mu, T + 16 / mu,
+                                            T + 64 / mu, mpmath.inf])
+        assert 1.0 <= side.tail(sigma) / want <= 1.02
+
+
+def test_kernel_side_tail_raises_past_its_decay():
+    side = zeta_module._xi_machine(ABSVAL, default_power(ABSVAL)).side
+    with pytest.raises(StripError):
+        side.tail(side.mu * side.t_end - side.c_pow + 1.0)
 
 
 def test_xi_plus_rejects_other_summands():
