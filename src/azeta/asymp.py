@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .homog import HomogeneousFunction
+from .homog import HomogeneousFunction, PNorm
 from .special import bernoulli_numbers, gamma, gamma_rel_error
 from .theta import theta_phi
 from .volume import volume_exp_integral
@@ -142,8 +142,6 @@ def bernoulli_identity_check(k_max: int) -> BernoulliReport:
     over phi = |x| as half of zeta(phi,-k); the comparison side is exact
     rational arithmetic.
     """
-    from .homog import PNorm
-
     phi = PNorm(1, 1.0)
     exact = bernoulli_numbers(k_max + 1)
     rows = []

@@ -40,6 +40,7 @@ from .homog import (
 )
 from .lattice import grid_rows
 from .quadrature import box_integral
+from .special import exp_shell_tail, power_shell_tail
 
 __all__ = ["Kernel", "SampledTransform", "fourier_transform"]
 
@@ -136,20 +137,18 @@ class Kernel:
             return math.exp(c * math.log(peak) - peak) if peak > 0 else 0.0
         return math.exp(-(max(level, 0.0) ** self.root))
 
-    def decay_bound(self, radius: float):
-        """(bound on sup |g| over ||x||_2 >= radius, rigorous_flag)."""
-        if radius <= 0.0:
-            top = self._envelope(0.0)
-            return (top, True)
-        _, _, c3, _ = self.phi.growth()
-        beta = self.phi.generator.beta
-        if radius >= 1.0:
-            level = c3 * radius ** (1.0 / beta)
-        else:
-            c1 = self.phi.growth()[0]
-            gamma = self.phi.generator.gamma
-            level = c1 * radius ** (1.0 / gamma)
-        return (self._envelope(level), True)
+    def shell_tail(self, sigma: float, m: int):
+        """(bound on Σ |g| over shells j >= m mapped to norm >= sigma j, True).
+
+        φ >= c3 |y|^{1/β} for |y| >= 1 puts shell j at φ >= a j^{1/β} with
+        a = c3 σ^{1/β}; `exp_shell_tail` sums g's envelope over the shells."""
+        if sigma * m < 1.0:
+            return math.inf, True
+        p = 1.0 / self.phi.generator.beta
+        a = self.phi.growth()[2] * sigma**p
+        if self.kind == "power_exp":
+            return exp_shell_tail(self.dim, m, a, p, self.power), True
+        return exp_shell_tail(self.dim, m, a**self.root, p * self.root), True
 
     def axis_extent(self, axis: int, floor: float) -> float:
         """Half-width R on this axis so g is below floor outside |x_axis| < R."""
@@ -161,9 +160,9 @@ class Kernel:
                 if self._envelope(level) <= floor:
                     return float(r)
             raise DomainError("kernel decays too slowly to box on this axis")
-        for r in np.geomspace(0.5, 1e4, 200):
-            bound, _ = self.decay_bound(r)
-            if bound <= floor:
+        c3, beta = self.phi.growth()[2], self.phi.generator.beta
+        for r in np.geomspace(0.5, 1e4, 200):  # φ >= c3 |x|^{1/β} for |x| >= 1
+            if r >= 1.0 and self._envelope(c3 * r ** (1.0 / beta)) <= floor:
                 return float(r)
         raise DomainError("kernel decays too slowly to box")
 
@@ -356,12 +355,15 @@ class SampledTransform:
         """Heuristic bound on |ĝ(y)| when max_i |y_i|/band_i = ratio >= 1."""
         return self.edge_level * max(ratio, 1.0) ** (-self.decay_tau)
 
-    def decay_bound(self, radius: float):
-        """Fitted-model bound on sup |ĝ| over ||y||_2 >= radius; not rigorous."""
-        ratio = radius / (math.sqrt(self.dim) * float(np.max(self.band)))
-        if ratio <= 1.0:
-            return (float(np.max(np.abs(self.hat_grid))), False)
-        return (self.out_of_band_bound(ratio), False)
+    def shell_tail(self, sigma: float, m: int):
+        """(fitted bound on Σ |ĝ| over shells j >= m mapped to norm >= sigma j,
+        False): past R = √n max band the model |ĝ| <= edge_level (r/R)^{-τ},
+        summed by `power_shell_tail`; +inf until shell m clears R."""
+        reach = math.sqrt(self.dim) * float(np.max(self.band))
+        if sigma * m <= reach:
+            return math.inf, False
+        return (self.edge_level * (sigma / reach) ** -self.decay_tau
+                * power_shell_tail(self.dim, m, self.decay_tau), False)
 
     # -- evaluation ------------------------------------------------------------
 

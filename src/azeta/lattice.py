@@ -26,13 +26,16 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SLAB_ROWS", "grid_rows", "box_rows", "slabs", "half_box_slabs",
-           "box_size", "shell"]
+__all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs",
+           "half_box_slabs", "box_size", "shell"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
 # 1 M rows, at 959 or 1,002 MB with 2 M, 970 MB with 3 M and 981 MB with 4 M.
 SLAB_ROWS = 1_000_000
+# points one lattice enumeration may visit: `volume.lattice_count`'s box and
+# `theta.theta_phi`'s shells
+COUNT_BUDGET = int(1e8)
 
 
 def grid_rows(axes, first: slice = slice(None)) -> np.ndarray:

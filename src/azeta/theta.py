@@ -1,10 +1,10 @@
 """Lattice theta sums along a matrix flow.
 
 theta_A(f, it) = sum over the integer lattice of f(t^A ω); the starred variant
-drops ω = 0.  Sums run over sup-norm shells.  Tails are controlled by the
-smallest singular value of the flow matrix: every lattice point in shell m
-lands at Euclidean norm >= sigma_min(t^A) m, where the summand's decay bound
-takes over.  Bounds from kernels are certified; bounds from sampled transforms
+drops ω = 0.  Sums run over sup-norm shells and stop at the first shell whose
+tail meets target, found before any shell is summed.  Shell j lands at norm
+>= sigma_min(t^A) j, so the summand's `shell_tail(sigma, m)` bounds the tail
+in closed form (`special`).  Kernel bounds are certified; sampled transforms
 use their fitted decay model and are flagged as estimates.
 
 `theta_star_table` gives θ* at a whole table of flow times in one call, with
@@ -20,16 +20,15 @@ convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, DivergenceError
+from .errors import BudgetExceededError, DomainError, DivergenceError
 from .kernel import Kernel
-from .lattice import shell
+from .lattice import COUNT_BUDGET, shell
 from .matflow import GeneratorMatrix
+from .special import _power_sum_bound, exp_shell_tail, first_shell
 
 __all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
            "jacobi_residual"]
@@ -59,54 +58,11 @@ class BoundedValue:
         return RIGOROUS if self.kind == other.kind == RIGOROUS else ESTIMATED
 
 
-def _shell_count(dim: int, m: int) -> int:
-    return (2 * m + 1) ** dim - (2 * m - 1) ** dim
-
-
-def _lattice_tail(shell_term, m0: int):
-    """Bound on sum of |f| over shells m >= m0; (bound, rigorous_flag).
-
-    `shell_term(m)` gives shell m's (bound, rigorous) pair, a bound >= 0.
-    What lies past 8000 shells is bounded geometrically from the last ratio
-    of terms: a bound while the ratios do not rise, and flagged as an
-    estimate when the last ratio is above the one before it.
-    """
-    total = 0.0
-    rigorous = True
-    last = math.inf
-    for m in range(m0, m0 + 8000):
-        term, rig = shell_term(m)
-        rigorous = rigorous and rig
-        total += term
-        if term <= 1e-18 * (total + 1e-300):
-            return total, rigorous
-        if term >= last and m > m0 + 4:
-            # decay model not taking hold; give up on a finite bound
-            return math.inf, False
-        last = term
-    # every term past m0 + 4 fell, so ratio < 1
-    before = shell_term(m - 1)[0]
-    ratio = last / before
-    rising = ratio > before / shell_term(m - 2)[0] * (1.0 + 1e-12)
-    total += last * ratio / (1.0 - ratio)
-    return total, rigorous and not rising
-
-
 def _grid_sum_error(func, count_in_band: int) -> float:
     quad = getattr(func, "quad_error", 0.0)
     tail = getattr(func, "tail_error", 0.0)
     inherited = getattr(func, "inherited_error", 0.0)
     return count_in_band * (quad + inherited) + tail
-
-
-def _power_sum_bound(p: float, a, b):
-    """An upper bound on Σ_{j=a}^{b-1} j^{-p} for p > 1 and integers 1 <= a < b.
-
-    j^{-p} is convex, so each j > a is at most the integral of x^{-p} over
-    [j - 1/2, j + 1/2]; the first term is kept exact.  At a = 1 the bound is
-    within about 2% of the sum for p >= 1.5, and tighter for larger a.
-    """
-    return a ** -p + ((a + 0.5) ** (1.0 - p) - (b - 0.5) ** (1.0 - p)) / (p - 1.0)
 
 
 def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
@@ -151,31 +107,20 @@ def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
 
 def _node_stop(generator: GeneratorMatrix, func, t: float, target: float):
     """(flow, m, tail, rigorous) at flow time t: t^A, and the first shell m
-    after which the lattice tail bound `_lattice_tail` meets target.
+    after which the summand's closed-form `shell_tail` meets target.
 
     Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A, so the
-    stop rests on the decay bound alone and is known before any value of
-    the summand is formed.
+    stop rests on the tail bound alone and is known before any value of the
+    summand is formed.
     """
     flow = generator.flow(t)
     sigma_min = float(np.linalg.svd(flow, compute_uv=False)[-1])
-    dim = generator.dim
-
-    # each shell's tail term is computed once per node
-    @lru_cache(maxsize=None)
-    def shell_term(m):
-        bound, rig = func.decay_bound(sigma_min * m)
-        return _shell_count(dim, m) * bound, rig
-
-    for m in range(1, _MAX_SHELL + 1):
-        if shell_term(m + 1)[0] > target:
-            continue  # the tail holds this term, so it cannot meet target
-        tail, rigorous = _lattice_tail(shell_term, m + 1)
-        if tail <= target:
-            return flow, m, tail, rigorous
-    raise DivergenceError(
-        f"theta sum did not meet target {target:g} within {_MAX_SHELL} shells"
-    )
+    m = first_shell(lambda m: func.shell_tail(sigma_min, m + 1)[0] <= target,
+                    _MAX_SHELL)
+    if m is None:
+        raise DivergenceError(f"theta sum did not meet target {target:g} within "
+                              f"{_MAX_SHELL} shells")
+    return (flow, m) + func.shell_tail(sigma_min, m + 1)
 
 
 def _pairwise_rounding(magnitude, count, passes: int = 1):
@@ -248,7 +193,8 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
     """θ*(t) = Σ over nonzero lattice ω of f(t^A ω) at every node t of ts.
 
     Returns (values, errors, kind): two arrays and one tag for the table.
-    `func` needs evaluate_many(points) and decay_bound(radius); kernels give
+    `func` needs evaluate_many(points) and shell_tail(sigma, m), a bound on
+    its sum over the shells j >= m at norm >= sigma j; kernels give
     certified bounds, sampled transforms fitted ones.  Three routes, one
     per summand type: a Kernel on its own flow (`_kernel_table`), a
     transform with a closed-form box sum on a diagonal flow
@@ -279,33 +225,30 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
 def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     """theta(φ, iw) = 1 + sum over nonzero ω of e^{-w φ(ω)}, for Re w > 0.
 
-    Accepts complex w in the right half plane (the value is then complex);
-    the tail is bounded from the lower growth bound of φ either way, by
-    `_lattice_tail` over the shells' counts.
+    Accepts complex w in the right half plane (the value is then complex).
+    Shell j sits at φ >= c3 j^{1/β}, so `exp_shell_tail` (a = Re w c3,
+    p = 1/β) bounds the tail; the first shell m where it meets target is
+    found first, `BudgetExceededError` raised if shells 1..m hold more than
+    `COUNT_BUDGET` points, and shells 1..m are then summed in turn.
     """
     w = complex(w)
     if not (w.real > 0.0):
         raise DomainError(f"theta needs Re w > 0, got {w}")
-    _, _, c3, _ = phi.growth()
-    beta = phi.generator.beta
     dim = phi.dim
-
-    # every shell j sits at φ >= c3 j^{1/beta}; each term is computed once
-    @lru_cache(maxsize=None)
-    def shell_term(j):
-        return _shell_count(dim, j) * math.exp(-w.real * c3 * j ** (1.0 / beta)), True
-
+    a, p = w.real * phi.growth()[2], 1.0 / phi.generator.beta
+    m_stop = first_shell(lambda m: exp_shell_tail(dim, m + 1, a, p) <= target,
+                         1 << 60) or 1 << 60
+    points = (2 * m_stop + 1) ** dim
+    if points > COUNT_BUDGET:
+        raise BudgetExceededError(
+            f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
+            f"points, over the {COUNT_BUDGET:.0e} budget")
     total = 1.0 + 0.0j
-    for m in range(1, 100000):
+    for m in range(1, m_stop + 1):
         vals = phi.evaluate_many(shell(dim, m))
         total += complex(np.sum(np.exp(-w * vals)))
-        if shell_term(m + 1)[0] > target:
-            continue  # the tail holds this term, so it cannot meet target
-        tail, rigorous = _lattice_tail(shell_term, m + 1)
-        if tail <= target:
-            value = total.real if w.imag == 0.0 else total
-            return BoundedValue(value, tail, RIGOROUS if rigorous else ESTIMATED)
-    raise DivergenceError("theta sum did not converge within the shell budget")
+    value = total.real if w.imag == 0.0 else total
+    return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)
 
 
 def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,

@@ -24,9 +24,10 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction
 from .kernel import Kernel
-from .lattice import box_rows, box_size, slabs
+from .lattice import COUNT_BUDGET, box_rows, box_size, slabs
 from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
+from .zeta import zeta_direct
 
 __all__ = [
     "volume_exp_integral",
@@ -36,7 +37,6 @@ __all__ = [
     "CountingScan",
 ]
 
-_COUNT_BUDGET = int(1e8)
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -107,10 +107,10 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
         raise DomainError(f"radius must be positive and finite, got {r}")
     box = phi.lattice_box(r)
     total_pts = box_size(box)
-    if total_pts > _COUNT_BUDGET:
+    if total_pts > COUNT_BUDGET:
         raise BudgetExceededError(
             f"lattice box holds {total_pts:.3g} points, over the "
-            f"{_COUNT_BUDGET:.0e} budget"
+            f"{COUNT_BUDGET:.0e} budget"
         )
 
     return sum(phi.count_strict(box_rows(box, slab), r)
@@ -136,8 +136,6 @@ def counting_limit_scan(phi: HomogeneousFunction, r_schedule=None,
     approaches the same constant from the analytic side:
     (sigma - alpha) zeta(phi, sigma) -> alpha |B| as sigma -> alpha+.
     """
-    from .zeta import zeta_direct
-
     alpha = phi.alpha
     if volume is None:
         volume = volume_exp_integral(phi)
@@ -147,7 +145,7 @@ def counting_limit_scan(phi: HomogeneousFunction, r_schedule=None,
     rows = []
     for r in r_schedule:
         box = phi.lattice_box(float(r))
-        over = box_size(box) > _COUNT_BUDGET
+        over = box_size(box) > COUNT_BUDGET
         if over and default_schedule:
             # the default schedule trims itself to the budget; an explicit
             # schedule gets the budget error from lattice_count instead

@@ -45,7 +45,8 @@ from .homog import HomogeneousFunction
 from .kernel import Kernel, SampledTransform, fourier_transform
 from .lattice import box_rows, box_size, half_box_slabs
 from .quadrature import gl_nodes, panel_points
-from .special import digamma, gamma as gamma_fn, gamma_rel_error
+from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
+                      power_shell_tail)
 from .theta import ESTIMATED, RIGOROUS, BoundedValue, theta_star_table
 
 __all__ = [
@@ -298,34 +299,17 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
 
 
 def _integral_test_tail(phi, re_s: float, c3: float, m0: int) -> float:
-    """Bound on Σ over sup-norm shells m > m0, by integral comparison.
-
-    Shell m holds fewer than 2n(2m+1)^{n-1} <= 2n 3^{n-1} m^{n-1} points, each
-    with φ >= c3 m^{1/β}; the summand decreases in m, so the sum past m0 is at
-    most the term at m0+1 plus the integral from m0+1 on.
-    """
-    dim = phi.dim
-    q = re_s / phi.generator.beta
-    if q <= dim:
-        return math.inf
-    coeff = 2 * dim * 3 ** (dim - 1) * c3 ** (-re_s)
-    first = coeff * (m0 + 1) ** (dim - 1 - q)
-    rest = coeff * (m0 + 1) ** (dim - q) / (q - dim)
-    return first + rest
+    """Bound on Σ over sup-norm shells j > m0 of |φ^{-s}|: shell j sits at
+    φ >= c3 j^{1/β}, so it is c3^{-σ} `power_shell_tail` of the power σ/β."""
+    return c3 ** -re_s * power_shell_tail(phi.dim, m0 + 1, re_s / phi.generator.beta)
 
 
 def _rigorous_box(phi, re_s: float, c3: float, target: float):
-    """Smallest sup-norm box whose integral-test tail meets target, or None."""
-    q = re_s / phi.generator.beta
-    dim = phi.dim
-    if q <= dim + 0.2:
+    """Smallest sup-norm box whose tail is within 0.45 target, or None."""
+    if re_s / phi.generator.beta <= phi.dim + 0.2:
         return None
-    coeff = 2 * dim * 3 ** (dim - 1) * c3 ** (-re_s)
-    need = 0.45 * target * (q - dim) / (2.0 * coeff)
-    m_box = int(math.ceil(need ** (1.0 / (dim - q)))) + 1
-    if m_box < 2 or m_box > 1 << 16:
-        return None
-    return m_box
+    return first_shell(
+        lambda m: _integral_test_tail(phi, re_s, c3, m) <= 0.45 * target, 1 << 16)
 
 
 def _rigorous_sum(phi, s: complex, m_box: int, c3: float):

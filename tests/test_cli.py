@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,13 @@ def test_theta_point(tmp_path):
     assert abs(row["value_re"] - (1.0 + 2.0 / (math.e - 1.0))) < 1e-9
     header = (tmp_path / "out" / "theta.csv").read_text().splitlines()[0]
     assert header == "w_re,w_im,value_re,value_im,error,rigor"
+
+
+def test_theta_over_the_point_budget_exits_3(tmp_path, monkeypatch, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "disc2d.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["theta", "--config", str(config), "--w", "1e-7"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_volume_agreement(tmp_path):

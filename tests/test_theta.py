@@ -1,17 +1,18 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 from azeta import theta as theta_module
-from azeta.errors import DomainError
+from azeta.errors import BudgetExceededError, DomainError
 from azeta.homog import PNorm, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
-from azeta.lattice import box_rows
+from azeta.lattice import box_rows, shell
 from azeta.quadrature import panel_points
+from azeta.special import _power_sum_bound, exp_shell_tail, gamma_tail_factor
 from azeta.theta import (
-    _power_sum_bound,
     jacobi_residual,
     theta_phi,
     theta_star_matrix,
@@ -21,6 +22,8 @@ from azeta.zeta import default_power
 
 from oracles import theta3_sum
 from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
+
+BALL = QuadraticForm(np.eye(3))
 
 # frozen closed form: theta(|x|, i*1) = 1 + 2/(e - 1)
 _THETA_ABS_AT_1 = 1.0 + 2.0 / (math.e - 1.0)
@@ -58,6 +61,49 @@ def test_theta_rejects_left_half_plane():
         theta_phi(PNorm(1, 1.0), -0.5)
     with pytest.raises(DomainError):
         theta_phi(PNorm(1, 1.0), 1.0j)
+
+
+class _StopShell:
+    """φ seen through theta_phi's interface, keeping the largest shell summed."""
+
+    def __init__(self, phi):
+        self._phi = phi
+        self.dim = phi.dim
+        self.generator = phi.generator
+        self.stop = 0
+
+    def growth(self):
+        return self._phi.growth()
+
+    def evaluate_many(self, points):
+        self.stop = max(self.stop, int(np.abs(points).max()))
+        return self._phi.evaluate_many(points)
+
+
+@pytest.mark.parametrize("w", [0.002, 0.01, 0.05, 0.5 + 0.2j, 2.0])
+@pytest.mark.parametrize("phi", [ABSVAL, SQUARE, DISC, SUPERELLIPSE],
+                         ids=["absval", "square", "disc", "superellipse"])
+def test_theta_tail_bar_covers_the_dropped_shells(phi, w):
+    recorder = _StopShell(phi)
+    got = theta_phi(recorder, w)
+    m = recorder.stop
+    # every shell past the stop, out to one whose terms are all below 1e-30
+    # of the bar
+    rate = complex(w).real
+    top = m + 1
+    while np.exp(-rate * phi.evaluate_many(shell(phi.dim, top))).max() >= 1e-30 * got.error:
+        top *= 2
+    rows = box_rows([top] * phi.dim)
+    rows = rows[np.abs(rows).max(axis=1) > m]
+    dropped = math.fsum(np.exp(-rate * phi.evaluate_many(rows)).tolist())
+    assert dropped <= got.error
+
+
+def test_theta_over_the_point_budget_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="1e\\+08 budget"):
+        theta_phi(DISC, 1e-7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_theta_star_is_theta_minus_center_term():
@@ -106,8 +152,8 @@ class _ShellOnly:
     def evaluate_many(self, points):
         return self._transform.evaluate_many(points)
 
-    def decay_bound(self, radius):
-        return self._transform.decay_bound(radius)
+    def shell_tail(self, sigma, m):
+        return self._transform.shell_tail(sigma, m)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -135,8 +181,8 @@ class _Recording:
         self.values.extend(vals.tolist())
         return vals
 
-    def decay_bound(self, radius):
-        return self._kernel.decay_bound(radius)
+    def shell_tail(self, sigma, m):
+        return self._kernel.shell_tail(sigma, m)
 
 
 @pytest.mark.parametrize("t", [1.5, 5.0, 25.5, 80.0])
@@ -160,16 +206,62 @@ def test_power_sum_bound_is_above_the_sum():
     assert _power_sum_bound(2.5, 2.0, 3.0) == 2.0**-2.5
 
 
-def test_lattice_tail_past_its_loop_is_geometric():
-    # ratio 0.999 reaches the 1e-18 stop only after about 41,000 terms; the
-    # remainder past the 8000 summed is then the geometric one, exactly
-    geometric = theta_module._lattice_tail(lambda m: (0.999**m, True), 10)
-    assert geometric[0] == pytest.approx(0.999**10 / 0.001, rel=1e-12)
-    assert geometric[1] is True
-    # rising ratios: the geometric remainder can fall short, so it is flagged
-    rising = theta_module._lattice_tail(
-        lambda m: (math.exp(-0.05 * math.sqrt(m)), True), 10)
-    assert math.isfinite(rising[0]) and rising[1] is False
+def _tail_cases():
+    """(dim, a, p, c) of the shell tails: theta_phi's a = Re w c3 and p = 1/β
+    on |x|, the disc, the superellipse and the 3-ball at the w of the bar
+    test below, and the default-power kernels' a = c3 σ^{1/β} at flow times
+    1, 2 and 5 (σ the smallest singular value of t^A)."""
+    shapes = {"absval": ABSVAL, "square": SQUARE, "disc": DISC,
+              "superellipse": SUPERELLIPSE, "ball": BALL}
+    cases = []
+    for name, phi in shapes.items():
+        c3, p = phi.growth()[2], 1.0 / phi.generator.beta
+        if name != "square":
+            cases += [pytest.param(phi.dim, w * c3, p, 0.0, id=f"theta-{name}-w{w}")
+                      for w in (0.002, 0.01, 0.05, 0.5, 2.0)]
+        for t in (1.0, 2.0, 5.0):
+            sigma = np.linalg.svd(phi.generator.flow(t), compute_uv=False)[-1]
+            cases.append(pytest.param(phi.dim, c3 * sigma**p, p, default_power(phi),
+                                      id=f"kernel-{name}-t{t:g}"))
+    return cases
+
+
+def _exact_shell_sum(dim, a, p, c, m):
+    """Σ_{j>=m} N_j (a j^p)^c e^{-a j^p} in 30 digits, out to where the terms
+    fall below 1e-25 of the sum."""
+    with mpmath.workdps(30):
+        total = mpmath.mpf(0)
+        j = m
+        while True:
+            x = a * mpmath.mpf(j) ** p
+            term = ((2 * j + 1) ** dim - (2 * j - 1) ** dim) * x**c * mpmath.exp(-x)
+            total += term
+            if x > c + dim and term < 1e-25 * total:
+                return total
+            j += 1
+
+
+@pytest.mark.parametrize("dim,a,p,c", _tail_cases())
+def test_shell_tail_bound_holds_and_is_tight(dim, a, p, c):
+    # the first admissible shell: a m^p >= (n-1)/p + c, and past s - 1 for
+    # every Γ((k+1)/p + c, ·)
+    first = next(m for m in range(1, 1000) if a * m**p >= (dim - 1) / p + c
+                 and a * m**p > dim / p + c - 1.0)
+    assert math.isfinite(exp_shell_tail(dim, first, a, p, c))
+    assert all(exp_shell_tail(dim, m, a, p, c) == math.inf for m in range(1, first))
+    x = a * first**p
+    for k in range(dim - 1, -1, -2):
+        s = (k + 1) / p + c
+        with mpmath.workdps(30):
+            gamma = mpmath.gammainc(s, x)
+            assert gamma <= x ** (s - 1) * mpmath.exp(-x) * gamma_tail_factor(s, x)
+    for m in (first, first + 10):
+        bound = exp_shell_tail(dim, m, a, p, c)
+        exact = _exact_shell_sum(dim, a, p, c, m)
+        assert exact <= bound, m
+        if m > first:
+            # at the first shell Γ's factor x/(x-s+1) can be far above 1
+            assert bound <= 1.35 * exact, m
 
 
 @pytest.mark.parametrize("phi", [ABSVAL, SQUARE, DISC], ids=["absval", "square", "disc"])
