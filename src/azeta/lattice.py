@@ -57,8 +57,14 @@ def grid_rows(axes, first: slice = slice(None)) -> np.ndarray:
 
 
 def box_rows(box, first: slice = slice(None), nonzero: bool = False) -> np.ndarray:
-    """Rows of the integer box prod [-B_i, B_i], optionally without the origin."""
-    rows = grid_rows([np.arange(-int(b), int(b) + 1) for b in box], first)
+    """Rows of the integer box prod [-B_i, B_i], optionally without the origin.
+
+    `first` selects from the first axis before any array is made, so a slab
+    of a long first axis costs its own rows only.
+    """
+    span = range(-int(box[0]), int(box[0]) + 1)[first]
+    rows = grid_rows([np.arange(span.start, span.stop, span.step)]
+                     + [np.arange(-int(b), int(b) + 1) for b in box[1:]])
     if nonzero:
         rows = rows[np.any(rows != 0.0, axis=1)]
     return rows

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, DivergenceError
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, shell
+from .lattice import COUNT_BUDGET, box_rows, shell, slabs
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell
 
@@ -229,7 +229,9 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     Shell j sits at φ >= c3 j^{1/β}, so `exp_shell_tail` (a = Re w c3,
     p = 1/β) bounds the tail; the first shell m where it meets target is
     found first, `BudgetExceededError` raised if shells 1..m hold more than
-    `COUNT_BUDGET` points, and shells 1..m are then summed in turn.
+    `COUNT_BUDGET` points, and shells 1..m are then summed in turn; in one
+    dimension their box is summed in `lattice.slabs` of at most a million
+    points.
     """
     w = complex(w)
     if not (w.real > 0.0):
@@ -244,9 +246,14 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
             f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
             f"points, over the {COUNT_BUDGET:.0e} budget")
     total = 1.0 + 0.0j
-    for m in range(1, m_stop + 1):
-        vals = phi.evaluate_many(shell(dim, m))
-        total += complex(np.sum(np.exp(-w * vals)))
+    if dim == 1:  # shell j is the points ±j: sum the box in slabs instead
+        for part in slabs([2 * m_stop + 1]):
+            vals = phi.evaluate_many(box_rows([m_stop], part, nonzero=True))
+            total += complex(np.sum(np.exp(-w * vals)))
+    else:
+        for m in range(1, m_stop + 1):
+            vals = phi.evaluate_many(shell(dim, m))
+            total += complex(np.sum(np.exp(-w * vals)))
     value = total.real if w.imag == 0.0 else total
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)
 

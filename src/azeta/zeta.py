@@ -6,7 +6,11 @@ estimator corrects the truncation at cutoff T by the pole model
 Σ_{φ(ω)>=T} φ^{-s} ≈ (α/(s-α)) N(T) T^{-s}, where N(T) counts lattice points
 below T (its own best estimate of |B|T^α, so no volume oracle enters), and
 averages the corrected value over a spread of cutoffs in the top octave to damp
-the counting fluctuations.
+the counting fluctuations.  The lattice below the cutoffs is kept only as a
+moment table: log φ in narrow bins, a few power moments per bin.  Each s then
+costs a Taylor expansion of e^{-s log φ} about every bin centre (the
+fast Gauss transform's expansion about box centres, Greengard and Strain
+1991), a few thousand bins instead of millions of points.
 
 Continuation side: with g = φ^c e^{-φ} one has Γ(s+c) ζ(φ,s) = ξ_A(g,s) and
 
@@ -28,7 +32,7 @@ same value comes with its Laurent data in closed form; `zeta_direct` hands
 that neighbourhood to the machine too, and `residue_at_alpha` reads the
 residue ĝ(0)/Γ(α+c) off the same machine.
 
-Derived values live in `cache_for(owner)`, one weak-keyed cache: lattice logs
+Derived values live in `cache_for(owner)`, one weak-keyed cache: moment tables
 and ξ machines die with their φ, side tables with their summand.
 """
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,10 +101,22 @@ def cache_for(owner) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_HEAD_CAP = 1.0e4  # φ below this is kept in float64, above in float32
-# Values per chunk of the windowed sums' walk over the tail.  Chunk arrays of
-# 256 KB stay in cache: 2^15 ran the superellipse sums 10% faster than 2^18.
-_CHUNK = 1 << 15
+# The direct series' moment table.  λ = log φ goes into bins of width
+# H = log 2/(48m) hanging down from log t_max, so the window edges t_j, t_j/2
+# (log 2/6 apart) and the count cuts 0.25 t_j 2^{i/16} (log 2/16 apart) are
+# bin edges.  Each bin keeps K moments of u = (λ - c_b)/H about its centre.
+_BIN_STEPS = 4  # m
+_MOMENTS = 8  # K
+_OCTAVE_BINS = 48 * _BIN_STEPS
+_BIN_WIDTH = math.log(2.0) / _OCTAVE_BINS  # H
+_WINDOW_SHIFT = _OCTAVE_BINS // _CUTOFF_COUNT  # bins from t_j down to t_{j+1}
+_CUT_EDGES = (_WINDOW_SHIFT * np.arange(_CUTOFF_COUNT)[:, None] + 2 * _OCTAVE_BINS
+              - _OCTAVE_BINS // 16 * np.arange(17))  # [window j, cut i]
+_MIN_POINTS = 100_000  # lattice points the estimator needs below t_max
+# rows per slab of the build: its temporaries stay in cache, and 2^15 rows
+# peaked at 42 MB on the superellipse at box_budget 1e7, 1 M rows at 131 MB
+_BUILD_ROWS = 1 << 15
+_LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long double
 
 
 def _isotropic(phi: HomogeneousFunction) -> bool:
@@ -126,89 +143,155 @@ def _fluct_exponent(phi: HomogeneousFunction) -> float:
     return 0.35 if _isotropic(phi) else 0.5
 
 
-def _sorted_log_values(phi: HomogeneousFunction, box_budget: float):
-    """log φ(ω) over the largest complete sublevel set within budget, sorted.
+@dataclass(frozen=True)
+class _MomentTable:
+    """Bin b holds t_max 2^{-(b+1)/48m} <= φ < t_max 2^{-b/48m}, moments[k, b]
+    is Σ u^k over its half-box points (times mult for the lattice), and
+    counts[j, i] is #{φ(ω) < cuts[j, i]} over the nonzero lattice."""
 
-    Returns (T_max, head, tail, mult): head is float64 logs for φ < the head
-    cap, tail is float32 logs for the rest.  The split keeps tens of millions
-    of values affordable; float32 noise on log φ perturbs each term by a
-    relative ~|s| 1e-6, harmless beyond the cap where terms are already below
-    1e-5.  Only the half box `lattice.half_box_slabs` is walked: for an even φ
-    its values stand for ω and -ω alike, so every value has multiplicity
-    mult = 2; otherwise the negated rows are evaluated too and mult = 1.
-    Sums and counts over the set are mult times those over the arrays.  The
-    sort makes the result independent of the slab size.  Cached on φ; a
-    larger budget rebuilds.
+    t_max: float
+    moments: np.ndarray
+    cuts: np.ndarray
+    counts: np.ndarray
+    mult: int
+    budget: float
+
+
+def _centres(t_max: float, bins: int) -> np.ndarray:
+    return math.log(t_max) - (np.arange(bins) + 0.5) * _BIN_WIDTH
+
+
+def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
+    """The moment table of the largest complete sublevel set within budget.
+
+    Built in one walk of `lattice.half_box_slabs`, keeping no value.  For an
+    even φ the half box stands for ω and -ω alike (mult = 2); otherwise the
+    negated rows are evaluated too (mult = 1).  Each value goes into the bin
+    whose φ-edges hold it, so every count at a bin edge is exact.  Cached on
+    φ; a larger budget rebuilds.
     """
     cache = cache_for(phi)
-    entry = cache.get("lattice_logs")
-    if entry is not None and entry[4] >= box_budget:
-        return entry[:4]
+    table = cache.get("direct_moments")
+    if table is not None and table.budget >= box_budget:
+        return table
     t_max = 1.0
-    while True:
-        box = phi.lattice_box(2.0 * t_max)
-        if box_size(box) > box_budget:
-            break
+    while box_size(phi.lattice_box(2.0 * t_max)) <= box_budget:
         t_max *= 2.0
     for frac in (1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1):
-        box = phi.lattice_box(frac * t_max)
-        if box_size(box) <= box_budget:
+        if box_size(phi.lattice_box(frac * t_max)) <= box_budget:
             t_max *= frac
             break
     box = phi.lattice_box(t_max)
     mult = 2 if phi.is_even else 1
-    head = []
-    tail = []
-    for rows in half_box_slabs(box):
+    moments = np.zeros((_MOMENTS, int(_CUT_EDGES.max()) + 1))
+    centres = _centres(t_max, moments.shape[1])
+    for rows in half_box_slabs(box, _BUILD_ROWS):
         # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
         for pts in (rows,) if mult == 2 else (rows, 0.0 - rows):
             vals = phi.evaluate_many(pts)
             vals = vals[vals < t_max]
-            low = vals < _HEAD_CAP
-            head.append(np.log(vals[low]))
-            tail.append(np.log(vals[~low]).astype(np.float32))
-    head = np.sort(np.concatenate(head))
-    tail = np.sort(np.concatenate(tail))
-    cache["lattice_logs"] = (t_max, head, tail, mult, box_budget)
-    return t_max, head, tail, mult
+            lam = np.log(vals)
+            u = (math.log(t_max) - lam) / _BIN_WIDTH
+            bins = u.astype(np.intp)
+            width = int(bins.max(initial=0)) + 2
+            if width > moments.shape[1]:
+                moments = np.pad(moments, ((0, 0), (0, width - moments.shape[1])))
+                centres = _centres(t_max, width)
+            np.subtract(lam, centres[bins], out=u)
+            u /= _BIN_WIDTH
+            # a value within rounding of a bin edge goes by the φ-edges
+            edge = np.flatnonzero(np.abs(u) > 0.5 - 1e-9)
+            b = bins[edge]
+            b -= vals[edge] >= t_max * np.exp2(-b / _OCTAVE_BINS)
+            b += vals[edge] < t_max * np.exp2(-(b + 1) / _OCTAVE_BINS)
+            bins[edge] = b
+            u[edge] = (lam[edge] - centres[b]) / _BIN_WIDTH
+            moments[0] += np.bincount(bins, minlength=centres.size)
+            power = u.copy()
+            for k in range(1, _MOMENTS):
+                moments[k] += np.bincount(bins, weights=power, minlength=centres.size)
+                power *= u
+    below = mult * np.cumsum(moments[0, ::-1])[::-1]  # N(edge) at every bin edge
+    table = _MomentTable(t_max, moments, t_max * np.exp2(-_CUT_EDGES / _OCTAVE_BINS),
+                         below[_CUT_EDGES], mult, box_budget)
+    cache["direct_moments"] = table
+    return table
 
 
-def _window_sums(s: complex, head, tail, mult: int, t_lows) -> tuple:
-    """(base, windowed): the series below the smallest window and per window.
+@lru_cache(maxsize=1)
+def _ramp_fit() -> tuple:
+    """(coefficients, residuals) of the window weight on the 48m ramp bins.
 
-    base is the sum of φ^{-s} over φ < min(t_lows)/2, where every window
-    weight is 1.  windowed[j] adds the rest below t_j, weighted by
-    1 - η(φ/t_j): weight 1 below t_j/2, then the ramp.  The tail is walked
-    once in chunks: each chunk's e^{-sλ} is computed once, every window sums
-    its plain slice of it and dots its ramp slice with the real weights.
-    Both are mult times the sums over the arrays.
+    On bin p under t_j (p = 0..48m-1) the weight 1 - η(φ/t_j) is, as a
+    function of u, the same for every window.  Row p is the degree K-1
+    polynomial in u that interpolates it at K Chebyshev nodes; residuals[p]
+    is twice its largest miss on 257 points, plus four ulps.
     """
-    log_t = [math.log(t_j) for t_j in t_lows]
-    bounds = np.searchsorted(
-        tail, np.float32([[math.log(t_j / 2.0), math.log(t_j)] for t_j in t_lows]))
-    shared_idx = int(np.min(bounds[:, 0]))
-    base = complex(np.sum(np.exp(-s * head)))
-    windowed = np.zeros(len(t_lows), dtype=complex)
-    hi_max = int(np.max(bounds))
-    for start in range(0, hi_max, _CHUNK):
-        stop = min(start + _CHUNK, hi_max)
-        lam = tail[start:stop].astype(float)
-        if s.imag:
-            e = np.exp(-s * lam)
-            columns = e.view(np.float64).reshape(-1, 2)  # (re, im) for the dots
-        else:
-            e = np.exp(-s.real * lam)  # real s: real exponentials
-            columns = e[:, None]
-        # slice bounds relative to the chunk
-        shared = min(max(shared_idx, start), stop) - start
-        base += np.sum(e[:shared])
-        for j, (lo, hi) in enumerate(np.clip(bounds, start, stop) - start):
-            windowed[j] += np.sum(e[shared:lo])
-            if hi > lo:
-                u = np.exp(lam[lo:hi] - log_t[j])
-                weights = 1.0 - _smooth_ramp((u - 0.5) / 0.5)
-                windowed[j] += complex(*(weights @ columns[lo:hi]))
-    return mult * base, mult * windowed
+    def weight(u):
+        x = 2.0 * np.exp((u - np.arange(_OCTAVE_BINS)[:, None] - 0.5) * _BIN_WIDTH) - 1.0
+        return 1.0 - _smooth_ramp(x)
+
+    nodes = 0.5 * np.cos(np.pi * (np.arange(_MOMENTS) + 0.5) / _MOMENTS)
+    coefficients = np.linalg.solve(np.vander(nodes, _MOMENTS, increasing=True),
+                                   weight(nodes).T).T
+    grid = np.linspace(-0.5, 0.5, 257)
+    misses = weight(grid) - coefficients @ np.vander(grid, _MOMENTS, increasing=True).T
+    return coefficients, 2.0 * np.max(np.abs(misses), axis=1) + 4.0 * _EPS
+
+
+def _windowed_sums(s: complex, table: _MomentTable) -> tuple:
+    """(sums, bounds): Σ φ^{-s} (1 - η(φ/t_j)) over the lattice per window.
+
+    Bin b adds e^{-s c_b} Σ_k (-sH)^k/k! moments[k, b], as e^{-sλ} is
+    e^{-s c_b} e^{-sHu}; on the 48m ramp bins under t_j the Taylor row is
+    first multiplied by the ramp's polynomial (a Cauchy product cut at degree
+    K).  Each window adds its bins in long double.  The bound adds, per bin,
+    the Taylor remainder (|s|H|u|)^K/K! e^{|s|H/2}, the product's dropped
+    degrees K..2K-2, the ramp-fit residual and a first-order rounding term
+    for e^{-s c_b} and the moments.  It is the distance to the series over
+    the float64 logs, whose own rounding (a few |sλ| ulps a term) sits far
+    inside `zeta_direct`'s bar.
+    """
+    s = s.real if s.imag == 0.0 else s  # real s keeps every array real
+    moments = table.moments
+    counts = moments[0]
+    centres = _centres(table.t_max, counts.size)
+    taylor = np.cumprod([1.0] + [-s * _BIN_WIDTH / k for k in range(1, _MOMENTS)])
+    halves = 0.5 ** np.arange(2 * _MOMENTS - 1)
+    x = abs(s) * _BIN_WIDTH / 2.0
+    phase = np.exp(-s * centres)
+    decay = phase if phase.dtype == float else np.exp(-s.real * centres)
+    size = counts * decay
+    # Σ|u|^K over a bin is at most moments[K-2]/4, since |u| <= 1/2
+    remainder = ((2.0 * x) ** _MOMENTS / math.factorial(_MOMENTS) * math.exp(x)
+                 * decay * moments[_MOMENTS - 2] / 4.0)
+    rounding = (_EPS * (abs(s) * (np.abs(centres) + _BIN_WIDTH) + 4.0)
+                + _LONG_EPS * (math.log2(counts.size) + 20.0))
+
+    def bin_sums(coef, residual, bins):
+        """Values and bounds of the bins for product rows coef (..., 2K-1)."""
+        mag = np.abs(coef) * halves
+        low = mag[..., 1:_MOMENTS].sum(axis=-1)
+        value = phase[bins] * (coef[..., 0] * counts[bins] + np.einsum(
+            "...k,k...->...", coef[..., 1:_MOMENTS], moments[1:, bins]))
+        bound = remainder[bins] * (1.0 + residual) + size[bins] * (
+            mag[..., _MOMENTS:].sum(axis=-1) + (math.exp(x) + 1.0) * residual
+            + rounding[bins] * (mag[..., 0] + low) + _EPS * (counts[bins] + _MOMENTS + 2) * low)
+        return value, bound
+
+    plain, plain_bound = bin_sums(np.pad(taylor, (0, _MOMENTS - 1)), 0.0, slice(None))
+    coefficients, residuals = _ramp_fit()
+    product = sum(np.pad(t_k * coefficients, ((0, 0), (k, _MOMENTS - 1 - k)))
+                  for k, t_k in enumerate(taylor))
+    ramp_bins = _WINDOW_SHIFT * np.arange(_CUTOFF_COUNT)[:, None] + np.arange(_OCTAVE_BINS)
+    ramp, ramp_bound = bin_sums(product, residuals, ramp_bins)
+    # window j: its ramp bins and every plain bin below them
+    starts = ramp_bins[:, -1] + 1
+    plain = plain.astype(np.clongdouble)
+    sums = (ramp.astype(np.clongdouble).sum(axis=1) + plain[starts[-1]:].sum()
+            + [plain[start:starts[-1]].sum() for start in starts]).astype(complex)
+    bounds = ramp_bound.sum(axis=1) + [plain_bound[start:].sum() for start in starts]
+    return table.mult * sums, table.mult * (bounds + _EPS * np.abs(sums))
 
 
 def _smooth_ramp(x: np.ndarray) -> np.ndarray:
@@ -242,10 +325,10 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
     enough headroom that a sup-norm box within budget certifies the tail by the
     integral test, the plain truncated sum is returned with that bound; it
     sums the full box.  Otherwise the pole-model estimator runs (error bar from
-    the cutoff spread) on the sorted logs of `_sorted_log_values`: the half
-    box with multiplicity 2 for an even φ, which scales the sums and the
-    counts N(T).  Its six windowed sums come from one chunked pass of
-    e^{-sλ} over the tail (`_window_sums`).
+    the cutoff spread, plus the table's bound) on the moment table of
+    `_moment_table`, built once per φ and budget; each s then reads its six
+    windowed sums and their bounds off the table (`_windowed_sums`) in about
+    a millisecond.
     """
     s = complex(s)
     alpha = phi.alpha
@@ -267,25 +350,20 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
             value, tail = _rigorous_sum(phi, s, m_box, c3)
             return MeromorphicValue(s, value, tail, RIGOROUS)
 
-    t_max, head, tail, mult = _sorted_log_values(phi, box_budget)
-    t_lows = t_max * 2.0 ** (-np.arange(_CUTOFF_COUNT) / _CUTOFF_COUNT)
-    if mult * (head.size + tail.size) < 100 or 0.25 * np.min(t_lows) <= 1.05 * _HEAD_CAP:
+    table = _moment_table(phi, box_budget)
+    points = int(table.mult * table.moments[0].sum())
+    if points < _MIN_POINTS:
         raise DomainError(
-            "box budget too small for the windowed estimator; the sublevel "
-            "cutoff must clear eight times the head cap"
-        )
+            f"box_budget = {box_budget:.3g} leaves the windowed estimator {points} "
+            f"lattice points below t_max = {table.t_max:.6g}; it needs {_MIN_POINTS}")
 
     # one windowed estimate per cutoff; averaging over cutoffs inside the top
     # octave decorrelates the boundary-counting fluctuation
-    base, windowed = _window_sums(s, head, tail, mult, t_lows)
-    c_eta = _window_coefficient(alpha, s)
-    estimates = np.empty(t_lows.size, dtype=complex)
-    for j, t_j in enumerate(t_lows):
-        cuts = np.geomspace(0.25 * t_j, 0.5 * t_j, 17)
-        counts = mult * (head.size + np.searchsorted(tail, np.log(cuts, dtype=np.float32)))
-        b_hat = float(np.mean(counts / cuts**alpha))
-        scale = t_j ** complex(alpha - s.real, -s.imag)
-        estimates[j] = base + windowed[j] + alpha * b_hat * scale * c_eta
+    windowed, bounds = _windowed_sums(s, table)
+    t_lows = table.t_max * 2.0 ** (-np.arange(_CUTOFF_COUNT) / _CUTOFF_COUNT)
+    b_hat = np.mean(table.counts / table.cuts**alpha, axis=1)
+    scale = t_lows ** complex(alpha - s.real, -s.imag)
+    estimates = windowed + alpha * b_hat * scale * _window_coefficient(alpha, s)
     value = complex(np.mean(estimates))
     spread = float(np.std(estimates))
     theta_hat = _fluct_exponent(phi)
@@ -294,6 +372,7 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
         2.0 * spread / math.sqrt(t_lows.size)
         + 0.5 * fluct
         + 5e-9 * (1.0 + abs(s))
+        + float(np.max(bounds))
     )
     return MeromorphicValue(s, value, error, ESTIMATED)
 

@@ -111,15 +111,10 @@ def bernoulli_exact(count: int) -> list:
     return out
 
 
-def sorted_logs_full_box(phi, t_max: float, head_cap: float = 1.0e4):
-    """Sorted log φ below t_max over the whole nonzero box of {φ < t_max}.
-
-    Returns (head, tail): float64 logs below head_cap, float32 logs above.
-    """
+def full_box_values(phi, t_max: float) -> np.ndarray:
+    """Sorted φ below t_max over the whole nonzero box of {φ < t_max}."""
     vals = phi.evaluate_many(box_points(phi.lattice_box(t_max)))
-    vals = vals[vals < t_max]
-    low = vals < head_cap
-    return np.sort(np.log(vals[low])), np.sort(np.log(vals[~low]).astype(np.float32))
+    return np.sort(vals[vals < t_max])
 
 
 def _bump_ramp(x: np.ndarray) -> np.ndarray:
@@ -133,23 +128,22 @@ def _bump_ramp(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def windowed_sums(s: complex, head, tail, t_lows) -> np.ndarray:
+def windowed_sums(s: complex, logs: np.ndarray, t_lows) -> tuple:
     """Σ φ^{-s} (1 - η(φ/t_j)) per cutoff t_j, one window at a time.
 
-    The direct estimator's windowed series summed the plain way: the full
-    series below min(t_lows)/2, then for each window its own slice of the
-    tail from there to t_j, weighted by one minus the bump ramp η.
+    The direct estimator's windowed series summed the plain way from float64
+    logs: every term e^{-sλ} times one minus the bump ramp η (weight 1 below
+    t_j/2), added by `math.fsum`.  Returns (sums, allowance): allowance[j]
+    bounds the rounding of the window's terms, (|s λ| + 6) 2^-52 of each.
     """
     s = complex(s)
-    shared = float(np.min(t_lows)) / 2.0
-    shared_idx = int(np.searchsorted(tail, np.float32(math.log(shared))))
-    base = complex(np.sum(np.exp(-s * head)))
-    base += complex(np.sum(np.exp(-s * tail[:shared_idx].astype(float))))
-    out = []
+    terms = np.exp(-s * logs)
+    sums, allowance = [], []
     for t_j in t_lows:
         log_tj = math.log(t_j)
-        hi = int(np.searchsorted(tail, np.float32(log_tj)))
-        seg = tail[shared_idx:hi].astype(float)
-        weights = 1.0 - _bump_ramp((np.exp(seg - log_tj) - 0.5) / 0.5)
-        out.append(base + complex(np.sum(np.exp(-s * seg) * weights)))
-    return np.asarray(out)
+        inside = logs < log_tj
+        lam = logs[inside]
+        part = terms[inside] * (1.0 - _bump_ramp((np.exp(lam - log_tj) - 0.5) / 0.5))
+        sums.append(complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist())))
+        allowance.append(2.0**-52 * float(np.sum(np.abs(part) * (abs(s) * np.abs(lam) + 6.0))))
+    return np.asarray(sums), np.asarray(allowance)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ def test_slabs_rebuild_the_box_under_the_cap(box):
     assert len(parts) > 1
     assert all(0 < p.shape[0] <= cap for p in pieces)
     np.testing.assert_array_equal(np.concatenate(pieces), box_rows(box))
+
+
+def test_a_slab_of_a_long_box_costs_its_own_rows():
+    tracemalloc.start()
+    try:
+        rows = box_rows([10**6, 1], slice(10**6 - 1, 10**6 + 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[:, 0].tolist() == [-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert peak < 100_000
 
 
 def test_grid_rows_of_float_axes_slice_the_first_axis():

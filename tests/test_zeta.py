@@ -26,9 +26,9 @@ from azeta.zeta import (
     zeta_direct,
     zeta_negative_integers,
 )
-from azeta.zeta import _sorted_log_values, _window_sums
+from azeta.zeta import _moment_table, _windowed_sums
 
-from oracles import dirichlet_beta, riemann_zeta, sorted_logs_full_box, windowed_sums
+from oracles import dirichlet_beta, full_box_values, riemann_zeta, windowed_sums
 from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 
@@ -395,30 +395,53 @@ def test_superellipse_overlap():
     assert abs(d.value - c.value) < 1e-6
 
 
-# budgets small enough for a full-box reference, large enough that the
-# smallest cutoff clears eight times the head cap
+# budgets small enough for a full-box reference, large enough for the
+# estimator's point guard
 WINDOW_SHAPES = {
     "disc": (lambda: QuadraticForm(np.eye(2)), 1e6),
     "superellipse": (lambda: AnisotropicSuperellipse([12.0, 18.0], 6.0), 2e5),
 }
 
 
+@pytest.fixture(scope="module")
+def window_tables():
+    """name -> (table, sorted full-box values below its t_max), built once."""
+    out = {}
+    for name, (make, budget) in WINDOW_SHAPES.items():
+        phi = make()  # fresh: the table cache holds one budget per φ
+        table = _moment_table(phi, budget)
+        out[name] = (phi, table, full_box_values(phi, table.t_max))
+    return out
+
+
+def _t_lows(table):
+    return table.t_max * 2.0 ** (-np.arange(6) / 6)
+
+
 @pytest.mark.parametrize("offset", [0.1, 0.3 + 2.5j])
 @pytest.mark.parametrize("name", sorted(WINDOW_SHAPES))
-def test_window_sums_match_the_per_window_loop(name, offset):
-    make, budget = WINDOW_SHAPES[name]
-    phi = make()  # fresh: the enumeration cache holds one budget per φ
-    t_max, head, tail, mult = _sorted_log_values(phi, budget)
-    assert mult == 2
-    full_head, full_tail = sorted_logs_full_box(phi, t_max)
-    np.testing.assert_array_equal(np.repeat(head, 2), full_head)
-    np.testing.assert_array_equal(np.repeat(tail, 2), full_tail)
-    t_lows = t_max * 2.0 ** (-np.arange(6) / 6)
-    assert 0.25 * t_lows[-1] > 1.05e4
+def test_window_sums_match_the_per_window_loop(window_tables, name, offset):
+    phi, table, vals = window_tables[name]
+    assert table.mult == 2
     s = complex(phi.alpha + offset)
-    base, windowed = _window_sums(s, head, tail, mult, t_lows)
-    want = windowed_sums(s, full_head, full_tail, t_lows)
-    assert np.max(np.abs(base + windowed - want) / np.abs(want)) <= 1e-12
+    got, _ = _windowed_sums(s, table)
+    want, _ = windowed_sums(s, np.log(vals), _t_lows(table))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.3 + 2.5j, 2.0 + 30.0j])
+@pytest.mark.parametrize("name", sorted(WINDOW_SHAPES))
+def test_window_sums_lie_within_their_bounds(window_tables, name, offset):
+    """Each moment-table sum is within its truncation + ramp-fit + rounding
+    bound of an fsum of the terms (plus that sum's own rounding), the bound
+    is a few ulps, and every count at a cut is the exact full-box count."""
+    phi, table, vals = window_tables[name]
+    s = complex(phi.alpha + offset)
+    got, bounds = _windowed_sums(s, table)
+    want, allowance = windowed_sums(s, np.log(vals), _t_lows(table))
+    assert np.all(np.abs(got - want) <= bounds + allowance)
+    assert np.all(bounds <= 1e-13 * np.abs(want))
+    np.testing.assert_array_equal(table.counts, np.searchsorted(vals, table.cuts))
 
 
 def test_uneven_profile_enumerates_both_halves():
@@ -429,12 +452,19 @@ def test_uneven_profile_enumerates_both_halves():
 
     phi = Profile.from_function(generator, lopsided, resolution=64)
     assert not phi.is_even
-    t_max, head, tail, mult = _sorted_log_values(phi, 1.5e5)
-    assert mult == 1
-    full_head, full_tail = sorted_logs_full_box(phi, t_max, head_cap=1e4)
-    assert tail.size > 0
-    np.testing.assert_array_equal(head, full_head)
-    np.testing.assert_array_equal(tail, full_tail)
+    table = _moment_table(phi, 1.5e5)
+    assert table.mult == 1
+    vals = full_box_values(phi, table.t_max)
+    np.testing.assert_array_equal(table.counts, np.searchsorted(vals, table.cuts))
+    s = complex(phi.alpha + 0.3 + 2.5j)
+    got, _ = _windowed_sums(s, table)
+    want, _ = windowed_sums(s, np.log(vals), _t_lows(table))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_direct_estimator_names_a_too_small_box_budget():
+    with pytest.raises(DomainError, match="box_budget"):
+        zeta_direct(QuadraticForm(np.eye(2)), 1.1, box_budget=1e4)
 
 
 # to the right of the pole, where the bars are a few ulps of the value
