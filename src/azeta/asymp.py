@@ -109,8 +109,7 @@ def remainder_check(phi: HomogeneousFunction, ray_angle: float, n_terms: int,
     if len(mags) < 3:
         raise DomainError("need at least three magnitudes for a slope fit")
     phase = cmath.exp(1j * ray_angle)
-    rows = []
-    bars = []
+    rows, bars = [], []
     for m in mags:
         w = m * phase
         theta = theta_phi(phi, w)

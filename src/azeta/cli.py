@@ -14,6 +14,7 @@ validation, 3 a resource budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -144,8 +145,8 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="\n") as fh:
+def _write_csv(cfg: dict, name: str, header, rows):
+    with open(os.path.join(_out_dir(cfg), name), "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(
@@ -155,8 +156,10 @@ def _write_csv(path: str, header, rows):
             ) + "\n")
 
 
-def _emit(cfg: dict, name: str, summary: dict):
-    path = os.path.join(_out_dir(cfg), name)
+def _emit(cfg: dict, phi, command: str, fields: dict):
+    """Write <command>_summary.json, headed by the command and φ, and echo it."""
+    summary = {"command": command, "phi": phi.label, "alpha": phi.alpha} | fields
+    path = os.path.join(_out_dir(cfg), f"{command}_summary.json")
     text = json.dumps(summary, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
@@ -191,6 +194,24 @@ def _parse_grid(text: str) -> list:
     return [complex(re, im) for re in res for im in ims]
 
 
+def _point_table(cfg: dict, phi, command: str, var: str, points, compute,
+                 **extra) -> int:
+    """Write <command>.csv and <command>_summary.json for compute(p) at each
+    complex point p, the point's columns named <var>_re and <var>_im; the
+    `extra` fields join the summary."""
+    rows, results = [], []
+    for p in points:
+        got = compute(p)
+        rows.append((p.real, p.imag, got.value.real, got.value.imag,
+                     got.error, got.kind))
+        results.append({f"{var}_re": p.real, f"{var}_im": p.imag}
+                       | _value_entry(got.value, got.error, got.kind))
+    _write_csv(cfg, f"{command}.csv",
+               (f"{var}_re", f"{var}_im", "value_re", "value_im", "error", "rigor"), rows)
+    _emit(cfg, phi, command, {"results": results} | extra)
+    return 0
+
+
 def _cmd_zeta(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     points = [_parse_complex(text) for text in args.s or []]
@@ -199,54 +220,26 @@ def _cmd_zeta(cfg: dict, args) -> int:
     if not points:
         raise ConfigError(["zeta needs at least one --s point or a --grid"])
     power = cfg.get("kernel", {}).get("power")
-    rows, results = [], []
-    for s in points:
+
+    def compute(s):
         if args.method == "direct":
-            got = zeta_direct(phi, s)
-        elif args.method == "continued":
-            got = zeta_continued(phi, s, power=power)
-        else:
-            try:
-                got = zeta_continued(phi, s, power=power)
-            except DomainError:
-                got = zeta_direct(phi, s)
-        rows.append((s.real, s.imag, got.value.real, got.value.imag,
-                     got.error, got.kind))
-        results.append({"s_re": s.real, "s_im": s.imag}
-                       | _value_entry(got.value, got.error, got.kind))
-    _write_csv(os.path.join(_out_dir(cfg), "zeta.csv"),
-               ("s_re", "s_im", "value_re", "value_im", "error", "rigor"), rows)
-    _emit(cfg, "zeta_summary.json", {
-        "command": "zeta",
-        "phi": phi.label,
-        "alpha": phi.alpha,
-        "method": args.method,
-        "results": results,
-    })
-    return 0
+            return zeta_direct(phi, s)
+        if args.method == "continued":
+            return zeta_continued(phi, s, power=power)
+        try:
+            return zeta_continued(phi, s, power=power)
+        except DomainError:
+            return zeta_direct(phi, s)
+
+    return _point_table(cfg, phi, "zeta", "s", points, compute, method=args.method)
 
 
 def _cmd_theta(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     if not args.w:
         raise ConfigError(["theta needs at least one --w point"])
-    rows, results = [], []
-    for text in args.w:
-        w = _parse_complex(text)
-        got = theta_phi(phi, w)
-        rows.append((w.real, w.imag, got.value.real, got.value.imag,
-                     got.error, got.kind))
-        results.append({"w_re": w.real, "w_im": w.imag}
-                       | _value_entry(got.value, got.error, got.kind))
-    _write_csv(os.path.join(_out_dir(cfg), "theta.csv"),
-               ("w_re", "w_im", "value_re", "value_im", "error", "rigor"), rows)
-    _emit(cfg, "theta_summary.json", {
-        "command": "theta",
-        "phi": phi.label,
-        "alpha": phi.alpha,
-        "results": results,
-    })
-    return 0
+    return _point_table(cfg, phi, "theta", "w", [_parse_complex(t) for t in args.w],
+                        lambda w: theta_phi(phi, w))
 
 
 def _cmd_volume(cfg: dict, args) -> int:
@@ -260,15 +253,11 @@ def _cmd_volume(cfg: dict, args) -> int:
     deviation = abs(ratio - quad.value)
     gap = abs(quad.value - mc.value)
     agree = gap <= quad.error + mc.error
-    _write_csv(os.path.join(_out_dir(cfg), "volume.csv"),
-               ("estimator", "value", "error", "rigor"),
+    _write_csv(cfg, "volume.csv", ("estimator", "value", "error", "rigor"),
                [("exp_integral", quad.value, quad.error, quad.kind),
                 ("monte_carlo", mc.value, mc.error, mc.kind),
                 ("counting_ratio", ratio, deviation, "estimated")])
-    _emit(cfg, "volume_summary.json", {
-        "command": "volume",
-        "phi": phi.label,
-        "alpha": phi.alpha,
+    _emit(cfg, phi, "volume", {
         "exp_integral": _value_entry(quad.value, quad.error, quad.kind),
         "monte_carlo": _value_entry(mc.value, mc.error, mc.kind),
         "counting": {
@@ -289,29 +278,16 @@ def _cmd_count(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     radii = [float(r) for r in args.radii.split(",")] if args.radii else None
     scan = counting_limit_scan(phi, r_schedule=radii)
-    _write_csv(os.path.join(_out_dir(cfg), "counting.csv"),
-               ("r", "count", "ratio", "target", "deviation"),
-               [(r, count, ratio, target, dev)
-                for r, count, ratio, target, dev in scan.rows])
-    _write_csv(os.path.join(_out_dir(cfg), "pole_limit.csv"),
-               ("sigma", "scaled_zeta", "alpha_volume", "deviation"),
-               scan.pole_rows)
-    _emit(cfg, "count_summary.json", {
-        "command": "count",
-        "phi": phi.label,
-        "alpha": phi.alpha,
+    # the CSV columns are also the keys of the summary's row objects
+    counting = ("r", "count", "ratio", "target", "deviation")
+    pole = ("sigma", "scaled_zeta", "alpha_volume", "deviation")
+    _write_csv(cfg, "counting.csv", counting, scan.rows)
+    _write_csv(cfg, "pole_limit.csv", pole, scan.pole_rows)
+    _emit(cfg, phi, "count", {
         "volume": _value_entry(scan.volume.value, scan.volume.error,
                                scan.volume.kind),
-        "rows": [
-            {"r": r, "count": count, "ratio": ratio, "target": target,
-             "deviation": dev}
-            for r, count, ratio, target, dev in scan.rows
-        ],
-        "pole_rows": [
-            {"sigma": sig, "scaled_zeta": val, "alpha_volume": av,
-             "deviation": dev}
-            for sig, val, av, dev in scan.pole_rows
-        ],
+        "rows": [dict(zip(counting, row)) for row in scan.rows],
+        "pole_rows": [dict(zip(pole, row)) for row in scan.pole_rows],
     })
     return 0
 
@@ -320,16 +296,12 @@ def _cmd_asymp(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     mags = [float(m) for m in args.magnitudes.split(",")]
     report = remainder_check(phi, args.ray_angle, args.terms, args.eps, mags)
-    _write_csv(os.path.join(_out_dir(cfg), "asymp.csv"),
-               ("abs_w", "remainder", "slope", "threshold"),
+    _write_csv(cfg, "asymp.csv", ("abs_w", "remainder", "slope", "threshold"),
                [(m, e, report.slope, report.threshold) for m, e in report.rows])
     value, terms, bars = theta_expansion(
         phi, mags[-1] * complex(math.cos(args.ray_angle), math.sin(args.ray_angle)),
         args.terms)
-    _emit(cfg, "asymp_summary.json", {
-        "command": "asymp",
-        "phi": phi.label,
-        "alpha": phi.alpha,
+    _emit(cfg, phi, "asymp", {
         "terms": args.terms,
         "eps": args.eps,
         "ray_angle": args.ray_angle,
@@ -351,14 +323,8 @@ def _cmd_verify(cfg: dict, args) -> int:
     rows = verify_suite(phi, seed=_seed(cfg) or 11)
     for row in rows:
         print(f"[{'PASS' if row.passed else 'FAIL'}] {row.name}: {row.detail}")
-    _emit(cfg, "verify_summary.json", {
-        "command": "verify",
-        "phi": phi.label,
-        "alpha": phi.alpha,
-        "checks": [
-            {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
-            for r in rows
-        ],
+    _emit(cfg, phi, "verify", {
+        "checks": [dataclasses.asdict(r) for r in rows],
         "all_passed": bool(all(r.passed for r in rows)),
     })
     return 0 if all(r.passed for r in rows) else 1
@@ -371,45 +337,40 @@ def _build_parser() -> argparse.ArgumentParser:
         "A-homogeneous functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    p = sub.add_parser("zeta", help="evaluate the zeta function at points")
-    p.add_argument("--config", required=True)
+    def command(name, handler, help):
+        p = sub.add_parser(name, parents=[config], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("zeta", _cmd_zeta, "evaluate the zeta function at points")
     p.add_argument("--s", action="append",
                    help="evaluation point, e.g. 2+0i (repeatable)")
     p.add_argument("--grid", help="grid spec re0:re1:nre,im0:im1:nim")
     p.add_argument("--method", choices=("auto", "direct", "continued"),
                    default="auto")
-    p.set_defaults(handler=_cmd_zeta)
 
-    p = sub.add_parser("theta", help="theta sums along the imaginary ray")
-    p.add_argument("--config", required=True)
+    p = command("theta", _cmd_theta, "theta sums along the imaginary ray")
     p.add_argument("--w", action="append",
                    help="ray parameter with Re w > 0 (repeatable)")
-    p.set_defaults(handler=_cmd_theta)
 
-    p = sub.add_parser("volume", help="unit ball volume, three estimators")
-    p.add_argument("--config", required=True)
+    p = command("volume", _cmd_volume, "unit ball volume, three estimators")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--count-radius", type=float, default=1e4,
                    help="radius for the lattice-counting estimator")
-    p.set_defaults(handler=_cmd_volume)
 
-    p = sub.add_parser("count", help="lattice counting convergence tables")
-    p.add_argument("--config", required=True)
+    p = command("count", _cmd_count, "lattice counting convergence tables")
     p.add_argument("--radii", help="comma-separated radii (default decades 1e2..1e6)")
-    p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("asymp", help="theta expansion and remainder decay")
-    p.add_argument("--config", required=True)
+    p = command("asymp", _cmd_asymp, "theta expansion and remainder decay")
     p.add_argument("--terms", type=int, default=3)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--ray-angle", type=float, default=0.0)
     p.add_argument("--magnitudes", default="0.4,0.2,0.1,0.05")
-    p.set_defaults(handler=_cmd_asymp)
 
-    p = sub.add_parser("verify", help="run the invariant suite for the config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(handler=_cmd_verify)
+    command("verify", _cmd_verify, "run the invariant suite for the config")
 
     return parser
 

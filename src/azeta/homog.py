@@ -91,13 +91,9 @@ class HomogeneousFunction:
         c3 |ω|^(1/beta) >= v is excluded, so only a box remains.
         """
         if self._lattice_min is None:
-            n = self.dim
-            first = box_rows(np.ones(n, dtype=int), nonzero=True)
+            first = box_rows(np.ones(self.dim, dtype=int), nonzero=True)
             best = float(np.min(self.evaluate_many(first)))
-            _, _, c3, _ = self.growth()
-            beta = self.generator.beta
-            radius = max(1.0, (best / c3) ** beta)
-            box = np.full(n, int(math.ceil(radius)), dtype=int)
+            box = HomogeneousFunction.lattice_box(self, best)
             if box_size(box) > 4e6:
                 raise InternalInvariantError(
                     "lattice minimum search box is implausibly large"
@@ -385,10 +381,7 @@ class Profile(HomogeneousFunction):
     def from_function(cls, generator: GeneratorMatrix, fn, resolution: int = 256):
         """Sample a callable φ-profile on S_L and build the interpolant."""
         if generator.dim == 2:
-            ang = np.linspace(-math.pi, math.pi, resolution, endpoint=False)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            q = generator.lyapunov_radius(dirs)
-            pts = dirs / np.sqrt(q)[:, None]
+            pts = _ellipse_points(generator, resolution)
         else:
             pts = generator.sphere_points(resolution, seed=13)
         vals = np.asarray(fn(pts), dtype=float)
@@ -487,6 +480,14 @@ def growth_bounds(phi: HomogeneousFunction):
     return phi.growth()
 
 
+def _ellipse_points(generator: GeneratorMatrix, count: int, offset: float = 0.0):
+    """`count` points of the 2-D ellipse S_L at equally spaced angles from
+    -π + offset."""
+    ang = np.linspace(-math.pi, math.pi, count, endpoint=False) + offset
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    return dirs / np.sqrt(generator.lyapunov_radius(dirs))[:, None]
+
+
 def _mollify_periodic(values: np.ndarray, width: float) -> np.ndarray:
     """Circular Gaussian smoothing of uniformly spaced periodic samples."""
     n = values.size
@@ -505,25 +506,17 @@ def sandwich_smooth(phi: HomogeneousFunction, epsilon: float):
     """
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not isinstance(phi, Profile):
-        return phi.scale(1.0 - 0.5 * epsilon), phi.scale(1.0 + 0.5 * epsilon)
-    if phi.dim != 2:
-        # Interpolated profiles in higher dimension carry no sharper regularity
-        # statement than φ itself; scaling is the admissible fallback.
+    if not isinstance(phi, Profile) or phi.dim != 2:
+        # interpolated profiles in higher dimension carry no sharper regularity
+        # statement than φ itself; scaling is the admissible fallback
         return phi.scale(1.0 - 0.5 * epsilon), phi.scale(1.0 + 0.5 * epsilon)
 
     gen = phi.generator
-
-    def ellipsoid_points(count, offset=0.0):
-        ang = np.linspace(-math.pi, math.pi, count, endpoint=False) + offset
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return dirs / np.sqrt(gen.lyapunov_radius(dirs))[:, None]
-
-    pts = ellipsoid_points(512)
+    pts = _ellipse_points(gen, 512)
     f = phi.profile_values(pts)
     # The ratio φ/ψ is constant along flow rays, so a dense probe of the
     # ellipsoid bounds it everywhere.
-    probe = ellipsoid_points(8192, offset=1e-4)
+    probe = _ellipse_points(gen, 8192, offset=1e-4)
     f_probe = phi.profile_values(probe)
 
     width = 16.0

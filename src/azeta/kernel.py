@@ -24,6 +24,7 @@ kernel per axis, so no ĝ value is formed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -251,13 +252,8 @@ def _fold_even(axes, values):
 
 def _band_ratio_mesh(axes_y, band) -> np.ndarray:
     """max_i |y_i| / band_i over the tensor grid of the given dual axes."""
-    parts = np.meshgrid(
-        *[np.abs(np.asarray(a)) / b for a, b in zip(axes_y, band)], indexing="ij"
-    )
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.maximum(out, p)
-    return out
+    return functools.reduce(np.maximum, np.meshgrid(
+        *[np.abs(np.asarray(a)) / b for a, b in zip(axes_y, band)], indexing="ij"))
 
 
 def _band_probes(band: np.ndarray) -> np.ndarray:
@@ -295,9 +291,9 @@ class SampledTransform:
         imag_scale = float(np.max(np.abs(hat.imag)))
         self.real_even = imag_scale <= 1e-9 * max(1.0, float(np.max(np.abs(hat.real))))
         self.hat_grid = hat
-        self.hat_zero = complex(hat[tuple(n // 2 for n in hat.shape)])
+        self.value_at_origin = complex(hat[tuple(n // 2 for n in hat.shape)])
         if self.real_even:
-            self.hat_zero = self.hat_zero.real
+            self.value_at_origin = self.value_at_origin.real
         nyquist = np.asarray([0.5 / h for h in self.spacing])
         self.band = np.minimum(band, nyquist) if band is not None else 0.5 * nyquist
         self.quad_error = float(quad_error)
@@ -367,17 +363,13 @@ class SampledTransform:
 
     # -- evaluation ------------------------------------------------------------
 
-    def band_mask(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(np.abs(pts) <= self.band[None, :], axis=1)
-
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         """ĝ at arbitrary points (complex); 0 outside the trusted band."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DomainError(f"query dimension {pts.shape[1]} != {self.dim}")
         out = np.zeros(pts.shape[0], dtype=complex)
-        inside = self.band_mask(pts)
+        inside = np.all(np.abs(pts) <= self.band[None, :], axis=1)
         if not np.any(inside):
             return out
         out[inside] = _nudft_points(self.axes_x, self.values, self.spacing,
@@ -418,12 +410,7 @@ class SampledTransform:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Real-function view (used when ĝ itself is fed back through theta)."""
-        vals = self.evaluate_points(points)
-        return vals.real
-
-    @property
-    def value_at_origin(self):
-        return self.hat_zero.real if self.real_even else self.hat_zero
+        return self.evaluate_points(points).real
 
     def transform(self) -> "SampledTransform":
         """Transform of this transform, from its own dual-grid samples.
@@ -477,10 +464,8 @@ def _transform_1d_samples(fn, radius: float, floor: float):
         h_fine = float(x_fine[1] - x_fine[0])
     g_fine = fn(x_fine[:, None])
     # spacing comparison at fixed probe points: coarse = every other sample
-    x_coarse = x_fine[::2]
-    g_coarse = g_fine[::2]
     probes = _band_probes(np.asarray([band]))
-    at_c = _nudft_points([x_coarse], g_coarse, [2.0 * h_fine], probes)
+    at_c = _nudft_points([x_fine[::2]], g_fine[::2], [2.0 * h_fine], probes)
     at_f = _nudft_points([x_fine], g_fine, [h_fine], probes)
     quad = float(np.max(np.abs(at_f - at_c)))
     tail = float(abs(g_fine[0]) + abs(g_fine[-1])) * (2.0 * radius)
@@ -548,11 +533,8 @@ def fourier_transform(kernel: Kernel):
     at_c = _nudft_points(axes_c, g_coarse, 2.0 * spacing_f, probes)
     at_f = _nudft_points(axes_f, g_fine, spacing_f, probes)
     quad = float(np.max(np.abs(at_f - at_c)))
-    boundary = 0.0
-    for axis in range(n):
-        take = [slice(None)] * n
-        take[axis] = 0
-        boundary = max(boundary, float(np.max(np.abs(g_fine[tuple(take)]))))
+    boundary = max(float(np.max(np.abs(np.take(g_fine, 0, axis=axis))))
+                   for axis in range(n))
     tail = boundary * float(np.prod(2.0 * np.asarray(radii)))
     return SampledTransform(axes_f, g_fine, spacing_f,
                             quad_error=quad, tail_error=tail, band=band)

@@ -1,7 +1,7 @@
 """Point grids: the one place a tensor grid becomes point rows.
 
 Every quantity azeta computes is a sum over a grid: ζ(φ,s) = Σ φ(ω)^{-s}
-and the count #{φ(ω) < r} over an integer box, θ sums over sup-norm shells,
+and the count #{φ(ω) < r} over an integer box, θ sums over boxes and shells,
 and the graded Gauss grids of `quadrature.box_integral`.  This module builds
 those rows, walks a large grid in first-axis slabs of bounded row count, gives
 the size of an integer box and the points of a sup-norm shell.  It also walks

@@ -93,8 +93,7 @@ def _flow_matrix(entries, eigvals, eigvecs, eigvecs_inv, diagonalizable, t: floa
 
 def _sample_ratios(entries, eig, gamma, beta, t_values, directions):
     """min/max of |t^A x| / (t^exponent |x|) over the sample, both flow regimes."""
-    lo = np.inf
-    hi = 0.0
+    lo, hi = np.inf, 0.0
     for t in t_values:
         flow = _flow_matrix(entries, *eig, t)
         norms = np.linalg.norm(directions @ flow.T, axis=1)
@@ -117,17 +116,12 @@ def _spectral_certificate(entries: np.ndarray, margin: float):
         )
     cond = float(np.linalg.cond(eigvecs))
     diagonalizable = np.isfinite(cond) and cond < _EIGVEC_COND_LIMIT
-    if diagonalizable:
-        eigvecs_inv = np.linalg.inv(eigvecs)
-    else:
-        eigvecs_inv = None
-    gamma = min_re
-    beta = max_re
+    eigvecs_inv = np.linalg.inv(eigvecs) if diagonalizable else None
+    gamma, beta = min_re, max_re
     if not diagonalizable:
         # A Jordan block contributes polynomial-in-log factors; absorb them
         # into slightly widened exponents.
-        gamma = max(min_re - margin, 0.5 * min_re)
-        beta = max_re + margin
+        gamma, beta = max(min_re - margin, 0.5 * min_re), max_re + margin
     eig = (eigvals, eigvecs, eigvecs_inv, diagonalizable)
 
     rng = _rng(1)
@@ -192,9 +186,7 @@ class GeneratorMatrix:
         self.defective = not diagonalizable
         self.lyapunov = solve_lyapunov(entries)
         self.lyapunov.setflags(write=False)
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
-        self._eigvecs_inv = eigvecs_inv
+        self._eigvals, self._eigvecs, self._eigvecs_inv = eigvals, eigvecs, eigvecs_inv
         self._chol = np.linalg.cholesky(self.lyapunov)
         self.is_diagonal = bool(
             np.allclose(entries, np.diag(np.diag(entries)), atol=0.0)

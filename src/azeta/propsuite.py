@@ -32,16 +32,13 @@ class CheckRow:
     detail: str
 
 
-def _row(name, passed, detail):
-    return CheckRow(name, bool(passed), detail)
-
-
 def _guard(name, fn):
     """Run one check; an exception becomes a failing row, not a crash."""
     try:
-        return fn()
+        passed, detail = fn()
     except AzetaError as exc:
-        return _row(name, False, f"raised {type(exc).__name__}: {exc}")
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckRow(name, bool(passed), detail)
 
 
 def _check_homogeneity(phi, rng):
@@ -52,8 +49,7 @@ def _check_homogeneity(phi, rng):
         lhs = float(phi.evaluate_many(phi.generator.apply_flow(t, x[None, :]))[0])
         rhs = t * float(phi.evaluate_many(x[None, :])[0])
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return _row("homogeneity identity", worst <= 1e-9,
-                f"worst relative defect {worst:.2e} (tol 1e-9)")
+    return (worst <= 1e-9, f"worst relative defect {worst:.2e} (tol 1e-9)")
 
 
 def _check_group_law(phi, rng):
@@ -66,8 +62,7 @@ def _check_group_law(phi, rng):
         rhs = matrix_power(gen, s * t)
         scale = max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    return _row("matrix power group law", worst <= 1e-12,
-                f"worst relative defect {worst:.2e} (tol 1e-12)")
+    return (worst <= 1e-12, f"worst relative defect {worst:.2e} (tol 1e-12)")
 
 
 def _check_lyapunov(phi):
@@ -77,8 +72,7 @@ def _check_lyapunov(phi):
     eig_l = float(np.linalg.eigvalsh(ell).min())
     eig_s = float(np.linalg.eigvalsh(0.5 * (sym + sym.T)).min())
     ok = eig_l > 0.0 and eig_s > 0.0
-    return _row("lyapunov certificate", ok,
-                f"min eig L {eig_l:.3e}, min eig sym(AtL+LA) {eig_s:.3e}")
+    return (ok, f"min eig L {eig_l:.3e}, min eig sym(AtL+LA) {eig_s:.3e}")
 
 
 def _check_polar(phi, rng):
@@ -96,9 +90,9 @@ def _check_polar(phi, rng):
     hi = gen.c2 * np.maximum(norms ** (1.0 / gen.beta), norms ** (1.0 / gen.gamma))
     bounds = bool(np.all(t >= lo * (1 - 1e-9)) and np.all(t <= hi * (1 + 1e-9)))
     ok = worst_rel <= 1e-10 and worst_rad <= 1e-11 and bounds
-    return _row("polar round-trip", ok,
-                f"worst rel {worst_rel:.2e} (tol 1e-10), radius defect "
-                f"{worst_rad:.2e}, t within certified bounds: {bounds}")
+    return (ok,
+            f"worst rel {worst_rel:.2e} (tol 1e-10), radius defect "
+            f"{worst_rad:.2e}, t within certified bounds: {bounds}")
 
 
 def _check_ball_scaling(phi, seed):
@@ -112,7 +106,7 @@ def _check_ball_scaling(phi, seed):
         slack = volr.error + r**phi.alpha * vol1.error
         ok = ok and abs(volr.value - want) <= slack
         rows.append(f"r={r:g}: {volr.value:.4f} vs {want:.4f} (+-{slack:.4f})")
-    return _row("ball scaling", ok, "; ".join(rows))
+    return (ok, "; ".join(rows))
 
 
 def _check_estimator_agreement(phi, seed):
@@ -120,16 +114,16 @@ def _check_estimator_agreement(phi, seed):
     mc = volume_monte_carlo(phi, 1_000_000, seed=seed)
     gap = abs(quad.value - mc.value)
     slack = quad.error + mc.error
-    return _row("volume estimator agreement", gap <= slack,
-                f"quadrature {quad.value:.6f} vs monte carlo {mc.value:.6f}, "
-                f"gap {gap:.2e} <= {slack:.2e}")
+    return (gap <= slack,
+            f"quadrature {quad.value:.6f} vs monte carlo {mc.value:.6f}, "
+            f"gap {gap:.2e} <= {slack:.2e}")
 
 
 def _check_count_monotone(phi):
     radii = [1.5, 2.5, 4.0, 6.5, 10.0]
     counts = [lattice_count(phi, r) for r in radii]
     ok = all(a <= b for a, b in zip(counts, counts[1:]))
-    return _row("count monotonicity", ok, f"counts {counts} at radii {radii}")
+    return (ok, f"counts {counts} at radii {radii}")
 
 
 def _check_count_sandwich(phi):
@@ -139,8 +133,7 @@ def _check_count_sandwich(phi):
     c_mid = lattice_count(phi, r)
     c_upper = lattice_count(upper, r)
     ok = c_lower >= c_mid >= c_upper
-    return _row("count sandwich", ok,
-                f"psi1 <= phi <= psi2 gives counts {c_lower} >= {c_mid} >= {c_upper}")
+    return (ok, f"psi1 <= phi <= psi2 gives counts {c_lower} >= {c_mid} >= {c_upper}")
 
 
 def _suite_s(phi) -> complex:
@@ -159,7 +152,7 @@ def _check_scaling_law(phi):
         gap = abs(scaled.value - want)
         ok = ok and gap <= 1e-8
         details.append(f"a={a:g}: gap {gap:.2e}")
-    return _row("scaling law", ok, "; ".join(details) + " (tol 1e-8)")
+    return (ok, "; ".join(details) + " (tol 1e-8)")
 
 
 def _check_conjugate_symmetry(phi):
@@ -168,8 +161,7 @@ def _check_conjugate_symmetry(phi):
     minus = zeta_continued(phi, s.conjugate())
     gap = abs(plus.value.conjugate() - minus.value)
     slack = plus.error + minus.error
-    return _row("conjugate symmetry", gap <= slack,
-                f"zeta(conj s) vs conj zeta(s): gap {gap:.2e} <= {slack:.2e}")
+    return (gap <= slack, f"zeta(conj s) vs conj zeta(s): gap {gap:.2e} <= {slack:.2e}")
 
 
 def _check_kernel_independence(phi):
@@ -180,8 +172,7 @@ def _check_kernel_independence(phi):
     two = zeta_continued(phi, s, power=c + step)
     gap = abs(one.value - two.value)
     slack = one.error + two.error + 1e-12
-    return _row("kernel independence", gap <= slack,
-                f"power {c:g} vs {c + step:g}: gap {gap:.2e} <= {slack:.2e}")
+    return (gap <= slack, f"power {c:g} vs {c + step:g}: gap {gap:.2e} <= {slack:.2e}")
 
 
 def _check_overlap(phi):
@@ -190,36 +181,35 @@ def _check_overlap(phi):
     cont = zeta_continued(phi, s)
     gap = abs(direct.value - cont.value)
     slack = direct.error + cont.error
-    return _row("overlap consistency", gap <= slack,
-                f"direct vs continued at s={s:.3g}: gap {gap:.2e} <= {slack:.2e}")
+    return (gap <= slack,
+            f"direct vs continued at s={s:.3g}: gap {gap:.2e} <= {slack:.2e}")
 
 
 def _check_theta_monotone(phi):
     """theta(phi, iw) stays positive and decreasing along w; cheap sanity."""
     values = [theta_phi(phi, w).value.real for w in (0.5, 1.0, 2.0)]
     ok = values[0] > values[1] > values[2] > 1.0
-    return _row("theta monotone on the ray", ok,
-                f"theta at w=0.5,1,2: {values[0]:.4f} > {values[1]:.4f} > "
-                f"{values[2]:.4f} > 1")
+    return (ok,
+            f"theta at w=0.5,1,2: {values[0]:.4f} > {values[1]:.4f} > "
+            f"{values[2]:.4f} > 1")
 
 
 def verify_suite(phi: HomogeneousFunction, seed: int = 11) -> list:
     """Run every suite check against one phi; returns CheckRow list."""
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    rows = [
-        _guard("homogeneity identity", lambda: _check_homogeneity(phi, rng)),
-        _guard("matrix power group law", lambda: _check_group_law(phi, rng)),
-        _guard("lyapunov certificate", lambda: _check_lyapunov(phi)),
-        _guard("polar round-trip", lambda: _check_polar(phi, rng)),
-        _guard("ball scaling", lambda: _check_ball_scaling(phi, seed)),
-        _guard("volume estimator agreement",
-               lambda: _check_estimator_agreement(phi, seed)),
-        _guard("count monotonicity", lambda: _check_count_monotone(phi)),
-        _guard("count sandwich", lambda: _check_count_sandwich(phi)),
-        _guard("scaling law", lambda: _check_scaling_law(phi)),
-        _guard("conjugate symmetry", lambda: _check_conjugate_symmetry(phi)),
-        _guard("kernel independence", lambda: _check_kernel_independence(phi)),
-        _guard("overlap consistency", lambda: _check_overlap(phi)),
-        _guard("theta monotone on the ray", lambda: _check_theta_monotone(phi)),
+    checks = [
+        ("homogeneity identity", lambda: _check_homogeneity(phi, rng)),
+        ("matrix power group law", lambda: _check_group_law(phi, rng)),
+        ("lyapunov certificate", lambda: _check_lyapunov(phi)),
+        ("polar round-trip", lambda: _check_polar(phi, rng)),
+        ("ball scaling", lambda: _check_ball_scaling(phi, seed)),
+        ("volume estimator agreement", lambda: _check_estimator_agreement(phi, seed)),
+        ("count monotonicity", lambda: _check_count_monotone(phi)),
+        ("count sandwich", lambda: _check_count_sandwich(phi)),
+        ("scaling law", lambda: _check_scaling_law(phi)),
+        ("conjugate symmetry", lambda: _check_conjugate_symmetry(phi)),
+        ("kernel independence", lambda: _check_kernel_independence(phi)),
+        ("overlap consistency", lambda: _check_overlap(phi)),
+        ("theta monotone on the ray", lambda: _check_theta_monotone(phi)),
     ]
-    return rows
+    return [_guard(name, fn) for name, fn in checks]

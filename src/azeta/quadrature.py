@@ -19,7 +19,6 @@ from .lattice import grid_rows, slabs
 __all__ = [
     "gl_nodes",
     "panel_points",
-    "graded_edges",
     "symmetric_edges",
     "refine_edges",
     "box_integral",
@@ -46,20 +45,14 @@ def panel_points(edges: np.ndarray, n: int):
     return pts, wts
 
 
-def graded_edges(radius: float, levels: int) -> np.ndarray:
-    """Panel edges on [0, radius], geometrically graded toward 0.
-
-    The grading keeps Gauss panels accurate when the integrand has limited
-    smoothness at the origin (the usual situation for kernels built from a
-    homogeneous function with a conical kink there).
-    """
-    pos = [radius * 2.0 ** (-j) for j in range(levels, -1, -1)]
-    return np.asarray([0.0] + pos)
-
-
 def symmetric_edges(radius: float, levels: int) -> np.ndarray:
-    """Graded edges on [-radius, radius], symmetric about 0."""
-    pos = graded_edges(radius, levels)
+    """Panel edges 0 and ±radius 2^-j (j = levels..0) on [-radius, radius].
+
+    The grading toward 0 keeps Gauss panels accurate when the integrand has
+    limited smoothness at the origin (the usual situation for kernels built
+    from a homogeneous function with a conical kink there).
+    """
+    pos = np.asarray([0.0] + [radius * 2.0 ** (-j) for j in range(levels, -1, -1)])
     return np.concatenate([-pos[:0:-1], pos])
 
 

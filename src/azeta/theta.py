@@ -169,9 +169,7 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
 def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float):
     """(value, error, kind) of one node, summed shell by shell."""
     flow, m_stop, tail, rigorous = _node_stop(generator, func, t, target)
-    total = 0.0
-    magnitude = 0.0
-    evaluated = 0
+    total, magnitude, evaluated = 0.0, 0.0, 0
     for m in range(1, m_stop + 1):
         offsets = shell(generator.dim, m)
         vals = func.evaluate_many(offsets @ flow.T)
@@ -229,8 +227,8 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     Shell j sits at φ >= c3 j^{1/β}, so `exp_shell_tail` (a = Re w c3,
     p = 1/β) bounds the tail; the first shell m where it meets target is
     found first, `BudgetExceededError` raised if shells 1..m hold more than
-    `COUNT_BUDGET` points, and shells 1..m are then summed in turn; in one
-    dimension their box is summed in `lattice.slabs` of at most a million
+    `COUNT_BUDGET` points, and the nonzero rows of the box [-m, m]^n, which
+    are shells 1..m, are then summed in `lattice.slabs` of at most a million
     points.
     """
     w = complex(w)
@@ -246,14 +244,10 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
             f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
             f"points, over the {COUNT_BUDGET:.0e} budget")
     total = 1.0 + 0.0j
-    if dim == 1:  # shell j is the points ±j: sum the box in slabs instead
-        for part in slabs([2 * m_stop + 1]):
-            vals = phi.evaluate_many(box_rows([m_stop], part, nonzero=True))
-            total += complex(np.sum(np.exp(-w * vals)))
-    else:
-        for m in range(1, m_stop + 1):
-            vals = phi.evaluate_many(shell(dim, m))
-            total += complex(np.sum(np.exp(-w * vals)))
+    box = [m_stop] * dim
+    for part in slabs([2 * m_stop + 1] * dim):
+        vals = phi.evaluate_many(box_rows(box, part, nonzero=True))
+        total += complex(np.sum(np.exp(-w * vals)))
     value = total.real if w.imag == 0.0 else total
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)
 

@@ -112,6 +112,7 @@ _BIN_WIDTH = math.log(2.0) / _OCTAVE_BINS  # H
 _WINDOW_SHIFT = _OCTAVE_BINS // _CUTOFF_COUNT  # bins from t_j down to t_{j+1}
 _CUT_EDGES = (_WINDOW_SHIFT * np.arange(_CUTOFF_COUNT)[:, None] + 2 * _OCTAVE_BINS
               - _OCTAVE_BINS // 16 * np.arange(17))  # [window j, cut i]
+_CUT_SCALES = np.exp2(-_CUT_EDGES / _OCTAVE_BINS)  # the count cuts over t_max
 _MIN_POINTS = 100_000  # lattice points the estimator needs below t_max
 # rows per slab of the build: its temporaries stay in cache, and 2^15 rows
 # peaked at 42 MB on the superellipse at box_budget 1e7, 1 M rows at 131 MB
@@ -147,11 +148,10 @@ def _fluct_exponent(phi: HomogeneousFunction) -> float:
 class _MomentTable:
     """Bin b holds t_max 2^{-(b+1)/48m} <= φ < t_max 2^{-b/48m}, moments[k, b]
     is Σ u^k over its half-box points (times mult for the lattice), and
-    counts[j, i] is #{φ(ω) < cuts[j, i]} over the nonzero lattice."""
+    counts[j, i] is #{φ(ω) < t_max `_CUT_SCALES`[j, i]} over the nonzero lattice."""
 
     t_max: float
     moments: np.ndarray
-    cuts: np.ndarray
     counts: np.ndarray
     mult: int
     budget: float
@@ -212,8 +212,7 @@ def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
                 moments[k] += np.bincount(bins, weights=power, minlength=centres.size)
                 power *= u
     below = mult * np.cumsum(moments[0, ::-1])[::-1]  # N(edge) at every bin edge
-    table = _MomentTable(t_max, moments, t_max * np.exp2(-_CUT_EDGES / _OCTAVE_BINS),
-                         below[_CUT_EDGES], mult, box_budget)
+    table = _MomentTable(t_max, moments, below[_CUT_EDGES], mult, box_budget)
     cache["direct_moments"] = table
     return table
 
@@ -361,7 +360,7 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
     # octave decorrelates the boundary-counting fluctuation
     windowed, bounds = _windowed_sums(s, table)
     t_lows = table.t_max * 2.0 ** (-np.arange(_CUTOFF_COUNT) / _CUTOFF_COUNT)
-    b_hat = np.mean(table.counts / table.cuts**alpha, axis=1)
+    b_hat = np.mean(table.counts / (table.t_max * _CUT_SCALES)**alpha, axis=1)
     scale = t_lows ** complex(alpha - s.real, -s.imag)
     estimates = windowed + alpha * b_hat * scale * _window_coefficient(alpha, s)
     value = complex(np.mean(estimates))
@@ -665,13 +664,12 @@ def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue
         raise DomainError(f"need a positive integer order, got {k}")
     c = default_power(phi, float(k))
     step = max(1, int(phi.smooth_step))
-    for attempt in range(3):
+    for attempt in range(2):
         try:
             return zeta_continued(phi, -float(k), power=c + attempt * step)
         except StripError:
-            if attempt == 2:
-                raise
-    raise DomainError("unreachable")
+            pass
+    return zeta_continued(phi, -float(k), power=c + 2 * step)
 
 
 def xi_plus(generator, func, s: complex) -> BoundedValue:
