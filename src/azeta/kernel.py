@@ -1,14 +1,10 @@
-"""Test functions attached to φ and their sampled Fourier transforms.
+"""The test functions g = φ^c e^{-φ}, c >= 0, and their sampled Fourier transforms.
 
-Two kernel families are supported:
-
-    power_exp:  g(x) = φ(x)^c e^{-φ(x)}   (c > 0, so g(0) = 0)
-    exp_power:  g(x) = e^{-φ(x)^b}        (b > 0, g(0) = 1)
-
-Both decay fast enough that g restricted to a certified box carries all but a
-negligible tail.  The flow generator attached to a kernel is the one that makes
-its theta transform law work out: φ's own generator for power_exp, and A/b for
-exp_power (since φ^b scales with exponent 1 along the flow of A/b).
+c > 0 gives g(0) = 0, the kernel of the continuation; c = 0 gives e^{-φ}
+with g(0) = 1, the kernel of the volume through ∫ e^{-φ} = Γ(α+1)|B|.  Every
+member decays fast enough that g restricted to a certified box carries all
+but a negligible tail, and φ's own generator A carries it along the flow:
+g(t^A x) = radial(t φ(x)), which is what makes its theta transform law work.
 
 Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  Every transform is one
 type, `SampledTransform`: the samples of g on a full symmetric odd grid over
@@ -69,47 +65,30 @@ def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
 
 
 class Kernel:
-    """g = φ^c e^{-φ} (kind "power_exp") or g = e^{-φ^b} (kind "exp_power").
+    """g = φ^c e^{-φ} with c >= 0; c = 0 is e^{-φ}, where g(0) = 1.
 
-    Along its own generator B, φ(t^B x) = t^degree φ(x) (degree 1 for
-    power_exp, 1/b for exp_power), so g(t^B x) = radial(t^degree φ(x)).
+    φ(t^A x) = t φ(x) along φ's generator A, so g(t^A x) = radial(t φ(x)).
     """
 
-    def __init__(self, phi: HomogeneousFunction, *, power: float | None = None,
-                 root: float | None = None):
-        if (power is None) == (root is None):
-            raise DomainError("give exactly one of power (power_exp) or root (exp_power)")
+    def __init__(self, phi: HomogeneousFunction, *, power: float):
+        if not power >= 0.0:
+            raise DomainError(f"kernel φ^c e^(-φ) needs c >= 0, got {power}")
         self.phi = phi
-        if power is not None:
-            if power <= 0:
-                raise DomainError(f"power_exp kernel needs c > 0, got {power}")
-            self.kind = "power_exp"
-            self.power = float(power)
-            self.generator = phi.generator
-            self.degree = 1.0
-            self.value_at_origin = 0.0
-        else:
-            if root <= 0:
-                raise DomainError(f"exp_power kernel needs b > 0, got {root}")
-            self.kind = "exp_power"
-            self.root = float(root)
-            self.generator = phi.generator.scaled(1.0 / root)
-            self.degree = 1.0 / root
-            self.value_at_origin = 1.0
+        self.power = float(power)
+        self.generator = phi.generator
+        self.value_at_origin = 1.0 if self.power == 0.0 else 0.0
 
     @property
     def dim(self) -> int:
         return self.phi.dim
 
     def radial(self, level: np.ndarray) -> np.ndarray:
-        """g as a function of v = φ(x): v^c e^{-v}, or e^{-v^b}."""
-        if self.kind == "power_exp":
-            out = np.zeros_like(level)
-            pos = level > 0.0
-            # work in logs to dodge overflow of v^c for large shells
-            out[pos] = np.exp(self.power * np.log(level[pos]) - level[pos])
-            return out
-        return np.exp(-np.clip(level, 0.0, 700.0) ** self.root)
+        """g as a function of v = φ(x): v^c e^{-v}, and g(0) at v = 0."""
+        out = np.full_like(level, self.value_at_origin)
+        pos = level > 0.0
+        # work in logs to dodge overflow of v^c for large shells
+        out[pos] = np.exp(self.power * np.log(level[pos]) - level[pos])
+        return out
 
     def radial_error(self, level: np.ndarray) -> np.ndarray:
         """Relative rounding error of radial(v) at v > 0, v itself off by up
@@ -117,26 +96,20 @@ class Kernel:
 
         v^c e^{-v} is exp(c ln v - v): the log-derivative c - v amplifies
         the error of v, and forming c ln v - v rounds by up to about
-        (c|ln v| + v) ulps; e^{-v^b} amplifies it by b v^b.  The last ulps
-        are the exp's and the power's own.
+        (c|ln v| + v) ulps.  The last ulps are the exp's own.
         """
-        if self.kind == "power_exp":
-            c = self.power
-            return (2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
-                    + level + 2.0) * 2.0**-52
-        vb = np.clip(level, 0.0, 700.0) ** self.root
-        return ((2.0 * self.root + 1.0) * vb + 1.0) * 2.0**-52
+        c = self.power
+        return (2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
+                + level + 2.0) * 2.0**-52
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.radial(self.phi.evaluate_many(points))
 
     def _envelope(self, level: float) -> float:
         """sup of the radial factor over φ >= level."""
-        if self.kind == "power_exp":
-            c = self.power
-            peak = max(level, c)
-            return math.exp(c * math.log(peak) - peak) if peak > 0 else 0.0
-        return math.exp(-(max(level, 0.0) ** self.root))
+        c = self.power
+        peak = max(level, c)
+        return math.exp(c * math.log(peak) - peak) if peak > 0 else self.value_at_origin
 
     def shell_tail(self, sigma: float, m: int):
         """(bound on Σ |g| over shells j >= m mapped to norm >= sigma j, True).
@@ -147,12 +120,12 @@ class Kernel:
             return math.inf, True
         p = 1.0 / self.phi.generator.beta
         a = self.phi.growth()[2] * sigma**p
-        if self.kind == "power_exp":
-            return exp_shell_tail(self.dim, m, a, p, self.power), True
-        return exp_shell_tail(self.dim, m, a**self.root, p * self.root), True
+        return exp_shell_tail(self.dim, m, a, p, self.power), True
 
-    def axis_extent(self, axis: int, floor: float) -> float:
-        """Half-width R on this axis so g is below floor outside |x_axis| < R."""
+    def axis_extent(self, axis: int) -> float:
+        """Half-width R on this axis so g is below 1e-16 of its peak outside
+        |x_axis| < R."""
+        floor = _G_FLOOR * self._envelope(0.0)
         if _coordinate_monotone(self.phi):
             e = np.zeros(self.dim)
             e[axis] = 1.0
@@ -167,13 +140,15 @@ class Kernel:
                 return float(r)
         raise DomainError("kernel decays too slowly to box")
 
+    def box_radii(self) -> list:
+        """The certified box: one `axis_extent` per axis."""
+        return [self.axis_extent(i) for i in range(self.dim)]
+
     def integral_over_space(self, target: float = 1e-12):
         """∫ g over R^n by graded panel quadrature on the certified box."""
         if self.dim > 3:
             raise DomainError("space integrals are supported for n <= 3")
-        g_top = self._envelope(0.0)
-        radii = [self.axis_extent(i, _G_FLOOR * g_top) for i in range(self.dim)]
-        return box_integral(self.evaluate_many, radii, target=target)
+        return box_integral(self.evaluate_many, self.box_radii(), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +460,7 @@ def fourier_transform(kernel: Kernel):
     if n > 3:
         raise DomainError("transforms are supported for n <= 3")
     floor = 1e-15 if n == 1 else 3e-11
-    g_top = kernel._envelope(0.0)
-    radii = [kernel.axis_extent(i, _G_FLOOR * g_top) for i in range(n)]
+    radii = kernel.box_radii()
 
     if n == 1:
         return _transform_1d_samples(kernel.evaluate_many, radii[0], floor)

@@ -230,12 +230,6 @@ class GeneratorMatrix:
             self._transpose = GeneratorMatrix(self.entries.T)
         return self._transpose
 
-    def scaled(self, factor: float) -> "GeneratorMatrix":
-        """Generator for factor*A; used by power-substituted kernels."""
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
-        return GeneratorMatrix(self.entries * float(factor))
-
     def sphere_points(self, count: int, seed: int = 7) -> np.ndarray:
         """Quasi-random points on S_L = {<Lx, x> = 1} (rows)."""
         rng = _rng(seed)
@@ -275,15 +269,11 @@ class GeneratorMatrix:
                 scale = np.exp(-np.log(t)[None, :] * self._eigvals[:, None])
                 return np.real(self._eigvecs @ (scale * vinv_x)).T
 
-        else:
-            from scipy.linalg import expm  # defective generators only
+        else:  # defective: the flow's own expm route
 
             def pullback(t):
                 return np.vstack(
-                    [
-                        point @ expm(-np.log(ti) * self.entries).T
-                        for point, ti in zip(points, t)
-                    ]
+                    [point @ self.flow(1.0 / ti).T for point, ti in zip(points, t)]
                 )
 
         # Initial guess from the pure-scaling picture q(x)^(1/(2*mean exponent)).

@@ -135,7 +135,7 @@ def _pairwise_rounding(magnitude, count, passes: int = 1):
 
 
 def _kernel_table(kernel, ts: np.ndarray, target: float):
-    """A kernel on its own flow: g(t^A ω) = radial(t^degree φ(ω)).
+    """A kernel on its own flow: g(t^A ω) = radial(t φ(ω)).
 
     Each node keeps its own stopping shell and tail bound; φ is evaluated
     once on the shells out to the farthest stop, and each block of nodes'
@@ -149,14 +149,13 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     shells = [shell(kernel.dim, m) for m in range(1, max(m_stop) + 1)]
     used = np.cumsum([rows.shape[0] for rows in shells])[np.asarray(m_stop) - 1]
     phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
-    scales = ts**kernel.degree
     values = np.empty(ts.size)
     errors = np.asarray(tails, dtype=float)
     step = max(1, _TABLE_BLOCK // phi_vals.size)
     for start in range(0, ts.size, step):
         block = slice(start, start + step)
         width = int(used[block].max())
-        level = np.outer(scales[block], phi_vals[:width])
+        level = np.outer(ts[block], phi_vals[:width])
         terms = kernel.radial(level)
         terms[np.arange(width)[None, :] >= used[block, None]] = 0.0
         # the terms are positive, so each row sum is also its magnitude

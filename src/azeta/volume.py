@@ -50,7 +50,7 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
     """
     if phi.dim > 3:
         raise DomainError("volume_exp_integral supports n <= 3")
-    kernel = Kernel(phi, root=1.0)
+    kernel = Kernel(phi, power=0.0)
     g = gamma(phi.alpha + 1.0).real
     try:
         value, err, _ = kernel.integral_over_space(target=target * g)

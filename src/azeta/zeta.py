@@ -26,7 +26,7 @@ kernel side carries a certified exponential bound; a transform side ends where
 its band empties, with a fitted power-law model for what is dropped (reported
 as an estimate, never as rigorous).  `_XiMachine` is the one four-term
 combination, behind `zeta_continued`, `xi_plus` and `xi_full`.  One machine
-per exponent c serves every s: g(0) = 0 makes s = 0 a regular point
+per exponent c > 0 serves every s: g(0) = 0 makes s = 0 a regular point
 (`zeta_at_zero` is the continuation there), and within 1e-6 of the pole the
 same value comes with its Laurent data in closed form; `zeta_direct` hands
 that neighbourhood to the machine too, and `residue_at_alpha` reads the
@@ -405,14 +405,14 @@ class _XiSide:
     """Octave panel tables of θ*(t) for one side of the split Mellin integral,
     with the bound on what lies past their end.
 
-    The summand decides both.  A Kernel decays like t^c e^{-μt} along the flow
-    (μ = φ_min for φ^c e^{-φ}, φ_min^b and c = 0 for e^{-φ^b}): the table ends
-    at the fixed point below and the tail is a certified exponential bound.  A
-    band-limited transform's box sums are exactly zero once the flow pushes
-    every nonzero lattice point out of its band: the table ends there and the
-    tail is the fitted power-law model of what the band dropped, an estimate
-    that needs Re s < γτ.  The whole table is one `theta_star_table` call over
-    the nodes of every panel, kept flat as (panels × nodes) arrays of log t,
+    The summand decides both.  A Kernel φ^c e^{-φ} decays like t^c e^{-μt}
+    along the flow, μ = φ_min: the table ends at the fixed point below and the
+    tail is a certified exponential bound.  A band-limited transform's box
+    sums are exactly zero once the flow pushes every nonzero lattice point out
+    of its band: the table ends there and the tail is the fitted power-law
+    model of what the band dropped, an estimate that needs Re s < γτ.  The
+    whole table is one `theta_star_table` call over the nodes of every
+    panel, kept flat as (panels × nodes) arrays of log t,
     w θ* and w err; per s, Σ w_i θ*(t_i) t_i^{s-1} over the high-order nodes
     is one exp and one row sum, and the low-order nodes, one more of each,
     estimate each panel's quadrature error.  The side keeps no reference to
@@ -421,11 +421,7 @@ class _XiSide:
 
     def __init__(self, generator, func):
         if isinstance(func, Kernel):
-            phi_min = func.phi.lattice_minimum()
-            if func.kind == "exp_power":
-                self.mu, self.c_pow = phi_min**func.root, 0.0
-            else:
-                self.mu, self.c_pow = phi_min, func.power
+            self.mu, self.c_pow = func.phi.lattice_minimum(), func.power
             t_end = 46.0 / self.mu
             for _ in range(40):
                 t_new = (46.0 + (self.c_pow + 9.0) * math.log(max(t_end, 2.0))) / self.mu
@@ -562,7 +558,11 @@ class _XiMachine:
 
 
 def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
-    """The machine of the kernel φ^c e^{-φ} and its transform, cached on φ."""
+    """The machine of the kernel φ^c e^{-φ} and its transform, cached on φ.
+
+    The continuation rests on g(0) = 0, so c must be positive."""
+    if not c > 0.0:
+        raise DomainError(f"the continuation needs a kernel power c > 0, got {c}")
     cache = cache_for(phi)
     key = ("xi", round(float(c), 12))
     machine = cache.get(key)
@@ -588,7 +588,7 @@ def default_power(phi: HomogeneousFunction, k_max: float = 0.0) -> float:
 
 def zeta_continued(phi: HomogeneousFunction, s: complex, *,
                    power: float | None = None) -> MeromorphicValue:
-    """Analytic continuation of ζ(φ,s) to C∖{α} via the PowerExp kernel.
+    """Analytic continuation of ζ(φ,s) to C∖{α} via the kernel φ^c e^{-φ}, c > 0.
 
     ζ(φ,s) = [ -ĝ(0)/(α-s) + ξ⁺_A(g,s) + ξ⁺_{A^T}(ĝ, α-s) ] / Γ(s+c).
 

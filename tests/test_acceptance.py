@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from azeta.cli import main as cli_main
-from azeta.homog import PNorm
+from azeta.homog import QuadraticForm
 from azeta.kernel import Kernel, fourier_transform
 from azeta.theta import jacobi_residual, theta_phi
 from azeta.asymp import bernoulli_identity_check, remainder_check
@@ -105,12 +105,12 @@ def test_pole_limit():
 
 
 def test_jacobi_transform():
-    gauss = Kernel(PNorm(1, 1.0).scale(math.sqrt(math.pi)), root=2.0)
+    gauss = Kernel(QuadraticForm([[math.pi]]), power=0.0)
     worst_sd = 0.0
     for t in (1.0, 2.0, 5.0):
         worst_sd = max(worst_sd,
                        jacobi_residual(gauss.generator, gauss, gauss, t).value)
-    k = Kernel(ABSVAL, root=2.0)
+    k = Kernel(SQUARE, power=0.0)
     khat = fourier_transform(k)
     numeric_ok = True
     details = []

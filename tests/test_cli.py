@@ -204,6 +204,13 @@ def test_budget_exit_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_zero_kernel_power_exits_2_under_continued(tmp_path, capsys):
+    cfg = write_config(tmp_path, kernel={"power": 0})
+    assert main(["zeta", "--config", str(cfg), "--s", "0.25+1i",
+                 "--method", "continued"]) == 2
+    assert "invalid request" in capsys.readouterr().err
+
+
 def test_divergent_point_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["zeta", "--config", str(cfg), "--s", "0.5+0i",

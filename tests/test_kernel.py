@@ -15,13 +15,15 @@ from azeta.lattice import box_rows
 from azeta.quadrature import panel_points
 from azeta.theta import theta_star_table
 
+from shapes import ABSVAL, DISC, SUPERELLIPSE
 
-def test_kernel_needs_exactly_one_exponent():
+
+def test_kernel_needs_nonnegative_power():
     phi = PNorm(1, 1.0)
     with pytest.raises(DomainError):
-        Kernel(phi)
+        Kernel(phi, power=-1.0)
     with pytest.raises(DomainError):
-        Kernel(phi, power=2.0, root=1.0)
+        Kernel(phi, power=math.nan)
 
 
 def test_kernel_values_both_kinds():
@@ -30,29 +32,33 @@ def test_kernel_values_both_kinds():
     pe = Kernel(phi, power=3.0)
     assert np.allclose(pe.evaluate_many(x), np.array([0.5, 2.0]) ** 3 * np.exp(-np.array([0.5, 2.0])))
     assert pe.value_at_origin == 0.0
-    ep = Kernel(phi, root=2.0)
+    ep = Kernel(QuadraticForm([[1.0]]), power=0.0)
     assert np.allclose(ep.evaluate_many(x), np.exp(-np.array([0.5, 2.0]) ** 2))
     assert ep.value_at_origin == 1.0
 
 
-def test_exp_power_generator_is_rescaled():
-    phi = PNorm(2, 2.0)
-    k = Kernel(phi, root=2.0)
-    # e^{-phi^2} is 1-homogeneous under A/2, trace drops accordingly
-    assert k.generator.alpha == pytest.approx(phi.generator.alpha / 2.0)
+@pytest.mark.parametrize("phi", [ABSVAL, DISC, SUPERELLIPSE],
+                         ids=["absval", "disc", "superellipse"])
+def test_power_zero_kernel_is_exp_of_minus_phi(phi):
+    kernel = Kernel(phi, power=0.0)
+    x = box_rows([3] * phi.dim, nonzero=True) * 0.37
+    assert np.array_equal(kernel.evaluate_many(x), np.exp(-phi.evaluate_many(x)))
+    assert kernel.evaluate_many(np.zeros((1, phi.dim)))[0] == 1.0
+    assert kernel.value_at_origin == 1.0
+    assert kernel._envelope(0.0) == 1.0
 
 
 def test_integral_over_space_closed_forms():
-    value, err, _ = Kernel(PNorm(1, 1.0), root=1.0).integral_over_space()
+    value, err, _ = Kernel(PNorm(1, 1.0), power=0.0).integral_over_space()
     assert value == pytest.approx(2.0, abs=1e-10)
     assert abs(value - 2.0) <= max(err, 1e-12)
-    value, err, _ = Kernel(QuadraticForm(np.eye(2)), root=1.0).integral_over_space()
+    value, err, _ = Kernel(QuadraticForm(np.eye(2)), power=0.0).integral_over_space()
     assert value == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_transform_exponential_closed_form():
     # g = e^{-|x|}, ghat(y) = 2 / (1 + 4 pi^2 y^2)
-    tr = fourier_transform(Kernel(PNorm(1, 1.0), root=1.0))
+    tr = fourier_transform(Kernel(PNorm(1, 1.0), power=0.0))
     ys = np.array([[0.0], [0.1], [0.5], [1.0]])
     want = 2.0 / (1.0 + 4.0 * math.pi**2 * ys[:, 0] ** 2)
     got = tr.evaluate_points(ys)
@@ -62,7 +68,7 @@ def test_transform_exponential_closed_form():
 
 def test_transform_gaussian_closed_form():
     # g = e^{-x^2}, ghat(y) = sqrt(pi) e^{-pi^2 y^2}
-    tr = fourier_transform(Kernel(PNorm(1, 1.0), root=2.0))
+    tr = fourier_transform(Kernel(QuadraticForm([[1.0]]), power=0.0))
     ys = np.array([[0.0], [0.3], [0.8]])
     want = math.sqrt(math.pi) * np.exp(-math.pi**2 * ys[:, 0] ** 2)
     assert np.allclose(tr.evaluate_points(ys).real, want, atol=1e-10)
@@ -70,14 +76,14 @@ def test_transform_gaussian_closed_form():
 
 def test_transform_2d_gaussian_closed_form():
     # g = e^{-(x^2+y^2)}, ghat(u) = pi e^{-pi^2 |u|^2}
-    tr = fourier_transform(Kernel(QuadraticForm(np.eye(2)), root=1.0))
+    tr = fourier_transform(Kernel(QuadraticForm(np.eye(2)), power=0.0))
     pts = np.array([[0.0, 0.0], [0.4, -0.2], [1.0, 0.7]])
     want = math.pi * np.exp(-math.pi**2 * np.sum(pts**2, axis=1))
     assert np.allclose(tr.evaluate_points(pts).real, want, atol=1e-10)
 
 
 def test_transform_quoted_error_covers_closed_form_gap():
-    tr = fourier_transform(Kernel(PNorm(1, 1.0), root=1.0))
+    tr = fourier_transform(Kernel(PNorm(1, 1.0), power=0.0))
     ys = np.linspace(0.0, 2.0, 9)[:, None]
     want = 2.0 / (1.0 + 4.0 * math.pi**2 * ys[:, 0] ** 2)
     got = tr.evaluate_points(ys).real
@@ -86,7 +92,7 @@ def test_transform_quoted_error_covers_closed_form_gap():
 
 
 def test_double_transform_reflects_back():
-    tr = fourier_transform(Kernel(PNorm(1, 1.0), root=2.0))
+    tr = fourier_transform(Kernel(QuadraticForm([[1.0]]), power=0.0))
     back = tr.transform()
     # 3.5 lies past half the sampled radius: the band covers all of it
     xs = np.array([[0.0], [0.5], [1.25], [3.5]])
@@ -95,7 +101,7 @@ def test_double_transform_reflects_back():
 
 
 def test_out_of_band_queries_are_zero_with_model_bound():
-    tr = fourier_transform(Kernel(PNorm(1, 1.0), root=2.0))
+    tr = fourier_transform(Kernel(QuadraticForm([[1.0]]), power=0.0))
     far = np.array([[tr.band[0] * 3.0]])
     assert tr.evaluate_points(far)[0] == 0.0
     assert tr.out_of_band_bound(3.0) < tr.edge_level
@@ -135,8 +141,8 @@ def _boxes(tr):
 
 @pytest.mark.parametrize("kernel", [
     Kernel(PNorm(1, 1.0), power=2.0),                      # 1-D sampled
-    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
-    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # 2-D diagonal
+    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), power=0.0),  # 2-D sampled
+    Kernel(QuadraticForm(np.eye(2)), power=0.0),           # 2-D diagonal
 ], ids=["sampled-1d", "sampled-2d", "sampled-2d-diagonal"])
 def test_box_sum_is_the_sum_over_the_box(kernel):
     tr = fourier_transform(kernel)
@@ -168,7 +174,7 @@ def test_box_sum_of_a_complex_transform():
 
 def test_box_sum_of_the_empty_box_is_the_center_term():
     for tr in (fourier_transform(Kernel(PNorm(1, 1.0), power=2.0)),
-               fourier_transform(Kernel(QuadraticForm(np.eye(2)), root=1.0))):
+               fourier_transform(Kernel(QuadraticForm(np.eye(2)), power=0.0))):
         box = np.zeros(tr.dim, dtype=int)
         got = tr.box_sum(np.full(tr.dim, 0.7), box)
         assert got == tr.center_term
@@ -194,8 +200,8 @@ def test_box_sum_at_integer_phases():
 
 @pytest.mark.parametrize("kernel", [
     Kernel(PNorm(1, 1.0), power=6.0),                      # 1-D sampled
-    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), root=1.0),  # 2-D sampled
-    Kernel(QuadraticForm(np.eye(2)), root=1.0),            # 2-D diagonal
+    Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), power=0.0),  # 2-D sampled
+    Kernel(QuadraticForm(np.eye(2)), power=0.0),           # 2-D diagonal
 ], ids=["sampled-1d", "sampled-2d", "sampled-2d-diagonal"])
 def test_batched_table_entries_are_the_box_sums(kernel):
     # 24 Gauss nodes of a transform-side table in one call, where the boxes

@@ -60,6 +60,17 @@ def test_defective_generator_flagged_and_flows():
     assert np.allclose(g.flow(t), want, rtol=1e-12)
 
 
+def test_defective_polar_round_trip():
+    # the Jordan block's polar coordinates pull back along the flow's own
+    # expm route
+    g = GeneratorMatrix([[1.0, 1.0], [0.0, 1.0]])
+    points = np.array([[0.3, -1.2], [2.5, 0.4], [-4.0, 3.0]])
+    t, u = g.polar_many(points)
+    assert np.allclose(g.lyapunov_radius(u), 1.0, rtol=0.0, atol=1e-12)
+    for ti, ui, x in zip(t, u, points):
+        assert np.allclose(g.apply_flow(float(ti), ui)[0], x, rtol=1e-12, atol=1e-12)
+
+
 def test_lyapunov_solves_equation():
     a = np.array([[0.7, 0.2], [-0.1, 1.1]])
     ell = solve_lyapunov(a)

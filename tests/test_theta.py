@@ -121,7 +121,7 @@ def test_theta_star_is_theta_minus_center_term():
     # theta*(g, it) sums g(t^A omega) over nonzero omega; for g = e^{-phi}
     # at t it matches theta_phi(phi, t) - 1
     phi = PNorm(1, 1.0)
-    k = Kernel(phi, root=1.0)
+    k = Kernel(phi, power=0.0)
     for t in (1.0, 2.0):
         star = theta_star_matrix(k.generator, k, t)
         full = theta_phi(phi, t)
@@ -130,16 +130,14 @@ def test_theta_star_is_theta_minus_center_term():
 
 def test_jacobi_residual_self_dual_gaussian():
     # g = e^{-pi x^2} is its own transform; the identity is exact
-    phi = PNorm(1, 1.0).scale(math.sqrt(math.pi))
-    k = Kernel(phi, root=2.0)  # e^{-pi x^2}
+    k = Kernel(QuadraticForm([[math.pi]]), power=0.0)  # e^{-pi x^2}
     for t in (1.0, 2.0, 5.0):
         res = jacobi_residual(k.generator, k, k, t)
         assert res.value <= 1e-10
 
 
 def test_jacobi_residual_numeric_transform():
-    phi = PNorm(1, 1.0)
-    k = Kernel(phi, root=2.0)
+    k = Kernel(SQUARE, power=0.0)
     khat = fourier_transform(k)
     for t in (1.0, 2.0):
         res = jacobi_residual(k.generator, k, khat, t)
@@ -147,8 +145,7 @@ def test_jacobi_residual_numeric_transform():
 
 
 def test_jacobi_rejects_nonpositive_time():
-    phi = PNorm(1, 1.0)
-    k = Kernel(phi, root=2.0)
+    k = Kernel(SQUARE, power=0.0)
     with pytest.raises(DomainError):
         jacobi_residual(k.generator, k, k, 0.0)
 
@@ -168,8 +165,8 @@ class _ShellOnly:
 
 
 @pytest.mark.parametrize("kernel", [
-    Kernel(PNorm(1, 1.0), root=2.0),
-    Kernel(QuadraticForm(np.eye(2)), root=1.0),
+    Kernel(SQUARE, power=0.0),
+    Kernel(DISC, power=0.0),
 ], ids=["sampled-1d", "sampled-2d-diagonal"])
 def test_box_sum_path_agrees_with_shell_path(kernel):
     tr = fourier_transform(kernel)

@@ -10,7 +10,7 @@ from scipy.special import gamma as sp_gamma
 
 from azeta import zeta as zeta_module
 from azeta.errors import DivergenceError, DomainError, StripError
-from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
+from azeta.homog import AnisotropicSuperellipse, Profile, QuadraticForm
 from azeta.kernel import Kernel, SampledTransform, fourier_transform
 from azeta.quadrature import panel_points
 from azeta.theta import theta_star_table
@@ -281,6 +281,16 @@ def test_explicit_power_gamma_pole_rejected():
         zeta_continued(absval(), -2.0, power=2.0)
 
 
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_continuation_needs_a_positive_power(power):
+    # the split drops -g(0)/s only because g(0) = 0, which e^{-φ} (c = 0)
+    # does not have
+    with pytest.raises(DomainError):
+        zeta_continued(absval(), 0.25 + 1.0j, power=power)
+    with pytest.raises(DomainError):
+        residue_at_alpha(absval(), power=power)
+
+
 def test_functional_equation_strip_points():
     phi = absval()
     k = Kernel(phi, power=default_power(phi))
@@ -325,7 +335,7 @@ def test_xi_full_is_the_sum_of_its_xi_plus_sides(name):
 def test_xi_full_of_the_self_dual_gaussian():
     # g = e^{-πx²} is its own transform: ξ(g, s) = Γ(s) π^{-s} 2ζ(2s), a
     # rigorous value on both sides of the strip
-    g = Kernel(PNorm(1, 1.0).scale(math.sqrt(math.pi)), root=2.0)
+    g = Kernel(QuadraticForm([[math.pi]]), power=0.0)
     for s in (0.2 + 0.7j, -0.7 + 0.2j):
         got = xi_full(g.generator, g, g, s)
         exact = complex(sp_gamma(s)) * math.pi ** (-s) * 2.0 * riemann_zeta(2.0 * s)
