@@ -7,12 +7,16 @@ but a negligible tail, and φ's own generator A carries it along the flow:
 g(t^A x) = radial(t φ(x)), which is what makes its theta transform law work.
 
 Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  Every transform is one
-type, `SampledTransform`: the samples of g on a full symmetric odd grid over
-the certified box, whose trapezoid sums the FFT evaluates on the dual grid;
+type, `SampledTransform`: the samples of g on a symmetric odd grid over the
+certified box, whose trapezoid sums the FFT evaluates on the dual grid;
 off-grid values use the same trapezoid sum directly (no interpolation), so the
 only errors are the domain tail and aliasing.  Aliasing is measured by halving
 the spacing and comparing (the trapezoid error for a sampled Schwartz-type
 function IS the aliasing sum, so this difference is the honest estimate).
+When φ is even in every coordinate, so are g and ĝ: a transform in two and
+three dimensions then samples g on x >= 0 only and keeps ĝ on y >= 0, its
+trapezoid sums cosine sums taken by real FFTs; one dimension, and a φ that is
+only centrally even, keep the full grid.
 Lattice box sums Σ_k ĝ(s∘k) use the same trapezoid sum in closed form:
 summed over a box, its phases e^{-2πi x_i s_i k_i} give one real Dirichlet
 kernel per axis, so no ĝ value is formed.
@@ -48,7 +52,10 @@ _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 
 
 def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
-    """True when φ is nondecreasing in each |x_i|, so axis scans bound slabs."""
+    """True when φ is nondecreasing in each |x_i|, so axis scans bound slabs.
+
+    Such a φ sees each x_i only through |x_i|, so it is even in every
+    coordinate, which lets `fourier_transform` fold its grids."""
     if isinstance(phi, Scaled):
         return _coordinate_monotone(phi.base)
     if isinstance(phi, (PNorm, AnisotropicSuperellipse)):
@@ -156,32 +163,72 @@ class Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _fft_grid(values: np.ndarray, spacing: np.ndarray):
-    """Trapezoid transform of symmetric odd-grid samples; returns (axes_y, hat)."""
-    hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
-    hat = hat * np.prod(spacing)
-    axes_y = [
-        np.fft.fftshift(np.fft.fftfreq(n, d=h))
-        for n, h in zip(values.shape, spacing)
-    ]
-    return axes_y, hat
+def _fft_grid(values: np.ndarray, spacing: np.ndarray, folded):
+    """Trapezoid transform of grid samples on the dual grid; returns (axes_y, hat).
+
+    A folded axis holds x >= 0 of a symmetric odd grid of 2m+1 points, in the
+    folded form of `_fold_even`: its sum is the cosine sum Σ_j f_j cos(2π x_j y),
+    the real part of a real FFT of length 2m+1 zero-padded past x_m, kept on
+    y >= 0.  Folded axes need real samples and go first, while the data are
+    real.  Every other axis is a full symmetric odd grid and takes a complex
+    FFT on the full dual grid.
+    """
+    hat = values
+    axes_y = [None] * values.ndim
+    for axis in reversed(range(values.ndim)):
+        if folded[axis]:
+            size = 2 * values.shape[axis] - 1
+            hat = np.fft.rfft(hat, n=size, axis=axis).real
+            axes_y[axis] = np.fft.rfftfreq(size, d=spacing[axis])
+    full = [axis for axis in range(values.ndim) if not folded[axis]]
+    if full:
+        hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(hat, axes=full), axes=full),
+                              axes=full)
+        for axis in full:
+            axes_y[axis] = np.fft.fftshift(np.fft.fftfreq(values.shape[axis],
+                                                          d=spacing[axis]))
+    return axes_y, hat * np.prod(spacing)
 
 
-def _nudft_points(axes_x, values, spacing, points):
+def _turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_j y_m - round(x_j y_m) for every pair, from the exact product.
+
+    The rounded product p errs by up to half an ulp of |x y|, which can be
+    hundreds of radians of phase; Dekker's split gives its exact error e,
+    so r = (p - round(p)) + e rounds only once, at |r| <= 1/2.
+    """
+    def split(a):
+        c = 134217729.0 * a  # 2^27 + 1: halves of 26 bits, products exact
+        hi = c - (c - a)
+        return hi, a - hi
+
+    p = np.outer(x, y)
+    (xh, xl), (yh, yl) = split(x), split(y)
+    e = ((np.outer(xh, yh) - p) + np.outer(xh, yl) + np.outer(xl, yh)) + np.outer(xl, yl)
+    return (p - np.round(p)) + e
+
+
+def _nudft_points(axes_x, values, spacing, points, folded=None):
     """h^n * sum_j g_j e^{-2πi <x_j, y>} at arbitrary points, chunked.
 
     One phase matrix per axis, contracted into the samples last axis first,
-    as `SampledTransform.box_sum` contracts its Dirichlet vectors.
+    as `SampledTransform.box_sum` contracts its Dirichlet vectors.  On a
+    folded axis (see `_fft_grid`) the phase is cos(2π r) with r = x y mod 1
+    (`_turns`).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     last = len(axes_x) - 1
+    folded = folded or (False,) * len(axes_x)
     out = np.empty(pts.shape[0], dtype=complex)
     chunk = max(1, int(2_000_000 // max(1, values.shape[0])))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
         acc = values
         for axis in reversed(range(last + 1)):
-            phase = np.exp(-2j * math.pi * np.outer(axes_x[axis], block[:, axis]))
+            if folded[axis]:
+                phase = np.cos(2.0 * math.pi * _turns(axes_x[axis], block[:, axis]))
+            else:
+                phase = np.exp(-2j * math.pi * np.outer(axes_x[axis], block[:, axis]))
             if axis == last:
                 acc = acc @ phase
             else:
@@ -211,6 +258,7 @@ def _fold_even(axes, values):
     D_K is even, so on an odd axis with x_{c-j} = -x_{c+j} the samples at
     ±x_j can be added before any Dirichlet vector meets them: the box sums
     then form half the vectors and contract half the samples per axis.
+    Axes that are folded already start at x = 0 and are left as they are.
     """
     axes = list(axes)
     for axis, a in enumerate(axes):
@@ -223,6 +271,23 @@ def _fold_even(axes, values):
         values = folded
         axes[axis] = a[c:]
     return axes, values
+
+
+def _quadrant(axes, folded):
+    """The x >= 0 half of each folded symmetric odd axis; the others whole."""
+    return [a[a.size // 2:] if f else a for a, f in zip(axes, folded)]
+
+
+def _fold_samples(samples, folded):
+    """Samples of a function even along each folded axis, given on x >= 0,
+    in the folded form of `_fold_even`: off x = 0 a sample also stands for
+    its mirror, so it counts twice."""
+    if not any(folded):
+        return np.asarray(samples)
+    values = np.array(samples, dtype=float)
+    for axis in np.flatnonzero(folded):
+        values[(slice(None),) * axis + (slice(1, None),)] *= 2.0
+    return values
 
 
 def _band_ratio_mesh(axes_y, band) -> np.ndarray:
@@ -253,20 +318,41 @@ class SampledTransform:
     (FFT on the dual grid, direct phase sums off-grid), so on-grid and off-grid
     values carry identical quadrature error.  Queries outside the trusted band
     evaluate to 0; `edge_level` and `decay_tau` describe what was dropped.
+
+    The constructor takes full symmetric grids.  `from_folded` also takes
+    folded axes, for a function even along them: such an axis stores x >= 0
+    only, in the folded form of `_fold_even`, and ĝ, even along it too, is
+    kept on y >= 0 (`hat_grid`, `axes_y`).  `folded` says which axes are.
     """
 
     def __init__(self, axes_x, values, spacing, *, quad_error, tail_error,
                  band=None, inherited_error=0.0):
+        self._setup(axes_x, values, spacing, (False,) * len(axes_x), quad_error,
+                    tail_error, band, inherited_error)
+
+    @classmethod
+    def from_folded(cls, axes_x, values, spacing, folded, *, quad_error,
+                    tail_error, band=None, inherited_error=0.0):
+        """From real samples in folded form (`_fold_samples`) on the folded axes."""
+        self = cls.__new__(cls)
+        self._setup(axes_x, values, spacing, folded, quad_error, tail_error,
+                    band, inherited_error)
+        return self
+
+    def _setup(self, axes_x, values, spacing, folded, quad_error, tail_error,
+               band, inherited_error):
         self.axes_x = [np.asarray(a, dtype=float) for a in axes_x]
         self.values = np.asarray(values)
         self.spacing = np.asarray(spacing, dtype=float)
         self.dim = len(self.axes_x)
-        axes_y, hat = _fft_grid(self.values, self.spacing)
+        self.folded = tuple(bool(f) for f in folded)
+        axes_y, hat = _fft_grid(self.values, self.spacing, self.folded)
         self.axes_y = axes_y
         imag_scale = float(np.max(np.abs(hat.imag)))
         self.real_even = imag_scale <= 1e-9 * max(1.0, float(np.max(np.abs(hat.real))))
         self.hat_grid = hat
-        self.value_at_origin = complex(hat[tuple(n // 2 for n in hat.shape)])
+        origin = tuple(0 if f else n // 2 for f, n in zip(self.folded, hat.shape))
+        self.value_at_origin = complex(hat[origin])
         if self.real_even:
             self.value_at_origin = self.value_at_origin.real
         nyquist = np.asarray([0.5 / h for h in self.spacing])
@@ -348,7 +434,7 @@ class SampledTransform:
         if not np.any(inside):
             return out
         out[inside] = _nudft_points(self.axes_x, self.values, self.spacing,
-                                    pts[inside])
+                                    pts[inside], self.folded)
         return out
 
     def box_sum(self, scales, box):
@@ -392,14 +478,16 @@ class SampledTransform:
 
         For an even real g this lands back on g (reflection), but computed by a
         second honest trapezoid pass rather than by the inversion identity.
-        It is trusted on the whole real-space box the samples came from.
+        It is trusted on the whole real-space box the samples came from, and
+        folded on the axes this one is folded on.
         """
-        spacing = np.asarray([a[1] - a[0] for a in self.axes_y])
+        spacing = np.asarray([a[-1] - a[-2] for a in self.axes_y])
         values = self.hat_grid.real if self.real_even else self.hat_grid
-        return SampledTransform(
+        return SampledTransform.from_folded(
             self.axes_y,
-            values,
+            _fold_samples(values, self.folded),
             spacing,
+            self.folded,
             quad_error=self.quad_error,
             tail_error=self.tail_error + self.edge_level,
             band=[float(np.max(np.abs(a))) for a in self.axes_x],
@@ -426,7 +514,7 @@ def _transform_1d_samples(fn, radius: float, floor: float):
         if x.size > _MAX_GRID_1D:
             break
         g = fn(x[:, None])
-        axes_y, hat = _fft_grid(g, np.asarray([h]))
+        axes_y, hat = _fft_grid(g, np.asarray([h]), (False,))
         scale = float(np.max(np.abs(hat)))
         j = int(np.argmin(np.abs(axes_y[0] - band)))
         if abs(hat[j]) <= floor * scale:
@@ -454,7 +542,9 @@ def fourier_transform(kernel: Kernel):
 
     The band grows until |ĝ| on its edge falls below a floor relative to
     max |ĝ|: 1e-15 in one dimension, where the grid is cheap, and 3e-11 on
-    the full grids of two and three.
+    the grids of two and three.  There, when φ is even in every coordinate
+    (every coordinate-monotone φ is), each pass samples g on x >= 0 only and
+    folds every axis (`_fft_grid`); otherwise it samples the full grid.
     """
     n = kernel.dim
     if n > 3:
@@ -465,14 +555,16 @@ def fourier_transform(kernel: Kernel):
     if n == 1:
         return _transform_1d_samples(kernel.evaluate_many, radii[0], floor)
 
+    folded = (_coordinate_monotone(kernel.phi),) * n
     band = np.full(n, 2.0)
     for _ in range(14):
         h = 1.0 / (4.0 * band)
         axes = [_odd_grid(r, hi) for r, hi in zip(radii, h)]
         if any(a.size > _MAX_GRID_ND for a in axes):
             break
+        axes = _quadrant(axes, folded)
         g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
-        axes_y, hat = _fft_grid(g, h)
+        axes_y, hat = _fft_grid(_fold_samples(g, folded), h, folded)
         mags = np.abs(hat)
         scale = float(mags.max())
         # trust is decided on the whole boundary shell of the band box, not on
@@ -497,18 +589,23 @@ def fourier_transform(kernel: Kernel):
     for axis in range(n):
         if axes_f[axis].size > 2 * _MAX_GRID_ND:
             axes_f[axis] = _odd_grid(radii[axis], (2.0 * radii[axis]) / (2 * _MAX_GRID_ND - 1))
-    shape = [a.size for a in axes_f]
-    g_fine = kernel.evaluate_many(grid_rows(axes_f)).reshape(shape)
-    spacing_f = np.asarray([a[1] - a[0] for a in axes_f])
+    spacing_f = np.asarray([a[-1] - a[-2] for a in axes_f])
+    # the coarse grid is every other point of the full axis, which holds
+    # x = 0 only when the half-count is even
+    coarse = tuple(slice((a.size // 2) % 2 if f else 0, None, 2)
+                   for a, f in zip(axes_f, folded))
+    axes_f = _quadrant(axes_f, folded)
+    g_fine = kernel.evaluate_many(grid_rows(axes_f)).reshape([a.size for a in axes_f])
+    values = _fold_samples(g_fine, folded)
 
-    g_coarse = g_fine[tuple(slice(None, None, 2) for _ in range(n))]
-    axes_c = [a[::2] for a in axes_f]
     probes = _band_probes(band)
-    at_c = _nudft_points(axes_c, g_coarse, 2.0 * spacing_f, probes)
-    at_f = _nudft_points(axes_f, g_fine, spacing_f, probes)
+    at_c = _nudft_points([a[c] for a, c in zip(axes_f, coarse)], values[coarse],
+                         2.0 * spacing_f, probes, folded)
+    at_f = _nudft_points(axes_f, values, spacing_f, probes, folded)
     quad = float(np.max(np.abs(at_f - at_c)))
-    boundary = max(float(np.max(np.abs(np.take(g_fine, 0, axis=axis))))
+    # the samples on the faces x_i = +R, which every grid holds
+    boundary = max(float(np.max(np.abs(np.take(g_fine, -1, axis=axis))))
                    for axis in range(n))
     tail = boundary * float(np.prod(2.0 * np.asarray(radii)))
-    return SampledTransform(axes_f, g_fine, spacing_f,
-                            quad_error=quad, tail_error=tail, band=band)
+    return SampledTransform.from_folded(axes_f, values, spacing_f, folded,
+                                       quad_error=quad, tail_error=tail, band=band)

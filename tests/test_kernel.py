@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from azeta.errors import DomainError
-from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm
+from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm, Scaled
 from azeta.kernel import (
     Kernel,
     SampledTransform,
+    _band_probes,
     _nudft_points,
     fourier_transform,
 )
-from azeta.lattice import box_rows
+from azeta.lattice import box_rows, grid_rows
 from azeta.quadrature import panel_points
 from azeta.theta import theta_star_table
 
@@ -98,6 +99,47 @@ def test_double_transform_reflects_back():
     xs = np.array([[0.0], [0.5], [1.25], [3.5]])
     want = np.exp(-xs[:, 0] ** 2)
     assert np.allclose(back.evaluate_points(xs).real, want, atol=1e-9)
+
+
+def test_double_transform_reflects_back_in_two_dimensions():
+    tr = fourier_transform(Kernel(QuadraticForm(np.eye(2)), power=0.0))
+    back = tr.transform()
+    # one point in each quadrant, on both axes and at the origin
+    xs = np.array([[0.0, 0.0], [0.5, 0.25], [-1.25, 0.5], [-0.75, -1.5],
+                   [2.0, -1.0], [0.0, -0.8], [1.1, 0.0]])
+    want = np.exp(-np.sum(xs**2, axis=1))
+    assert np.allclose(back.evaluate_points(xs).real, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("phi", [DISC, Scaled(DISC, 1.7), SUPERELLIPSE],
+                         ids=["disc", "disc17", "superellipse"])
+def test_folded_transform_is_the_full_grid_sum(phi):
+    # φ even in every coordinate: the transform keeps x >= 0 only, and must
+    # give what the trapezoid sum over the mirrored full grid gives
+    kernel = Kernel(phi, power=6.0)
+    tr = fourier_transform(kernel)
+    assert all(tr.folded) and all(a[0] == 0.0 for a in tr.axes_x)
+    axes = [np.concatenate([-a[:0:-1], a]) for a in tr.axes_x]
+    g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
+    quadrants = np.array([[0.3, 0.4], [-0.3, 0.4], [-0.3, -0.4], [0.3, -0.4]])
+    pts = np.vstack([_band_probes(tr.band), quadrants * tr.band])
+    scale = float(np.max(np.abs(tr.hat_grid)))
+    want = _nudft_points(axes, g, tr.spacing, pts)
+    assert np.max(np.abs(tr.evaluate_points(pts) - want)) <= 1e-12 * scale
+    origin = float(np.prod(tr.spacing)) * g.sum()
+    assert abs(tr.value_at_origin - origin) <= 1e-12 * scale
+    assert abs(tr.center_term - origin) <= 1e-12 * scale
+
+
+def test_centrally_even_phi_is_not_folded():
+    # Q with an off-diagonal entry is even only under x -> -x, so ĝ(y1, y2)
+    # and ĝ(y1, -y2) differ, which a folded (cosine) sum cannot show
+    tr = fourier_transform(Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]),
+                                  power=0.0))
+    assert not any(tr.folded)
+    y = 0.1 * tr.band
+    a, b = tr.evaluate_points(np.array([[y[0], y[1]], [y[0], -y[1]]])).real
+    assert abs(a - b) > 0.1 * abs(a)
 
 
 def test_out_of_band_queries_are_zero_with_model_bound():
