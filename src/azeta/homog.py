@@ -113,14 +113,34 @@ class HomogeneousFunction:
         radius = max(1.0, (float(r) / c3) ** beta)
         return np.full(self.dim, int(math.ceil(radius)), dtype=int)
 
+    def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
+        """Row mask of φ(row) < r, strict."""
+        return self.evaluate_many(points) < r
+
     def count_strict(self, points: np.ndarray, r: float) -> int:
         """Number of rows with φ(row) < r, strict."""
-        return int(np.count_nonzero(self.evaluate_many(points) < r))
+        return int(np.count_nonzero(self.strictly_below(points, r)))
 
 
 # ---------------------------------------------------------------------------
 # concrete variants
 # ---------------------------------------------------------------------------
+
+
+def _power_sum(points: np.ndarray, powers) -> np.ndarray:
+    """Σ_i |x_i|^{m_i} per row, added column by column in axis order.
+
+    numpy adds fewer than 8 row terms left to right, so up to 7 columns this
+    has the bits of ``np.sum(np.abs(points) ** p, axis=1)`` for a scalar p.
+    Each exponent goes in as a one-element array, so pow runs vectorised on a
+    contiguous column; numpy then takes a 2 or 0.5 as square or sqrt, where
+    the exponent grid ``powers[None, :]`` took the vectorised pow.
+    """
+    powers = np.asarray(powers, dtype=float)
+    out = np.abs(points[:, 0]) ** powers[0:1]
+    for i in range(1, points.shape[1]):
+        out += np.abs(points[:, i]) ** powers[i:i + 1]
+    return out
 
 
 class QuadraticForm(HomogeneousFunction):
@@ -157,13 +177,14 @@ class QuadraticForm(HomogeneousFunction):
             dtype=int,
         )
 
-    def count_strict(self, points: np.ndarray, r: float) -> int:
-        if self.integer_valued:
-            pts = np.asarray(np.round(points), dtype=np.int64)
-            q = np.asarray(self.q_matrix, dtype=np.int64)
-            vals = np.einsum("ij,jk,ik->i", pts, q, pts)
-            return int(np.count_nonzero(vals < r))
-        return super().count_strict(points, r)
+    def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
+        # integer rows of an integer form compare exactly in int64
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if not (self.integer_valued and np.all(pts == np.round(pts))):
+            return super().strictly_below(pts, r)
+        ints = pts.astype(np.int64)
+        q = self.q_matrix.astype(np.int64)
+        return np.einsum("ij,jk,ik->i", ints, q, ints) < r
 
 
 class HomogeneousPolynomial(HomogeneousFunction):
@@ -236,7 +257,7 @@ class PNorm(HomogeneousFunction):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if np.isinf(self.p):
             return np.max(np.abs(pts), axis=1)
-        return np.sum(np.abs(pts) ** self.p, axis=1) ** (1.0 / self.p)
+        return _power_sum(pts, np.full(self.dim, self.p)) ** (1.0 / self.p)
 
     def lattice_box(self, r: float) -> np.ndarray:
         return np.full(self.dim, int(math.ceil(max(1.0, r))), dtype=int)
@@ -276,7 +297,7 @@ class AnisotropicSuperellipse(HomogeneousFunction):
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.sum(np.abs(pts) ** self.powers[None, :], axis=1) ** (1.0 / self.root)
+        return _power_sum(pts, self.powers) ** (1.0 / self.root)
 
     def lattice_box(self, r: float) -> np.ndarray:
         # |x_i|^{m_i} < r^q on the sublevel set.
@@ -286,24 +307,22 @@ class AnisotropicSuperellipse(HomogeneousFunction):
             dtype=int,
         )
 
-    def count_strict(self, points: np.ndarray, r: float) -> int:
+    def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
         # Compare sum |x_i|^{m_i} < r^q; monotone in φ so strictness carries over,
         # and it avoids the 1/q root near the boundary.  Powers like x^18 outgrow
-        # the 53-bit mantissa, so points landing within float slop of the
-        # boundary are recounted in exact integer/rational arithmetic.
+        # the 53-bit mantissa, so rows landing within float slop of the
+        # boundary are rechecked in exact integer/rational arithmetic.
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.sum(np.abs(pts) ** self.powers[None, :], axis=1)
+        vals = _power_sum(pts, self.powers)
         rq = float(r) ** self.root
-        inside = int(np.count_nonzero(vals < rq))
+        below = vals < rq
         if not (
             np.all(self.powers == np.round(self.powers))
             and self.root == round(self.root)
             and np.all(pts == np.round(pts))
         ):
-            return inside
+            return below
         fence = np.flatnonzero(np.abs(vals - rq) <= 1e-9 * max(rq, 1.0))
-        if fence.size == 0:
-            return inside
         from fractions import Fraction
 
         rq_exact = Fraction(float(r)) ** int(self.root)
@@ -311,8 +330,8 @@ class AnisotropicSuperellipse(HomogeneousFunction):
             exact = sum(
                 abs(int(c)) ** int(m) for c, m in zip(pts[i], self.powers)
             )
-            inside += int(exact < rq_exact) - int(vals[i] < rq)
-        return inside
+            below[i] = exact < rq_exact
+        return below
 
 
 class Scaled(HomogeneousFunction):
@@ -335,8 +354,30 @@ class Scaled(HomogeneousFunction):
     def lattice_box(self, r: float) -> np.ndarray:
         return self.base.lattice_box(float(r) / self.factor)
 
-    def count_strict(self, points: np.ndarray, r: float) -> int:
-        return self.base.count_strict(points, float(r) / self.factor)
+    def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
+        return self.base.strictly_below(points, float(r) / self.factor)
+
+
+def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
+    """True when φ is nondecreasing in each |x_i|.
+
+    Such a φ sees each x_i only through |x_i|, so it is even in every
+    coordinate, which lets `kernel.fourier_transform` fold its grids, and
+    {φ < r} meets each axis-parallel line in one interval centred on the
+    axis, which lets `volume.lattice_count` count by column heights."""
+    if isinstance(phi, Scaled):
+        return _coordinate_monotone(phi.base)
+    if isinstance(phi, (PNorm, AnisotropicSuperellipse)):
+        return True
+    if isinstance(phi, QuadraticForm):
+        off = phi.q_matrix - np.diag(np.diag(phi.q_matrix))
+        return bool(np.all(off == 0.0))
+    if isinstance(phi, HomogeneousPolynomial):
+        return bool(
+            np.all(phi.coefficients >= 0.0)
+            and np.all(phi.exponents % 2 == 0)
+        )
+    return False
 
 
 class Profile(HomogeneousFunction):

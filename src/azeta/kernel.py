@@ -31,14 +31,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from .errors import DomainError
-from .homog import (
-    AnisotropicSuperellipse,
-    HomogeneousFunction,
-    HomogeneousPolynomial,
-    PNorm,
-    QuadraticForm,
-    Scaled,
-)
+from .homog import HomogeneousFunction, _coordinate_monotone
 from .lattice import grid_rows
 from .quadrature import box_integral
 from .special import exp_shell_tail, power_shell_tail
@@ -49,26 +42,6 @@ _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _MAX_GRID_1D = 1 << 17
 _MAX_GRID_ND = 4096
 _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
-
-
-def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
-    """True when φ is nondecreasing in each |x_i|, so axis scans bound slabs.
-
-    Such a φ sees each x_i only through |x_i|, so it is even in every
-    coordinate, which lets `fourier_transform` fold its grids."""
-    if isinstance(phi, Scaled):
-        return _coordinate_monotone(phi.base)
-    if isinstance(phi, (PNorm, AnisotropicSuperellipse)):
-        return True
-    if isinstance(phi, QuadraticForm):
-        off = phi.q_matrix - np.diag(np.diag(phi.q_matrix))
-        return bool(np.all(off == 0.0))
-    if isinstance(phi, HomogeneousPolynomial):
-        return bool(
-            np.all(phi.coefficients >= 0.0)
-            and np.all(phi.exponents % 2 == 0)
-        )
-    return False
 
 
 class Kernel:

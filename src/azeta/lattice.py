@@ -8,7 +8,8 @@ the size of an integer box and the points of a sup-norm shell.  It also walks
 half an integer box: the rows after the origin, which are the lexicographically
 positive rows (first nonzero coordinate positive).  With their negatives they
 partition the nonzero rows of the box, so a sum over an even φ needs only them,
-each counted twice.
+each counted twice.  Last, it walks the quadrant prod [0, B_i] of a box, whose
+rows are the column heads of `volume.lattice_count`'s height route.
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
@@ -27,14 +28,15 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs",
-           "half_box_slabs", "box_size", "shell"]
+           "half_box_slabs", "quadrant_slabs", "box_size", "shell"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
 # 1 M rows, at 959 or 1,002 MB with 2 M, 970 MB with 3 M and 981 MB with 4 M.
 SLAB_ROWS = 1_000_000
-# points one lattice enumeration may visit: `volume.lattice_count`'s box and
-# `theta.theta_phi`'s shells
+# points in the box of one lattice enumeration: `volume.lattice_count`'s box
+# and `theta.theta_phi`'s shells.  It bounds the box, not the rows visited;
+# `lattice_count`'s column-height route visits far fewer rows than its box.
 COUNT_BUDGET = int(1e8)
 
 
@@ -95,6 +97,14 @@ def half_box_slabs(box, cap: int = SLAB_ROWS):
     yield zero[zero.shape[0] // 2 + 1:]
     for part in slabs([box[0]] + [2 * b + 1 for b in box[1:]], cap):
         yield box_rows(box, slice(part.start + box[0] + 1, part.stop + box[0] + 1))
+
+
+def quadrant_slabs(box, cap: int = SLAB_ROWS):
+    """The rows of the quadrant box prod [0, B_i], in C order, in `slabs`
+    steps of at most `cap` rows."""
+    axes = [np.arange(int(b) + 1) for b in box]
+    for part in slabs([a.size for a in axes], cap):
+        yield grid_rows(axes, part)
 
 
 def box_size(box) -> float:

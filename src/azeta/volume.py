@@ -11,7 +11,11 @@ at s = alpha (which equals alpha |B|):
   * lattice counting: #(B(r) cap Z^n) / r^alpha -> |B| as r grows.
 
 `lattice_count` is exact (strict inequality, no tolerance slop), so the
-counting scan doubles as an oracle for everything else.
+counting scan doubles as an oracle for everything else.  It takes one of two
+routes.  A φ that is nondecreasing in each |x_i| (`homog._coordinate_monotone`)
+meets every axis-parallel line in one interval centred on the axis, so the
+count is a sum of column heights, each found by bisection; every other φ
+scans its whole box.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .homog import HomogeneousFunction
+from .homog import HomogeneousFunction, _coordinate_monotone
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, box_rows, box_size, slabs
+from .lattice import COUNT_BUDGET, box_rows, box_size, quadrant_slabs, slabs
 from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
 from .zeta import zeta_direct
@@ -95,13 +99,20 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
 def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     """Exact #{omega in Z^n : phi(omega) < r}, strict inequality.
 
-    Enumerates the certified box in first-axis slabs from `lattice.slabs`,
-    in the row order that `lattice` fixes; slab counts are integers, so the
-    reduction is exact in any order.  The comparison itself is each
-    variant's count_strict: integer quadratic forms compare in int64,
-    superellipses recheck the float fence with exact integers, everything
-    else compares computed float values (a tie at the boundary can then
-    land either way).
+    Rows are compared by each variant's `strictly_below`: integer quadratic
+    forms compare integer rows in int64, superellipses recheck the float
+    fence with exact integers, everything else compares computed float
+    values (a tie at the boundary can then land either way).
+
+    Height route, for a coordinate-monotone φ: that mask is even and
+    nonincreasing in each |x_i| (see `homog._coordinate_monotone`), so on
+    the column over a head x' of the longest axis z it passes exactly the
+    rows with |z| < h(x') = #{z >= 0 : phi(x', z) < r}.  One integer
+    bisection over all heads in `lattice.quadrant_slabs` finds every h, and
+    the count is the sum of 2^{#nonzero(x')} (2h - 1) over heads with
+    h >= 1: the box scan's count, from about log2(B) rows per head.
+    Box route, for every other φ: the whole box in `lattice.slabs`.  Both
+    check the box against `COUNT_BUDGET` first.
     """
     if not (r > 0.0) or not math.isfinite(r):
         raise DomainError(f"radius must be positive and finite, got {r}")
@@ -112,9 +123,28 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
             f"lattice box holds {total_pts:.3g} points, over the "
             f"{COUNT_BUDGET:.0e} budget"
         )
+    if not _coordinate_monotone(phi):
+        return sum(phi.count_strict(box_rows(box, slab), r)
+                   for slab in slabs(2 * box + 1))
 
-    return sum(phi.count_strict(box_rows(box, slab), r)
-               for slab in slabs(2 * box + 1))
+    axis = int(np.argmax(box))
+    total = 0
+    for heads in quadrant_slabs(np.where(np.arange(box.size) == axis, 0, box)):
+        # h lies in [lo, hi]; a passing test at z = mid - 1 lifts lo to mid
+        lo = np.zeros(heads.shape[0], dtype=np.int64)
+        hi = np.full(heads.shape[0], int(box[axis]) + 1, dtype=np.int64)
+        open_ = np.arange(heads.shape[0])
+        while open_.size:
+            mid = (lo[open_] + hi[open_] + 1) // 2
+            rows = heads[open_]
+            rows[:, axis] = mid - 1
+            below = phi.strictly_below(rows, r)
+            lo[open_] = np.where(below, mid, lo[open_])
+            hi[open_] = np.where(below, hi[open_], mid - 1)
+            open_ = open_[lo[open_] < hi[open_]]
+        mirrors = np.left_shift(1, np.count_nonzero(heads, axis=1))
+        total += int(np.sum(mirrors * np.maximum(2 * lo - 1, 0)))
+    return total
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from azeta.errors import DomainError
 from azeta.homog import (
+    _power_sum,
     AnisotropicSuperellipse,
     HomogeneousPolynomial,
     PNorm,
@@ -214,3 +215,34 @@ def test_superellipse_exact_boundary_exclusion():
     phi = AnisotropicSuperellipse([2.0, 2.0], 2.0)
     pts = np.array([[3.0, 4.0], [3.0, -4.0], [1.0, 1.0]])
     assert phi.count_strict(pts, 5.0) == 1
+
+
+def test_quadratic_form_counts_non_integer_rows_as_floats():
+    # rounding these rows to (0, 0) and (2, 0) would give 1 at both radii
+    phi = QuadraticForm(np.eye(2))
+    rows = np.array([[0.4, 0.0], [1.6, 0.0]])
+    assert phi.count_strict(rows, 0.1) == 0
+    assert phi.count_strict(rows, 3.0) == 2
+
+
+def test_scaled_mask_is_its_base_mask_at_the_scaled_radius():
+    base = AnisotropicSuperellipse([2.0, 2.0], 2.0)
+    rows = np.array([[3.0, 4.0], [3.0, 3.0], [1.0, 0.0]])
+    got = base.scale(2.0).strictly_below(rows, 10.0)
+    assert got.tolist() == base.strictly_below(rows, 5.0).tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_power_sum_has_the_bits_of_numpy_row_sums(n):
+    rows = np.random.default_rng(n).normal(scale=3.0, size=(20_000, n))
+    for p in (1.0, 1.5, 2.0, 3.0, 12.0, 18.0):
+        want = np.sum(np.abs(rows) ** p, axis=1)
+        assert np.array_equal(_power_sum(rows, np.full(n, p)), want)
+    # per-axis exponents; a broadcast 2 is a square (see `_power_sum`)
+    rng = np.random.default_rng(10 + n)
+    for _ in range(8):
+        powers = rng.choice([1.0, 1.5, 3.0, 12.0, 18.0], size=n)
+        want = np.sum(np.abs(rows) ** powers[None, :], axis=1)
+        assert np.array_equal(_power_sum(rows, powers), want)
+    squares = np.sum(np.square(rows), axis=1)
+    assert np.array_equal(_power_sum(rows, np.full(n, 2.0)), squares)

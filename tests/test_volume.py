@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from azeta.errors import BudgetExceededError, DomainError
+from azeta.homog import (
+    HomogeneousPolynomial,
+    PNorm,
+    QuadraticForm,
+    _coordinate_monotone,
+)
+from azeta.lattice import box_rows, slabs
 from azeta.volume import (
     counting_limit_scan,
     lattice_count,
@@ -128,3 +135,48 @@ def test_estimators_agree_on_disc():
     ratio = lattice_count(DISC, 1e4) / 1e4
     assert abs(quad.value - mc.value) <= quad.error + mc.error
     assert abs(ratio - quad.value) < 0.07
+
+
+def _box_scan(phi, r):
+    """The count by the whole-box route: count_strict over every box row."""
+    box = phi.lattice_box(r)
+    return sum(phi.count_strict(box_rows(box, part), r)
+               for part in slabs(2 * box + 1))
+
+
+HEIGHT_SHAPES = {
+    "absval": ABSVAL,
+    "disc": DISC,
+    "disc_scaled": DISC.scale(1.7),
+    "superellipse": SUPERELLIPSE,
+    "pnorm2_p3": PNorm(2, 3.0),
+    "pnorm3_p1.5": PNorm(3, 1.5),
+    "diagonal2": QuadraticForm(np.diag([1.0, 2.5])),
+    "diagonal3": QuadraticForm(np.diag([1.0, 2.0, 3.0])),
+    "even_quartic": HomogeneousPolynomial(2, {(4, 0): 1.0, (2, 2): 3.0, (0, 4): 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEIGHT_SHAPES))
+def test_height_route_matches_box_scan(name):
+    phi = HEIGHT_SHAPES[name]
+    assert _coordinate_monotone(phi)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    # radii equal to lattice values sit on the boundary of the strict set
+    values = phi.evaluate_many(box_rows(np.full(phi.dim, 6), nonzero=True))
+    radii = list(rng.choice(values, size=6)) + list(rng.uniform(0.3, 40.0, size=6))
+    for r in radii:
+        assert lattice_count(phi, float(r)) == _box_scan(phi, float(r)), r
+
+
+def test_height_route_tests_few_rows(monkeypatch):
+    seen = []
+    mask = QuadraticForm.strictly_below
+
+    def counted(self, points, r):
+        seen.append(len(points))
+        return mask(self, points, r)
+
+    monkeypatch.setattr(QuadraticForm, "strictly_below", counted)
+    assert lattice_count(DISC, 1e6) == 3_141_521
+    assert sum(seen) < 100_000
