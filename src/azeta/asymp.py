@@ -26,7 +26,7 @@ from .homog import HomogeneousFunction, PNorm
 from .special import bernoulli_numbers, gamma, gamma_rel_error
 from .theta import theta_phi
 from .volume import volume_exp_integral
-from .zeta import cache_for, zeta_negative_integers
+from .zeta import zeta_negative_integers
 
 __all__ = [
     "theta_expansion",
@@ -42,16 +42,12 @@ _EPS = 2.0**-52
 
 def _leading_constant(phi: HomogeneousFunction):
     """(Γ(α+1)|B|, its bar): the volume's bar, Γ's relative error and an
-    ulp for the product."""
-    cache = cache_for(phi)
-    if "asymp_leading" not in cache:
-        vol = volume_exp_integral(phi)
-        z = phi.alpha + 1.0
-        gam = gamma(z).real
-        value = gam * vol.value
-        error = gam * vol.error + (gamma_rel_error(z) + _EPS) * abs(value)
-        cache["asymp_leading"] = (value, error)
-    return cache["asymp_leading"]
+    ulp for the product.  The volume is cached on φ."""
+    vol = volume_exp_integral(phi)
+    z = phi.alpha + 1.0
+    gam = gamma(z).real
+    value = gam * vol.value
+    return value, gam * vol.error + (gamma_rel_error(z) + _EPS) * abs(value)
 
 
 def theta_expansion(phi: HomogeneousFunction, w: complex, n_terms: int):

@@ -31,7 +31,7 @@ from .kernel import Kernel
 from .lattice import COUNT_BUDGET, box_rows, box_size, quadrant_slabs, slabs
 from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
-from .zeta import zeta_direct
+from .zeta import cache_for, zeta_direct
 
 __all__ = [
     "volume_exp_integral",
@@ -50,22 +50,27 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
     Runs the graded box quadrature on the certified decay box of e^{-phi}.
     The bar adds Gamma's relative error times the value.  If the refinement
     budget runs out first, the best value so far is returned flagged as
-    estimated rather than raising.
+    estimated rather than raising.  Cached on phi per target, so the pole
+    term of `zeta_direct`, which takes the default target, reuses it.
     """
     if phi.dim > 3:
         raise DomainError("volume_exp_integral supports n <= 3")
-    kernel = Kernel(phi, power=0.0)
-    g = gamma(phi.alpha + 1.0).real
-    try:
-        value, err, _ = kernel.integral_over_space(target=target * g)
-    except BudgetExceededError as stop:
-        if stop.best_value is None:
-            raise
-        value = stop.best_value
-        err = stop.best_error if stop.best_error is not None else abs(value)
-    volume = float(np.real(value)) / g
-    err = float(abs(err)) / g + gamma_rel_error(phi.alpha + 1.0) * abs(volume)
-    return BoundedValue(volume, err, ESTIMATED)
+    cache = cache_for(phi)
+    key = ("volume", float(target))
+    if key not in cache:
+        kernel = Kernel(phi, power=0.0)
+        g = gamma(phi.alpha + 1.0).real
+        try:
+            value, err, _ = kernel.integral_over_space(target=target * g)
+        except BudgetExceededError as stop:
+            if stop.best_value is None:
+                raise
+            value = stop.best_value
+            err = stop.best_error if stop.best_error is not None else abs(value)
+        volume = float(np.real(value)) / g
+        err = float(abs(err)) / g + gamma_rel_error(phi.alpha + 1.0) * abs(volume)
+        cache[key] = BoundedValue(volume, err, ESTIMATED)
+    return cache[key]
 
 
 def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
@@ -156,19 +161,19 @@ class CountingScan:
     pole_rows: list     # (sigma, (sigma - alpha) * zeta_direct(sigma), alpha*volume, deviation)
 
 
-def counting_limit_scan(phi: HomogeneousFunction, r_schedule=None,
-                        volume: BoundedValue | None = None) -> CountingScan:
+def counting_limit_scan(phi: HomogeneousFunction, r_schedule=None) -> CountingScan:
     """Table of count(r)/r^alpha against |B|, plus the pole-side limit.
 
     The r-schedule defaults to the decades 1e2..1e6, dropping any radius
     whose enumeration box would blow the point budget; radii from an
     explicit schedule raise instead of being dropped.  The second table
     approaches the same constant from the analytic side:
-    (sigma - alpha) zeta(phi, sigma) -> alpha |B| as sigma -> alpha+.
+    (sigma - alpha) zeta(phi, sigma) -> alpha |B| as sigma -> alpha+.  Those
+    rows rest on |B|, which closes `zeta_direct`'s series; the count rows and
+    `zeta.residue_at_alpha` check Res = alpha |B| independently.
     """
     alpha = phi.alpha
-    if volume is None:
-        volume = volume_exp_integral(phi)
+    volume = volume_exp_integral(phi)
     default_schedule = r_schedule is None
     if default_schedule:
         r_schedule = [1e2, 1e3, 1e4, 1e5, 1e6]

@@ -2,13 +2,12 @@
 
 Direct side: ζ(φ,s) = Σ over nonzero lattice ω of φ(ω)^{-s}, valid for
 Re s > α = trace A.  Truncated sums converge miserably near the pole, so the
-estimator corrects the truncation at cutoff T by the pole model
-Σ_{φ(ω)>=T} φ^{-s} ≈ (α/(s-α)) N(T) T^{-s}, where N(T) counts lattice points
-below T (its own best estimate of |B|T^α, so no volume oracle enters), and
-averages the corrected value over a spread of cutoffs in the top octave to damp
-the counting fluctuations.  The lattice below the cutoffs is kept only as a
-moment table: log φ in narrow bins, a few power moments per bin.  Each s then
-costs a Taylor expansion of e^{-s log φ} about every bin centre (the
+estimator sums φ^{-s} under a smooth window ending at a cutoff t and adds the
+integral of what the window leaves out, the paper's residue term
+α|B| t^{α-s} W(s); |B| = vol{φ < 1} comes from the box quadrature of e^{-φ},
+independent of the continuation.  The lattice below the cutoff is kept only
+as a moment table: log φ in narrow bins, a few power moments per bin.  Each s
+then costs a Taylor expansion of e^{-s log φ} about every bin centre (the
 fast Gauss transform's expansion about box centres, Greengard and Strain
 1991), a few thousand bins instead of millions of points.
 
@@ -32,8 +31,8 @@ same value comes with its Laurent data in closed form; `zeta_direct` hands
 that neighbourhood to the machine too, and `residue_at_alpha` reads the
 residue ĝ(0)/Γ(α+c) off the same machine.
 
-Derived values live in `cache_for(owner)`, one weak-keyed cache: moment tables
-and ξ machines die with their φ, side tables with their summand.
+Derived values live in `cache_for(owner)`, one weak-keyed cache: moment tables,
+volumes and ξ machines die with their φ, side tables with their summand.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, StripError
 from .homog import HomogeneousFunction
 from .kernel import Kernel, SampledTransform, fourier_transform
-from .lattice import box_rows, box_size, half_box_slabs
+from .lattice import box_size, half_box_slabs
 from .quadrature import gl_nodes, panel_points
 from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
                       power_shell_tail)
@@ -68,7 +67,6 @@ __all__ = [
 
 _NEAR_POLE = 1e-6
 _EPS = 2.0**-52
-_CUTOFF_COUNT = 6
 _MAX_IMAG = 32.0
 _THETA_TARGET = 1e-14  # θ* target of every ξ⁺ side table
 
@@ -102,57 +100,30 @@ def cache_for(owner) -> dict:
 
 
 # The direct series' moment table.  λ = log φ goes into bins of width
-# H = log 2/(48m) hanging down from log t_max, so the window edges t_j, t_j/2
-# (log 2/6 apart) and the count cuts 0.25 t_j 2^{i/16} (log 2/16 apart) are
-# bin edges.  Each bin keeps K moments of u = (λ - c_b)/H about its centre.
-_BIN_STEPS = 4  # m
+# H = log 2/192 hanging down from log t_max, so the two windows' ramps, over
+# [t_max/2, t_max) and [t_max/4, t_max/2), are 192 bins each.  Each bin keeps
+# K moments of u = (λ - c_b)/H about its centre.
 _MOMENTS = 8  # K
-_OCTAVE_BINS = 48 * _BIN_STEPS
+_OCTAVE_BINS = 192
 _BIN_WIDTH = math.log(2.0) / _OCTAVE_BINS  # H
-_WINDOW_SHIFT = _OCTAVE_BINS // _CUTOFF_COUNT  # bins from t_j down to t_{j+1}
-_CUT_EDGES = (_WINDOW_SHIFT * np.arange(_CUTOFF_COUNT)[:, None] + 2 * _OCTAVE_BINS
-              - _OCTAVE_BINS // 16 * np.arange(17))  # [window j, cut i]
-_CUT_SCALES = np.exp2(-_CUT_EDGES / _OCTAVE_BINS)  # the count cuts over t_max
+_U_MAX = 0.5 + 1e-9  # |u| in a bin, with room for the rounding of the binning
 _MIN_POINTS = 100_000  # lattice points the estimator needs below t_max
+# points in the box of the table or of the rigorous sum; disc2d's verify point
+# s = 2.25+0.75i takes the rigorous route with a box of 2109^2 = 4,447,881
+_BOX_BUDGET = 5e6
 # rows per slab of the build: its temporaries stay in cache, and 2^15 rows
 # peaked at 42 MB on the superellipse at box_budget 1e7, 1 M rows at 131 MB
 _BUILD_ROWS = 1 << 15
 _LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long double
 
 
-def _isotropic(phi: HomogeneousFunction) -> bool:
-    """Whether the generator of φ is a multiple of the identity."""
-    entries = phi.generator.entries
-    return bool(np.allclose(entries, entries[0, 0] * np.eye(phi.dim)))
-
-
-def _default_box_budget(phi: HomogeneousFunction) -> float:
-    """Enumeration budget sized to the counting-fluctuation scale of φ.
-
-    Anisotropic shapes have boundary arcs nearly tangent to lattice lines, so
-    their count fluctuation grows like t^{1/2} instead of the isotropic
-    t^{~1/3}; they need a deeper sublevel set for the same estimator accuracy.
-    """
-    if phi.dim == 1:
-        return 4e6
-    return 2.5e7 if _isotropic(phi) else 5.5e7
-
-
-def _fluct_exponent(phi: HomogeneousFunction) -> float:
-    if phi.dim == 1:
-        return 0.0
-    return 0.35 if _isotropic(phi) else 0.5
-
-
 @dataclass(frozen=True)
 class _MomentTable:
-    """Bin b holds t_max 2^{-(b+1)/48m} <= φ < t_max 2^{-b/48m}, moments[k, b]
-    is Σ u^k over its half-box points (times mult for the lattice), and
-    counts[j, i] is #{φ(ω) < t_max `_CUT_SCALES`[j, i]} over the nonzero lattice."""
+    """Bin b holds t_max 2^{-(b+1)/192} <= φ < t_max 2^{-b/192} (up to the
+    rounding of log φ); moments[k, b] is Σ u^k over its `_lattice_values`."""
 
     t_max: float
     moments: np.ndarray
-    counts: np.ndarray
     mult: int
     budget: float
 
@@ -161,14 +132,24 @@ def _centres(t_max: float, bins: int) -> np.ndarray:
     return math.log(t_max) - (np.arange(bins) + 0.5) * _BIN_WIDTH
 
 
+def _lattice_values(phi: HomogeneousFunction, box):
+    """φ over the nonzero rows of the integer box, by `lattice.half_box_slabs`:
+    for an even φ the half box stands for ω and -ω alike (its sums count
+    twice, mult = 2); otherwise the negated rows are evaluated too."""
+    for rows in half_box_slabs(box, _BUILD_ROWS):
+        # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
+        for pts in (rows,) if phi.is_even else (rows, 0.0 - rows):
+            yield phi.evaluate_many(pts)
+
+
 def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
     """The moment table of the largest complete sublevel set within budget.
 
-    Built in one walk of `lattice.half_box_slabs`, keeping no value.  For an
-    even φ the half box stands for ω and -ω alike (mult = 2); otherwise the
-    negated rows are evaluated too (mult = 1).  Each value goes into the bin
-    whose φ-edges hold it, so every count at a bin edge is exact.  Cached on
-    φ; a larger budget rebuilds.
+    Built in one walk of `_lattice_values`, keeping no value.  λ goes into
+    bin floor((log t_max - λ)/H) at u = (λ - c_b)/H; the two quotients round
+    apart by a few ulps of (log t_max + |λ|)/H, under 1e-10 for φ < e^{100},
+    so `_windowed_sums` bounds every term for |u| <= `_U_MAX`.  Cached on φ;
+    a larger budget rebuilds.
     """
     cache = cache_for(phi)
     table = cache.get("direct_moments")
@@ -181,50 +162,36 @@ def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
         if box_size(phi.lattice_box(frac * t_max)) <= box_budget:
             t_max *= frac
             break
-    box = phi.lattice_box(t_max)
-    mult = 2 if phi.is_even else 1
-    moments = np.zeros((_MOMENTS, int(_CUT_EDGES.max()) + 1))
+    moments = np.zeros((_MOMENTS, 2 * _OCTAVE_BINS))
     centres = _centres(t_max, moments.shape[1])
-    for rows in half_box_slabs(box, _BUILD_ROWS):
-        # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
-        for pts in (rows,) if mult == 2 else (rows, 0.0 - rows):
-            vals = phi.evaluate_many(pts)
-            vals = vals[vals < t_max]
-            lam = np.log(vals)
-            u = (math.log(t_max) - lam) / _BIN_WIDTH
-            bins = u.astype(np.intp)
-            width = int(bins.max(initial=0)) + 2
-            if width > moments.shape[1]:
-                moments = np.pad(moments, ((0, 0), (0, width - moments.shape[1])))
-                centres = _centres(t_max, width)
-            np.subtract(lam, centres[bins], out=u)
-            u /= _BIN_WIDTH
-            # a value within rounding of a bin edge goes by the φ-edges
-            edge = np.flatnonzero(np.abs(u) > 0.5 - 1e-9)
-            b = bins[edge]
-            b -= vals[edge] >= t_max * np.exp2(-b / _OCTAVE_BINS)
-            b += vals[edge] < t_max * np.exp2(-(b + 1) / _OCTAVE_BINS)
-            bins[edge] = b
-            u[edge] = (lam[edge] - centres[b]) / _BIN_WIDTH
-            moments[0] += np.bincount(bins, minlength=centres.size)
-            power = u.copy()
-            for k in range(1, _MOMENTS):
-                moments[k] += np.bincount(bins, weights=power, minlength=centres.size)
-                power *= u
-    below = mult * np.cumsum(moments[0, ::-1])[::-1]  # N(edge) at every bin edge
-    table = _MomentTable(t_max, moments, below[_CUT_EDGES], mult, box_budget)
+    for vals in _lattice_values(phi, phi.lattice_box(t_max)):
+        lam = np.log(vals[vals < t_max])
+        u = (math.log(t_max) - lam) / _BIN_WIDTH
+        bins = u.astype(np.intp)  # a log rounded up to log t_max goes to bin 0
+        width = int(bins.max(initial=0)) + 1
+        if width > moments.shape[1]:
+            moments = np.pad(moments, ((0, 0), (0, width - moments.shape[1])))
+            centres = _centres(t_max, width)
+        np.subtract(lam, centres[bins], out=u)
+        u /= _BIN_WIDTH
+        moments[0] += np.bincount(bins, minlength=centres.size)
+        power = u.copy()
+        for k in range(1, _MOMENTS):
+            moments[k] += np.bincount(bins, weights=power, minlength=centres.size)
+            power *= u
+    table = _MomentTable(t_max, moments, 2 if phi.is_even else 1, box_budget)
     cache["direct_moments"] = table
     return table
 
 
 @lru_cache(maxsize=1)
 def _ramp_fit() -> tuple:
-    """(coefficients, residuals) of the window weight on the 48m ramp bins.
+    """(coefficients, residuals) of the window weight on its 192 ramp bins.
 
-    On bin p under t_j (p = 0..48m-1) the weight 1 - η(φ/t_j) is, as a
-    function of u, the same for every window.  Row p is the degree K-1
-    polynomial in u that interpolates it at K Chebyshev nodes; residuals[p]
-    is twice its largest miss on 257 points, plus four ulps.
+    On bin p under t (p = 0..191) the weight w(φ/t) is, as a function of u,
+    the same for both windows.  Row p is the degree K-1 polynomial in u that
+    interpolates it at K Chebyshev nodes; residuals[p] is twice its largest
+    miss on 257 points of |u| <= `_U_MAX`, plus four ulps.
     """
     def weight(u):
         x = 2.0 * np.exp((u - np.arange(_OCTAVE_BINS)[:, None] - 0.5) * _BIN_WIDTH) - 1.0
@@ -233,38 +200,40 @@ def _ramp_fit() -> tuple:
     nodes = 0.5 * np.cos(np.pi * (np.arange(_MOMENTS) + 0.5) / _MOMENTS)
     coefficients = np.linalg.solve(np.vander(nodes, _MOMENTS, increasing=True),
                                    weight(nodes).T).T
-    grid = np.linspace(-0.5, 0.5, 257)
+    grid = np.linspace(-_U_MAX, _U_MAX, 257)
     misses = weight(grid) - coefficients @ np.vander(grid, _MOMENTS, increasing=True).T
     return coefficients, 2.0 * np.max(np.abs(misses), axis=1) + 4.0 * _EPS
 
 
 def _windowed_sums(s: complex, table: _MomentTable) -> tuple:
-    """(sums, bounds): Σ φ^{-s} (1 - η(φ/t_j)) over the lattice per window.
+    """(sums, bounds): Σ φ^{-s} w(φ/t) over the lattice at t = t_max, t_max/2.
 
-    Bin b adds e^{-s c_b} Σ_k (-sH)^k/k! moments[k, b], as e^{-sλ} is
-    e^{-s c_b} e^{-sHu}; on the 48m ramp bins under t_j the Taylor row is
-    first multiplied by the ramp's polynomial (a Cauchy product cut at degree
-    K).  Each window adds its bins in long double.  The bound adds, per bin,
-    the Taylor remainder (|s|H|u|)^K/K! e^{|s|H/2}, the product's dropped
-    degrees K..2K-2, the ramp-fit residual and a first-order rounding term
-    for e^{-s c_b} and the moments.  It is the distance to the series over
-    the float64 logs, whose own rounding (a few |sλ| ulps a term) sits far
-    inside `zeta_direct`'s bar.
+    The window w(x) = 1 - `_smooth_ramp`(2x - 1) is 1 below x = 1/2 and 0
+    from x = 1 on.  Bin b adds e^{-s c_b} Σ_k (-sH)^k/k! moments[k, b], as
+    e^{-sλ} is e^{-s c_b} e^{-sHu}; on the 192 ramp bins under t the Taylor
+    row is first multiplied by the ramp's polynomial (a Cauchy product cut
+    at degree K).  Each window adds its bins in long double.  The bound
+    adds, per bin, the Taylor remainder (|s|H|u|)^K/K! e^{|s|H|u|}, the
+    product's dropped degrees K..2K-2 and the ramp-fit residual, each for
+    |u| <= `_U_MAX`, and a first-order rounding term for e^{-s c_b}, the
+    moments and λ = log φ itself (an ulp of λ).  So it bounds the distance
+    to the series over the exact logs of the float64 values of φ.
     """
     s = s.real if s.imag == 0.0 else s  # real s keeps every array real
     moments = table.moments
     counts = moments[0]
     centres = _centres(table.t_max, counts.size)
     taylor = np.cumprod([1.0] + [-s * _BIN_WIDTH / k for k in range(1, _MOMENTS)])
-    halves = 0.5 ** np.arange(2 * _MOMENTS - 1)
-    x = abs(s) * _BIN_WIDTH / 2.0
+    halves = _U_MAX ** np.arange(2 * _MOMENTS - 1)  # bounds on |u|^k
+    x = abs(s) * _BIN_WIDTH * _U_MAX
     phase = np.exp(-s * centres)
     decay = phase if phase.dtype == float else np.exp(-s.real * centres)
     size = counts * decay
-    # Σ|u|^K over a bin is at most moments[K-2]/4, since |u| <= 1/2
-    remainder = ((2.0 * x) ** _MOMENTS / math.factorial(_MOMENTS) * math.exp(x)
-                 * decay * moments[_MOMENTS - 2] / 4.0)
-    rounding = (_EPS * (abs(s) * (np.abs(centres) + _BIN_WIDTH) + 4.0)
+    # Σ|u|^K over a bin is at most _U_MAX^2 moments[K-2], K being even
+    remainder = ((abs(s) * _BIN_WIDTH) ** _MOMENTS / math.factorial(_MOMENTS) * math.exp(x)
+                 * decay * _U_MAX**2 * moments[_MOMENTS - 2])
+    # per point: e^{-s c_b}, and an ulp of λ itself
+    rounding = (_EPS * (2.0 * abs(s) * (np.abs(centres) + _BIN_WIDTH) + 4.0)
                 + _LONG_EPS * (math.log2(counts.size) + 20.0))
 
     def bin_sums(coef, residual, bins):
@@ -280,16 +249,18 @@ def _windowed_sums(s: complex, table: _MomentTable) -> tuple:
 
     plain, plain_bound = bin_sums(np.pad(taylor, (0, _MOMENTS - 1)), 0.0, slice(None))
     coefficients, residuals = _ramp_fit()
-    product = sum(np.pad(t_k * coefficients, ((0, 0), (k, _MOMENTS - 1 - k)))
-                  for k, t_k in enumerate(taylor))
-    ramp_bins = _WINDOW_SHIFT * np.arange(_CUTOFF_COUNT)[:, None] + np.arange(_OCTAVE_BINS)
+    product = np.zeros((_OCTAVE_BINS, 2 * _MOMENTS - 1), dtype=taylor.dtype)
+    for k, t_k in enumerate(taylor):
+        product[:, k:k + _MOMENTS] += t_k * coefficients
+    ramp_bins = np.arange(2 * _OCTAVE_BINS).reshape(2, _OCTAVE_BINS)
     ramp, ramp_bound = bin_sums(product, residuals, ramp_bins)
-    # window j: its ramp bins and every plain bin below them
-    starts = ramp_bins[:, -1] + 1
+    # each window: its ramp bins and every plain bin below them
     plain = plain.astype(np.clongdouble)
-    sums = (ramp.astype(np.clongdouble).sum(axis=1) + plain[starts[-1]:].sum()
-            + [plain[start:starts[-1]].sum() for start in starts]).astype(complex)
-    bounds = ramp_bound.sum(axis=1) + [plain_bound[start:].sum() for start in starts]
+    below = plain[2 * _OCTAVE_BINS:].sum()
+    sums = (ramp.astype(np.clongdouble).sum(axis=1)
+            + [plain[_OCTAVE_BINS:2 * _OCTAVE_BINS].sum() + below, below]).astype(complex)
+    bounds = ramp_bound.sum(axis=1) + [plain_bound[_OCTAVE_BINS:].sum(),
+                                       plain_bound[2 * _OCTAVE_BINS:].sum()]
     return table.mult * sums, table.mult * (bounds + _EPS * np.abs(sums))
 
 
@@ -302,37 +273,53 @@ def _smooth_ramp(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _window_coefficient(alpha: float, s: complex) -> complex:
-    """∫_{1/2}^∞ u^{α-s-1} (1 - η(u)) du for the smooth window η.
-
-    η is 1 below u = 1/2 and rolls off to 0 at u = 1 through the standard
-    bump ramp; past u = 1 the integrand is a plain power with closed form.
-    """
-    x, w = gl_nodes(48)
+@lru_cache(maxsize=2)
+def _ramp_nodes(nodes: int) -> tuple:
+    """(log u, weight times 1 - w(u)) at the Gauss-Legendre nodes on [1/2, 1]."""
+    x, w = gl_nodes(nodes)
     u = 0.25 * x + 0.75
-    ramp = _smooth_ramp((u - 0.5) / 0.5)
-    vals = np.exp((alpha - s - 1.0) * np.log(u)) * ramp
-    return complex(np.sum(0.25 * w * vals)) + 1.0 / (s - alpha)
+    return np.log(u), 0.25 * w * _smooth_ramp((u - 0.5) / 0.5)
+
+
+def _window_coefficient(alpha: float, s: complex) -> tuple:
+    """(W, error): W(s) = ∫_{1/2}^∞ u^{α-s-1} (1 - w(u)) du for the window w.
+
+    Past u = 1 the integrand is a plain power, 1/(s-α) in closed form.  The
+    ramp part takes 64 Gauss-Legendre nodes (at rounding for |Im s| <= 60,
+    against mpmath); its error is charged as the distance to 48 nodes, which
+    overstates it, plus the rounding of the terms and the sums.
+    """
+    def ramp_part(nodes):
+        log_u, weights = _ramp_nodes(nodes)
+        terms = weights * np.exp((alpha - s - 1.0) * log_u)
+        return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+    (value, size), (coarse, _) = ramp_part(64), ramp_part(48)
+    pole = 1.0 / (s - alpha)
+    rounding = _EPS * ((abs(alpha - s - 1.0) + 12.0) * size + 2.0 * abs(pole))
+    return value + pole, abs(value - coarse) + rounding
 
 
 def zeta_direct(phi: HomogeneousFunction, s: complex, *,
                 target: float = 2.5e-7,
-                box_budget: float | None = None) -> MeromorphicValue:
-    """Lattice series for Re s > α, tail-corrected and cutoff-averaged.
+                box_budget: float = _BOX_BUDGET) -> MeromorphicValue:
+    """Lattice series for Re s > α, windowed and closed by the residue.
 
     Rigorous route: when Re s clears the absolute-convergence line βn with
-    enough headroom that a sup-norm box within budget certifies the tail by the
-    integral test, the plain truncated sum is returned with that bound; it
-    sums the full box.  Otherwise the pole-model estimator runs (error bar from
-    the cutoff spread, plus the table's bound) on the moment table of
-    `_moment_table`, built once per φ and budget; each s then reads its six
-    windowed sums and their bounds off the table (`_windowed_sums`) in about
-    a millisecond.
+    enough headroom that a sup-norm box within budget certifies the tail by
+    the integral test, the truncated sum comes with that bound and its
+    rounding (`_rigorous_sum`).  Otherwise each s reads the windowed sums at
+    t = t_max and t_max/2 off the moment table of the largest sublevel set
+    {φ < t_max} whose box fits box_budget, and adds the pole term
+    α|B| t^{α-s} W(s), the integral of what the window leaves out, with |B|
+    from `volume.volume_exp_integral`.  The value is the estimate at t_max;
+    it misses ζ(φ,s) by a Poisson remainder that falls faster than any power
+    of t for φ smooth off the origin.  The bar adds the distance to the
+    estimate at t_max/2, the sums' bounds, |B|'s bar times α|t^{α-s} W(s)|,
+    W's error and the rounding of the pole term and the final sum.
     """
     s = complex(s)
     alpha = phi.alpha
-    if box_budget is None:
-        box_budget = _default_box_budget(phi)
     if s.real <= alpha:
         raise DivergenceError(
             f"ζ(φ,s) diverges for Re s <= α = {alpha:.6g}, got {s}"
@@ -346,8 +333,8 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
     if s.real > beta_n + 0.25:
         m_box = _rigorous_box(phi, s.real, c3, target)
         if m_box is not None and (2.0 * m_box + 1.0) ** phi.dim <= box_budget:
-            value, tail = _rigorous_sum(phi, s, m_box, c3)
-            return MeromorphicValue(s, value, tail, RIGOROUS)
+            value, error = _rigorous_sum(phi, s, m_box, c3)
+            return MeromorphicValue(s, value, error, RIGOROUS)
 
     table = _moment_table(phi, box_budget)
     points = int(table.mult * table.moments[0].sum())
@@ -356,24 +343,20 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
             f"box_budget = {box_budget:.3g} leaves the windowed estimator {points} "
             f"lattice points below t_max = {table.t_max:.6g}; it needs {_MIN_POINTS}")
 
-    # one windowed estimate per cutoff; averaging over cutoffs inside the top
-    # octave decorrelates the boundary-counting fluctuation
+    from .volume import volume_exp_integral  # volume imports this module
+    volume = volume_exp_integral(phi)
     windowed, bounds = _windowed_sums(s, table)
-    t_lows = table.t_max * 2.0 ** (-np.arange(_CUTOFF_COUNT) / _CUTOFF_COUNT)
-    b_hat = np.mean(table.counts / (table.t_max * _CUT_SCALES)**alpha, axis=1)
-    scale = t_lows ** complex(alpha - s.real, -s.imag)
-    estimates = windowed + alpha * b_hat * scale * _window_coefficient(alpha, s)
-    value = complex(np.mean(estimates))
-    spread = float(np.std(estimates))
-    theta_hat = _fluct_exponent(phi)
-    fluct = (1.0 + abs(s)) * np.min(t_lows) ** (theta_hat - s.real)
-    error = (
-        2.0 * spread / math.sqrt(t_lows.size)
-        + 0.5 * fluct
-        + 5e-9 * (1.0 + abs(s))
-        + float(np.max(bounds))
-    )
-    return MeromorphicValue(s, value, error, ESTIMATED)
+    coefficient, coefficient_error = _window_coefficient(alpha, s)
+    scale = alpha * (table.t_max * np.array([1.0, 0.5])) ** complex(alpha - s.real, -s.imag)
+    estimates = windowed + volume.value * coefficient * scale
+    head = abs(scale[0])  # α|t^{α-s}|
+    # rounding: t^{α-s} errs by |(α-s) log t| + 2 ulps, the products and the
+    # final sum by an ulp of their magnitudes each
+    pole = volume.value * head * abs(coefficient)
+    error = (abs(estimates[0] - estimates[1]) + float(bounds.sum())
+             + (volume.error * abs(coefficient) + volume.value * coefficient_error) * head
+             + _EPS * (pole * (abs(alpha - s) * math.log(table.t_max) + 6.0) + abs(windowed[0])))
+    return MeromorphicValue(s, complex(estimates[0]), error, ESTIMATED)
 
 
 def _integral_test_tail(phi, re_s: float, c3: float, m0: int) -> float:
@@ -391,9 +374,24 @@ def _rigorous_box(phi, re_s: float, c3: float, target: float):
 
 
 def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
-    vals = phi.evaluate_many(box_rows([m_box] * phi.dim, nonzero=True))
-    total = complex(np.sum(np.exp(-s * np.log(vals))))
-    return total, _integral_test_tail(phi, s.real, c3, m_box)
+    """(Σ φ^{-s} over the nonzero box [-m, m]^n, its bar), in `_lattice_values`.
+
+    The bar adds to the integral-test tail the rounding: a term errs by
+    (2|s log φ| + |s| + 2) ulps of itself (φ, its log, the product and the
+    exp), a slab's np.sum by log2(rows) ulps of its terms and each slab by one.
+    """
+    total, size, spread, slabs = 0j, 0.0, 0.0, 0
+    for slabs, vals in enumerate(_lattice_values(phi, [m_box] * phi.dim), 1):
+        lam = np.log(vals)
+        terms = np.exp(-s * lam)
+        mag = np.abs(terms)
+        total += terms.sum()
+        size += mag.sum()
+        spread += mag @ np.abs(lam)
+    rounding = _EPS * (2.0 * abs(s) * spread
+                       + (abs(s) + math.log2(_BUILD_ROWS) + slabs + 2.0) * size)
+    mult = 2 if phi.is_even else 1
+    return complex(mult * total), _integral_test_tail(phi, s.real, c3, m_box) + float(mult * rounding)
 
 
 # ---------------------------------------------------------------------------

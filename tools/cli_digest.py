@@ -8,8 +8,9 @@ The script prints one line per output file,
     <config> <command> <file> <sha256>
 
 where <file> is a file the command wrote, or <stdout>, <stderr> or <exit>
-for the captured streams and the exit code.  After a line "# peak RSS",
-it prints the child's peak resident set size per command, in MB.
+for the captured streams and the exit code.  After a line "# peak RSS and
+wall time", it prints the child's peak resident set size per command, in MB,
+and its wall time from start to exit, in seconds.
 
 Two source trees produce byte-identical CLI outputs exactly when the digest
 sections of their runs agree, so
@@ -19,8 +20,8 @@ sections of their runs agree, so
     diff <(sed '/^# peak RSS/q' before.txt) <(sed '/^# peak RSS/q' after.txt)
 
 is the whole gate.  The script takes no options.  It runs one child at a
-time.  The largest peaks are `verify` on disc2d, about 225 MB, and on
-superellipse2d, about 135 MB; every other command stays under 110 MB.
+time.  On the shipped configs every command peaks under 80 MB; the largest
+are superellipse2d `volume` and `verify`, about 78 MB.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,7 +59,8 @@ def _sha256(path: Path) -> str:
 def _run(config: Path, args: list, work: Path, root: Path = ROOT):
     """Run one subcommand in `work` with the sources of `root`/src.
 
-    The outputs stay in `work`/out.  Returns (digest rows, peak RSS in MB).
+    The outputs stay in `work`/out.  Returns (digest rows, peak RSS in MB,
+    wall time in s).
     """
     cfg = json.loads(config.read_text())
     out_dir = work / "out"
@@ -71,10 +74,12 @@ def _run(config: Path, args: list, work: Path, root: Path = ROOT):
     argv = [sys.executable, "-m", "azeta.cli", args[0], "--config",
             str(cfg_path), *args[1:]]
     with open(work / "stdout", "wb") as out, open(work / "stderr", "wb") as err:
+        start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out, stderr=err)
         # wait4 reaps the child with its own rusage, so the peak RSS is this
         # command's alone; recording the exit code keeps Popen from waiting
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
     rows = []
     if out_dir.is_dir():
@@ -84,21 +89,21 @@ def _run(config: Path, args: list, work: Path, root: Path = ROOT):
     rows.append(("<stdout>", _sha256(work / "stdout")))
     rows.append(("<stderr>", _sha256(work / "stderr")))
     rows.append(("<exit>", str(proc.returncode)))
-    return rows, usage.ru_maxrss / 1024.0
+    return rows, usage.ru_maxrss / 1024.0, wall
 
 
 def main() -> int:
-    rss = []
+    costs = []
     for config in sorted((ROOT / "configs").glob("*.json")):
         for label, args in COMMANDS:
             with tempfile.TemporaryDirectory(prefix="azeta-digest-") as tmp:
-                rows, peak = _run(config, args, Path(tmp))
+                rows, peak, wall = _run(config, args, Path(tmp))
             for name, digest in rows:
                 print(f"{config.stem} {label} {name} {digest}", flush=True)
-            rss.append((config.stem, label, peak))
-    print("# peak RSS")
-    for stem, label, peak in rss:
-        print(f"{stem} {label} {peak:.1f} MB")
+            costs.append((config.stem, label, peak, wall))
+    print("# peak RSS and wall time")
+    for stem, label, peak, wall in costs:
+        print(f"{stem} {label} {peak:.1f} MB {wall:.2f} s")
     return 0
 
 
