@@ -13,10 +13,9 @@ off-grid values use the same trapezoid sum directly (no interpolation), so the
 only errors are the domain tail and aliasing.  Aliasing is measured by halving
 the spacing and comparing (the trapezoid error for a sampled Schwartz-type
 function IS the aliasing sum, so this difference is the honest estimate).
-When φ is even in every coordinate, so are g and ĝ: a transform in two and
-three dimensions then samples g on x >= 0 only and keeps ĝ on y >= 0, its
-trapezoid sums cosine sums taken by real FFTs; one dimension, and a φ that is
-only centrally even, keep the full grid.
+When φ is even in every coordinate, so are g and ĝ: a transform then samples
+g on x >= 0 only and keeps ĝ on y >= 0, its trapezoid sums cosine sums taken
+by real FFTs; a φ that is only centrally even keeps the full grid.
 Lattice box sums Σ_k ĝ(s∘k) use the same trapezoid sum in closed form:
 summed over a box, its phases e^{-2πi x_i s_i k_i} give one real Dirichlet
 kernel per axis, so no ĝ value is formed.
@@ -39,8 +38,6 @@ from .special import exp_shell_tail, power_shell_tail
 __all__ = ["Kernel", "SampledTransform", "fourier_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
-_MAX_GRID_1D = 1 << 17
-_MAX_GRID_ND = 4096
 _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 
 
@@ -181,32 +178,34 @@ def _turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (p - np.round(p)) + e
 
 
+def _contract(values, mats):
+    """Σ_j values[j_1, ..., j_n] Π_i mats[i][j_i, m] for every column m.
+
+    One matrix per axis, rows along the axis and one column per query,
+    contracted into the samples last axis first.
+    """
+    acc = values @ mats[-1]
+    for axis in reversed(range(len(mats) - 1)):
+        acc = np.einsum("...jm,jm->...m", acc, mats[axis])
+    return acc
+
+
 def _nudft_points(axes_x, values, spacing, points, folded=None):
     """h^n * sum_j g_j e^{-2πi <x_j, y>} at arbitrary points, chunked.
 
-    One phase matrix per axis, contracted into the samples last axis first,
-    as `SampledTransform.box_sum` contracts its Dirichlet vectors.  On a
-    folded axis (see `_fft_grid`) the phase is cos(2π r) with r = x y mod 1
-    (`_turns`).
+    One phase matrix per axis (`_contract`), every phase from r = x y mod 1
+    formed from the exact product (`_turns`): e^{-2πi r} on a full axis,
+    cos(2π r) on a folded one (see `_fft_grid`).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    last = len(axes_x) - 1
     folded = folded or (False,) * len(axes_x)
     out = np.empty(pts.shape[0], dtype=complex)
     chunk = max(1, int(2_000_000 // max(1, values.shape[0])))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start:start + chunk]
-        acc = values
-        for axis in reversed(range(last + 1)):
-            if folded[axis]:
-                phase = np.cos(2.0 * math.pi * _turns(axes_x[axis], block[:, axis]))
-            else:
-                phase = np.exp(-2j * math.pi * np.outer(axes_x[axis], block[:, axis]))
-            if axis == last:
-                acc = acc @ phase
-            else:
-                acc = np.einsum("...jm,jm->...m", acc, phase)
-        out[start:start + chunk] = acc
+        turns = [2.0 * math.pi * _turns(a, block[:, axis]) for axis, a in enumerate(axes_x)]
+        out[start:start + chunk] = _contract(values, [
+            np.cos(r) if f else np.exp(-1j * r) for r, f in zip(turns, folded)])
     return float(np.prod(spacing)) * out
 
 
@@ -292,33 +291,19 @@ class SampledTransform:
     values carry identical quadrature error.  Queries outside the trusted band
     evaluate to 0; `edge_level` and `decay_tau` describe what was dropped.
 
-    The constructor takes full symmetric grids.  `from_folded` also takes
-    folded axes, for a function even along them: such an axis stores x >= 0
-    only, in the folded form of `_fold_even`, and ĝ, even along it too, is
-    kept on y >= 0 (`hat_grid`, `axes_y`).  `folded` says which axes are.
+    Every axis holds a full symmetric grid unless `folded` names it, for a
+    function even along it: such an axis stores x >= 0 only, with real
+    samples in the folded form of `_fold_samples`, and ĝ, even along it too,
+    is kept on y >= 0 (`hat_grid`, `axes_y`).
     """
 
     def __init__(self, axes_x, values, spacing, *, quad_error, tail_error,
-                 band=None, inherited_error=0.0):
-        self._setup(axes_x, values, spacing, (False,) * len(axes_x), quad_error,
-                    tail_error, band, inherited_error)
-
-    @classmethod
-    def from_folded(cls, axes_x, values, spacing, folded, *, quad_error,
-                    tail_error, band=None, inherited_error=0.0):
-        """From real samples in folded form (`_fold_samples`) on the folded axes."""
-        self = cls.__new__(cls)
-        self._setup(axes_x, values, spacing, folded, quad_error, tail_error,
-                    band, inherited_error)
-        return self
-
-    def _setup(self, axes_x, values, spacing, folded, quad_error, tail_error,
-               band, inherited_error):
+                 band=None, inherited_error=0.0, folded=None):
         self.axes_x = [np.asarray(a, dtype=float) for a in axes_x]
         self.values = np.asarray(values)
         self.spacing = np.asarray(spacing, dtype=float)
         self.dim = len(self.axes_x)
-        self.folded = tuple(bool(f) for f in folded)
+        self.folded = tuple(bool(f) for f in folded) if folded else (False,) * self.dim
         axes_y, hat = _fft_grid(self.values, self.spacing, self.folded)
         self.axes_y = axes_y
         imag_scale = float(np.max(np.abs(hat.imag)))
@@ -431,15 +416,9 @@ class SampledTransform:
         out = np.empty(scales.shape[0], dtype=np.result_type(values, float))
         for start in range(0, scales.shape[0], rows):
             block = slice(start, start + rows)
-            acc = values
-            for axis in reversed(range(self.dim)):
-                dirichlet = _dirichlet(np.outer(scales[block, axis], axes[axis]),
-                                       box[block, axis, None])
-                if axis == self.dim - 1:
-                    acc = acc @ dirichlet.T
-                else:
-                    acc = np.einsum("...jr,rj->...r", acc, dirichlet)
-            out[block] = acc
+            out[block] = _contract(values, [
+                _dirichlet(np.outer(scales[block, axis], a), box[block, axis, None]).T
+                for axis, a in enumerate(axes)])
         return out * float(np.prod(self.spacing))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -452,19 +431,22 @@ class SampledTransform:
         For an even real g this lands back on g (reflection), but computed by a
         second honest trapezoid pass rather than by the inversion identity.
         It is trusted on the whole real-space box the samples came from, and
-        folded on the axes this one is folded on.
+        folded on the axes this one is folded on.  Each value integrates ĝ's
+        pointwise error over the dual box, so it inherits that error times
+        the box's volume.
         """
         spacing = np.asarray([a[-1] - a[-2] for a in self.axes_y])
         values = self.hat_grid.real if self.real_even else self.hat_grid
-        return SampledTransform.from_folded(
+        volume = float(np.prod([2.0 * np.max(np.abs(a)) for a in self.axes_y]))
+        return SampledTransform(
             self.axes_y,
             _fold_samples(values, self.folded),
             spacing,
-            self.folded,
             quad_error=self.quad_error,
             tail_error=self.tail_error + self.edge_level,
             band=[float(np.max(np.abs(a))) for a in self.axes_x],
-            inherited_error=self.quad_error + self.tail_error,
+            inherited_error=(self.quad_error + self.tail_error) * volume,
+            folded=self.folded,
         )
 
 
@@ -478,62 +460,27 @@ def _odd_grid(radius: float, h: float):
     return np.arange(-half, half + 1) * h
 
 
-def _transform_1d_samples(fn, radius: float, floor: float):
-    """Adaptive 1D transform of a callable on [-R, R]; returns SampledTransform."""
-    band = 4.0
-    for _ in range(24):
-        h = 1.0 / (4.0 * band)
-        x = _odd_grid(radius, h)
-        if x.size > _MAX_GRID_1D:
-            break
-        g = fn(x[:, None])
-        axes_y, hat = _fft_grid(g, np.asarray([h]), (False,))
-        scale = float(np.max(np.abs(hat)))
-        j = int(np.argmin(np.abs(axes_y[0] - band)))
-        if abs(hat[j]) <= floor * scale:
-            break
-        band *= 1.6
-    h_fine = 0.5 / (4.0 * band)
-    x_fine = _odd_grid(radius, h_fine)
-    if x_fine.size > _MAX_GRID_1D:
-        x_fine = _odd_grid(radius, (2.0 * radius) / (_MAX_GRID_1D - 1))
-        h_fine = float(x_fine[1] - x_fine[0])
-    g_fine = fn(x_fine[:, None])
-    # spacing comparison at fixed probe points: coarse = every other sample
-    probes = _band_probes(np.asarray([band]))
-    at_c = _nudft_points([x_fine[::2]], g_fine[::2], [2.0 * h_fine], probes)
-    at_f = _nudft_points([x_fine], g_fine, [h_fine], probes)
-    quad = float(np.max(np.abs(at_f - at_c)))
-    tail = float(abs(g_fine[0]) + abs(g_fine[-1])) * (2.0 * radius)
-    return SampledTransform([x_fine], g_fine, [h_fine],
-                            quad_error=quad, tail_error=tail,
-                            band=np.asarray([band]))
-
-
 def fourier_transform(kernel: Kernel):
     """Sampled ĝ for a kernel, with measured quadrature and tail estimates.
 
     The band grows until |ĝ| on its edge falls below a floor relative to
     max |ĝ|: 1e-15 in one dimension, where the grid is cheap, and 3e-11 on
-    the grids of two and three.  There, when φ is even in every coordinate
-    (every coordinate-monotone φ is), each pass samples g on x >= 0 only and
-    folds every axis (`_fft_grid`); otherwise it samples the full grid.
+    the grids of two and three, whose coarse axes hold at most 2^16 and
+    4096 points.  When φ is even in every coordinate (every
+    coordinate-monotone φ is), each pass samples g on x >= 0 only and folds
+    every axis (`_fft_grid`); otherwise it samples the full grid.
     """
     n = kernel.dim
     if n > 3:
         raise DomainError("transforms are supported for n <= 3")
-    floor = 1e-15 if n == 1 else 3e-11
+    floor, max_grid = (1e-15, 1 << 16) if n == 1 else (3e-11, 4096)
     radii = kernel.box_radii()
-
-    if n == 1:
-        return _transform_1d_samples(kernel.evaluate_many, radii[0], floor)
-
     folded = (_coordinate_monotone(kernel.phi),) * n
     band = np.full(n, 2.0)
     for _ in range(14):
         h = 1.0 / (4.0 * band)
         axes = [_odd_grid(r, hi) for r, hi in zip(radii, h)]
-        if any(a.size > _MAX_GRID_ND for a in axes):
+        if any(a.size > max_grid for a in axes):
             break
         axes = _quadrant(axes, folded)
         g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
@@ -560,8 +507,8 @@ def fourier_transform(kernel: Kernel):
     h_fine = 0.5 / (4.0 * band)
     axes_f = [_odd_grid(r, hi) for r, hi in zip(radii, h_fine)]
     for axis in range(n):
-        if axes_f[axis].size > 2 * _MAX_GRID_ND:
-            axes_f[axis] = _odd_grid(radii[axis], (2.0 * radii[axis]) / (2 * _MAX_GRID_ND - 1))
+        if axes_f[axis].size > 2 * max_grid:
+            axes_f[axis] = _odd_grid(radii[axis], (2.0 * radii[axis]) / (2 * max_grid - 1))
     spacing_f = np.asarray([a[-1] - a[-2] for a in axes_f])
     # the coarse grid is every other point of the full axis, which holds
     # x = 0 only when the half-count is even
@@ -580,5 +527,5 @@ def fourier_transform(kernel: Kernel):
     boundary = max(float(np.max(np.abs(np.take(g_fine, -1, axis=axis))))
                    for axis in range(n))
     tail = boundary * float(np.prod(2.0 * np.asarray(radii)))
-    return SampledTransform.from_folded(axes_f, values, spacing_f, folded,
-                                       quad_error=quad, tail_error=tail, band=band)
+    return SampledTransform(axes_f, values, spacing_f, quad_error=quad,
+                            tail_error=tail, band=band, folded=folded)

@@ -1,72 +1,43 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is deliberately naive: alternating-series acceleration for
-the classical zeta and beta functions, raw lattice enumeration for counts
-and sums.  The point is independence from the package internals, not speed.
+Everything here is deliberately naive: mpmath for the classical zeta, beta
+and gamma functions, raw lattice enumeration for counts and sums.  The point
+is independence from the package internals, not speed.
 """
 
 import math
-from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 
-@lru_cache(maxsize=None)
-def _chebyshev_weights(n: int) -> tuple:
-    """The d_k acceleration weights for alternating Dirichlet series."""
-    d = []
-    acc = 0
-    for j in range(n + 1):
-        acc += (
-            math.factorial(n + j - 1) * 4**j
-            // (math.factorial(n - j) * math.factorial(2 * j))
-        )
-        d.append(n * acc)
-    return tuple(d)
-
-
-def _accelerated_alternating(term, n: int = 48) -> complex:
-    """sum_{k>=0} (-1)^k term(k), accelerated; term(k) must be a moment
-    sequence of a positive measure on [0,1], which k^{-s} powers are."""
-    d = _chebyshev_weights(n)
-    total = 0.0 + 0.0j
-    for k in range(n):
-        total += (-1) ** k * (d[k] - d[n]) * term(k)
-    return -total / d[n]
-
-
-def riemann_zeta(s, n: int = 48) -> complex:
-    """Riemann zeta by eta-function acceleration plus reflection."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise ValueError("pole at s = 1")
-    if s.real < 0.5:
-        # reflect into the well-conditioned half plane
-        reflected = riemann_zeta(1.0 - s, n)
-        pref = (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * np.sin(np.pi * s / 2.0)
-            * complex(_gamma(1.0 - s))
-        )
-        return pref * reflected
-    eta = _accelerated_alternating(lambda k: (k + 1.0) ** (-s), n)
-    return eta / (1.0 - 2.0 ** (1.0 - s))
-
-
-def dirichlet_beta(s, n: int = 48) -> complex:
-    """beta(s) = sum (-1)^k (2k+1)^{-s}, accelerated."""
-    s = complex(s)
-    return _accelerated_alternating(lambda k: (2.0 * k + 1.0) ** (-s), n)
-
-
-def _gamma(z: complex) -> complex:
+def _mp(z):
     z = complex(z)
-    if z.imag == 0.0 and z.real > 0.0:
-        return complex(math.gamma(z.real))
-    from scipy.special import gamma as sp_gamma
+    return mpmath.mpc(z.real, z.imag)
 
-    return complex(sp_gamma(z))
+
+def riemann_zeta(s) -> complex:
+    """Riemann zeta, from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(_mp(s)))
+
+
+def dirichlet_beta_mp(s):
+    """beta(s) = sum (-1)^k (2k+1)^{-s} = 4^{-s} (ζ(s, 1/4) - ζ(s, 3/4)) at
+    the working precision: mpmath's L-function of the character mod 4 sums
+    those Hurwitz zetas, and steps off s = 1, where each has its pole."""
+    return mpmath.dirichlet(s, [0, 1, 0, -1])
+
+
+def dirichlet_beta(s) -> complex:
+    """Dirichlet beta, from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        return complex(dirichlet_beta_mp(_mp(s)))
+
+
+def _gamma(z) -> complex:
+    with mpmath.workdps(30):
+        return complex(mpmath.gamma(_mp(z)))
 
 
 def box_points(box) -> np.ndarray:

@@ -16,7 +16,7 @@ from azeta.lattice import box_rows, grid_rows
 from azeta.quadrature import panel_points
 from azeta.theta import theta_star_table
 
-from shapes import ABSVAL, DISC, SUPERELLIPSE
+from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 
 def test_kernel_needs_nonnegative_power():
@@ -101,6 +101,23 @@ def test_double_transform_reflects_back():
     assert np.allclose(back.evaluate_points(xs).real, want, atol=1e-9)
 
 
+def test_double_transform_bar_covers_the_kernel():
+    # ĝ̂(x) sums ĝ's samples over the whole dual box, so its bar carries ĝ's
+    # pointwise error times the box's volume
+    kernel = Kernel(ABSVAL, power=6.0)
+    back = fourier_transform(kernel).transform()
+    xs = np.array([[0.0], [0.5], [1.0], [3.0], [10.0], [30.0]])
+    miss = np.abs(back.evaluate_points(xs) - kernel.evaluate_many(xs))
+    bar = back.quad_error + back.tail_error + back.inherited_error
+    assert np.all(miss <= bar), miss / bar
+
+
+def test_one_dimensional_phases_are_exact_products():
+    # the spacing comparison behind quad_error sees the trapezoid error, not
+    # the rounding of the phases' products x y
+    assert fourier_transform(Kernel(ABSVAL, power=6.0)).quad_error <= 2e-13
+
+
 def test_double_transform_reflects_back_in_two_dimensions():
     tr = fourier_transform(Kernel(QuadraticForm(np.eye(2)), power=0.0))
     back = tr.transform()
@@ -111,17 +128,23 @@ def test_double_transform_reflects_back_in_two_dimensions():
     assert np.allclose(back.evaluate_points(xs).real, want, atol=1e-9)
 
 
-@pytest.mark.parametrize("phi", [DISC, Scaled(DISC, 1.7), SUPERELLIPSE],
-                         ids=["disc", "disc17", "superellipse"])
-def test_folded_transform_is_the_full_grid_sum(phi):
+# one probe point in each quadrant, per dimension
+QUADRANTS = {1: np.array([[0.3], [-0.4]]),
+             2: np.array([[0.3, 0.4], [-0.3, 0.4], [-0.3, -0.4], [0.3, -0.4]])}
+
+
+@pytest.mark.parametrize("phi, power", [
+    (DISC, 6.0), (Scaled(DISC, 1.7), 6.0), (SUPERELLIPSE, 6.0), (ABSVAL, 6.0),
+    (SQUARE, 3.0)], ids=["disc", "disc17", "superellipse", "absval", "square"])
+def test_folded_transform_is_the_full_grid_sum(phi, power):
     # φ even in every coordinate: the transform keeps x >= 0 only, and must
     # give what the trapezoid sum over the mirrored full grid gives
-    kernel = Kernel(phi, power=6.0)
+    kernel = Kernel(phi, power=power)
     tr = fourier_transform(kernel)
     assert all(tr.folded) and all(a[0] == 0.0 for a in tr.axes_x)
     axes = [np.concatenate([-a[:0:-1], a]) for a in tr.axes_x]
     g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
-    quadrants = np.array([[0.3, 0.4], [-0.3, 0.4], [-0.3, -0.4], [0.3, -0.4]])
+    quadrants = QUADRANTS[phi.dim]
     pts = np.vstack([_band_probes(tr.band), quadrants * tr.band])
     scale = float(np.max(np.abs(tr.hat_grid)))
     want = _nudft_points(axes, g, tr.spacing, pts)

@@ -6,7 +6,6 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as sp_gamma
 
 from azeta import volume as volume_module
 from azeta import zeta as zeta_module
@@ -29,11 +28,18 @@ from azeta.zeta import (
 )
 from azeta.zeta import _moment_table, _windowed_sums
 
-from oracles import dirichlet_beta, full_box_values, riemann_zeta, windowed_sums
+from oracles import (
+    _gamma,
+    dirichlet_beta,
+    dirichlet_beta_mp,
+    full_box_values,
+    riemann_zeta,
+    windowed_sums,
+)
 from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 
-# frozen from the alternating-series oracle (tests/oracles.py):
+# frozen from the mpmath oracle (tests/oracles.py):
 # 2*zeta(2) = pi^2/3, 2*zeta(3), 2*zeta(1/2), 2*zeta(-1) = -1/6, 2*zeta(-3) = 1/60
 TWO_ZETA = {
     2.0: math.pi**2 / 3.0,
@@ -133,18 +139,14 @@ def test_zeta_at_zero_reuses_the_continuation_machine(monkeypatch):
     assert abs(got.value + 1.0) <= got.error
 
 
-def _dirichlet_beta(s):
-    return mpmath.dirichlet(s, [0, 1, 0, -1])
-
-
 # Laurent data at α from the closed forms: 2ζ(s), 2ζ(2s) and 4ζ(s)β(s)
 LAURENT = {
     "absval": (ABSVAL, lambda s: 2 * mpmath.zeta(s), 2.0,
                lambda: 2 * mpmath.euler),
     "square": (SQUARE, lambda s: 2 * mpmath.zeta(2 * s), 1.0,
                lambda: 2 * mpmath.euler),
-    "disc": (DISC, lambda s: 4 * mpmath.zeta(s) * _dirichlet_beta(s), math.pi,
-             lambda: mpmath.pi * mpmath.euler + 4 * mpmath.diff(_dirichlet_beta, 1)),
+    "disc": (DISC, lambda s: 4 * mpmath.zeta(s) * dirichlet_beta_mp(s), math.pi,
+             lambda: mpmath.pi * mpmath.euler + 4 * mpmath.diff(dirichlet_beta_mp, 1)),
 }
 
 
@@ -328,7 +330,7 @@ def test_xi_full_is_the_sum_of_its_xi_plus_sides(name):
                  + side.value + side_hat.value)
         assert abs(full.value - parts) <= full.error + side.error + side_hat.error
         reverse = xi_full(k.generator.transpose(), khat, khathat, u)
-        miss = abs(reverse.value - complex(sp_gamma(s + c)) * closed_form(s))
+        miss = abs(reverse.value - _gamma(s + c) * closed_form(s))
         assert miss <= reverse.error
         assert miss <= 1e-8
 
@@ -339,7 +341,7 @@ def test_xi_full_of_the_self_dual_gaussian():
     g = Kernel(QuadraticForm([[math.pi]]), power=0.0)
     for s in (0.2 + 0.7j, -0.7 + 0.2j):
         got = xi_full(g.generator, g, g, s)
-        exact = complex(sp_gamma(s)) * math.pi ** (-s) * 2.0 * riemann_zeta(2.0 * s)
+        exact = _gamma(s) * math.pi ** (-s) * 2.0 * riemann_zeta(2.0 * s)
         assert got.kind == "rigorous"
         assert abs(got.value - exact) <= got.error
 
@@ -422,6 +424,20 @@ def test_direct_bars_cover_the_closed_forms(name):
         with mpmath.workdps(25):
             want = complex(closed_form(mpmath.mpc(s.real, s.imag)))
         assert abs(got.value - want) <= got.error, (s, got.kind)
+
+
+@pytest.mark.parametrize("name", ["absval", "square"])
+def test_continued_bars_cover_the_closed_forms(name):
+    """The one-dimensional calibration sweep: 25 values of Re s across
+    [-3, α+3], both sides of the pole, at |Im s| up to 30 with both signs."""
+    phi, closed_form, _, _ = LAURENT[name]
+    for re in np.linspace(-3.0, phi.alpha + 3.0, 25):
+        for im in (0.0, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0, 30.0, -30.0):
+            s = complex(re, im)
+            got = zeta_continued(phi, s)
+            with mpmath.workdps(25):
+                want = complex(closed_form(mpmath.mpc(re, im)))
+            assert abs(got.value - want) <= got.error, s
 
 
 def test_direct_bar_carries_the_volume_bar(monkeypatch):

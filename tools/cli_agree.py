@@ -1,24 +1,29 @@
-"""Check that two source trees give zeta values that agree within their bars.
+"""Check that two source trees give values that agree within their bars.
 
     python3 tools/cli_agree.py PARENT_TREE
 
 A change that reorders a floating-point sum cannot keep the CLI outputs
 byte-identical; it is judged by agreement within the stated error bars
-instead.  This script runs the `zeta`, `zeta-direct` and `zeta-estimated`
-commands of `cli_digest.py` on every config in configs/, once with the
-package sources of PARENT_TREE/src and once with the sources next to this
-script.  For each row of zeta.csv it prints
+instead.  This script runs the `zeta`, `zeta-direct`, `zeta-estimated` and
+`asymp` commands of `cli_digest.py` on every config in configs/, once with
+the package sources of PARENT_TREE/src and once with the sources next to
+this script.  It compares each row of zeta.csv, keyed s=<s>, and the θ
+expansion of asymp_summary.json at the largest w: each term
+(`expansion_terms`, keyed term=<k>; term k >= 1 is the ζ(φ,−k) correction)
+and their sum (`expansion_at_largest_w`, keyed largest_w).  For each it
+prints
 
-    <config> <command> s=<s> ratio=<|Δvalue| / (err_parent + err_change)>
+    <config> <command> <key> ratio=<|Δvalue| / (err_parent + err_change)>
 
-then the worst row.  It exits 1 if any ratio is above 1, or if the two runs
-do not produce the same points, and 0 otherwise.  The script takes no other
-options; it runs one child at a time.
+then the worst row.  It exits 1 if any ratio is above 1, or if the two
+runs do not produce the same keys, and 0 otherwise.  The script takes no
+other options; it runs one child at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
 import tempfile
@@ -26,24 +31,28 @@ from pathlib import Path
 
 from cli_digest import COMMANDS, ROOT, _run
 
-LABELS = ("zeta", "zeta-direct", "zeta-estimated")
+LABELS = ("zeta", "zeta-direct", "zeta-estimated", "asymp")
+
+
+def _value(row: dict) -> tuple:
+    return complex(float(row["value_re"]), float(row["value_im"])), float(row["error"])
 
 
 def _rows(config: Path, args: list, root: Path) -> list:
-    """The zeta.csv rows of one run as (s, value, error)."""
+    """The bounded values of one run as (key, value, error)."""
     with tempfile.TemporaryDirectory(prefix="azeta-agree-") as tmp:
-        work = Path(tmp)
-        _run(config, args, work, root)
-        path = work / "out" / "zeta.csv"
-        if not path.is_file():
+        out = Path(tmp) / "out"
+        _run(config, args, Path(tmp), root)
+        if (out / "asymp_summary.json").is_file():
+            summary = json.loads((out / "asymp_summary.json").read_text())
+            terms = [(f"term={k}", row) for k, row in enumerate(summary["expansion_terms"])]
+            return [(key, *_value(row)) for key, row in
+                    terms + [("largest_w", summary["expansion_at_largest_w"])]]
+        if not (out / "zeta.csv").is_file():
             return []
-        with open(path, newline="") as fh:
-            return [
-                (complex(float(r["s_re"]), float(r["s_im"])),
-                 complex(float(r["value_re"]), float(r["value_im"])),
-                 float(r["error"]))
-                for r in csv.DictReader(fh)
-            ]
+        with open(out / "zeta.csv", newline="") as fh:
+            return [(f"s={complex(float(r['s_re']), float(r['s_im']))}", *_value(r))
+                    for r in csv.DictReader(fh)]
 
 
 def _ratio(diff: float, bar: float) -> float:
@@ -69,13 +78,13 @@ def main(argv: list) -> int:
             before = _rows(config, args, parent)
             after = _rows(config, args, ROOT)
             if not before or [r[0] for r in before] != [r[0] for r in after]:
-                print(f"{config.stem} {label}: the runs differ in their points "
+                print(f"{config.stem} {label}: the runs differ in their keys "
                       f"({len(before)} and {len(after)} rows)")
                 failed = True
                 continue
-            for (s, v0, e0), (_, v1, e1) in zip(before, after):
+            for (key, v0, e0), (_, v1, e1) in zip(before, after):
                 ratio = _ratio(abs(v1 - v0), e0 + e1)
-                line = f"{config.stem} {label} s={s} ratio={ratio:.3e}"
+                line = f"{config.stem} {label} {key} ratio={ratio:.3e}"
                 print(line, flush=True)
                 worst = max(worst, (ratio, line))
                 failed = failed or ratio > 1.0
