@@ -362,9 +362,10 @@ def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
     """True when φ is nondecreasing in each |x_i|.
 
     Such a φ sees each x_i only through |x_i|, so it is even in every
-    coordinate, which lets `kernel.fourier_transform` fold its grids, and
-    {φ < r} meets each axis-parallel line in one interval centred on the
-    axis, which lets `volume.lattice_count` count by column heights."""
+    coordinate, which lets `kernel.fourier_transform` fold its grids and
+    `zeta._lattice_values` walk one orthant of the lattice, and {φ < r}
+    meets each axis-parallel line in one interval centred on the axis,
+    which lets `volume.lattice_count` count by column heights."""
     if isinstance(phi, Scaled):
         return _coordinate_monotone(phi.base)
     if isinstance(phi, (PNorm, AnisotropicSuperellipse)):

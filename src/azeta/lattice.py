@@ -8,27 +8,31 @@ the size of an integer box and the points of a sup-norm shell.  It also walks
 half an integer box: the rows after the origin, which are the lexicographically
 positive rows (first nonzero coordinate positive).  With their negatives they
 partition the nonzero rows of the box, so a sum over an even φ needs only them,
-each counted twice.  Last, it walks the quadrant prod [0, B_i] of a box, whose
-rows are the column heads of `volume.lattice_count`'s height route.
+each counted twice.  Last, it walks the closed orthant prod [0, B_i] of a box
+face by face, each row with its number of sign images: a φ that sees each x_i
+only through |x_i| needs only these rows, for the direct series' moment table
+in `zeta` and for the column heads of `volume.lattice_count`.
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
 ``np.ndindex`` walks the grid shape.  Slabs are consecutive ranges of the
 first axis, so walking the slabs in turn visits the same rows in the same
-order.  The order is fixed because floating-point sums depend on it:
-`zeta._rigorous_sum`, `theta.theta_phi` and `quadrature._tensor_sum` add
-their terms in row order, and a different order changes their last bits and
-with them the CLI outputs.
+order.  The orthant walk takes its faces in a fixed order (see
+`orthant_slabs`) and each face's rows in C order.  The order is fixed because
+floating-point sums depend on it: `zeta._rigorous_sum`, `theta.theta_phi` and
+`quadrature._tensor_sum` add their terms in row order, and a different order
+changes their last bits and with them the CLI outputs.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 __all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs",
-           "half_box_slabs", "quadrant_slabs", "box_size", "shell"]
+           "half_box_slabs", "orthant_slabs", "box_size", "shell"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
@@ -99,12 +103,35 @@ def half_box_slabs(box, cap: int = SLAB_ROWS):
         yield box_rows(box, slice(part.start + box[0] + 1, part.stop + box[0] + 1))
 
 
-def quadrant_slabs(box, cap: int = SLAB_ROWS):
-    """The rows of the quadrant box prod [0, B_i], in C order, in `slabs`
-    steps of at most `cap` rows."""
-    axes = [np.arange(int(b) + 1) for b in box]
-    for part in slabs([a.size for a in axes], cap):
-        yield grid_rows(axes, part)
+def orthant_slabs(box, cap: int = SLAB_ROWS):
+    """The closed orthant prod [0, B_i] of a box, face by face, in slabs.
+
+    The face of a nonempty set S of axes is prod_{i in S} [1, B_i] x {0}
+    off S; its rows have exactly the axes of S nonzero, and each stands for
+    the 2^|S| rows of the box that flipping signs gives.  Yields pairs
+    (rows, mirrors = 2^|S|): first the origin, the one face with 1 mirror;
+    then the other faces in C order of S written as a 0/1 row (for two
+    axes: {1}, {0}, {0, 1}); within a face its rows in C order over the
+    axes of S, in `slabs` steps of at most `cap` rows.  Empty faces are
+    left out.  The rows with their sign images give each row of
+    ``box_rows(box)`` once.
+    """
+    box = [int(b) for b in box]
+    dim = len(box)
+    yield np.zeros((1, dim)), 1
+    for support in list(product((False, True), repeat=dim))[1:]:
+        on = np.flatnonzero(support)
+        sizes = [box[i] for i in on]
+        if 0 in sizes:
+            continue
+        rest = [np.arange(1, b + 1) for b in sizes[1:]]
+        for part in slabs(sizes, cap):
+            # the slab's own range of the first axis, as in `box_rows`
+            first = range(1, sizes[0] + 1)[part]
+            face = grid_rows([np.arange(first.start, first.stop)] + rest)
+            rows = np.zeros((face.shape[0], dim))
+            rows[:, on] = face
+            yield rows, 1 << on.size
 
 
 def box_size(box) -> float:

@@ -14,8 +14,9 @@ at s = alpha (which equals alpha |B|):
 counting scan doubles as an oracle for everything else.  It takes one of two
 routes.  A φ that is nondecreasing in each |x_i| (`homog._coordinate_monotone`)
 meets every axis-parallel line in one interval centred on the axis, so the
-count is a sum of column heights, each found by bisection; every other φ
-scans its whole box.
+count is a sum of column heights, each found by bisection over the heads in
+one orthant, each head counted once per sign image; every other φ scans its
+whole box.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction, _coordinate_monotone
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, box_rows, box_size, quadrant_slabs, slabs
+from .lattice import COUNT_BUDGET, box_rows, box_size, orthant_slabs, slabs
 from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
 from .zeta import cache_for, zeta_direct
@@ -112,10 +113,13 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     Height route, for a coordinate-monotone φ: that mask is even and
     nonincreasing in each |x_i| (see `homog._coordinate_monotone`), so on
     the column over a head x' of the longest axis z it passes exactly the
-    rows with |z| < h(x') = #{z >= 0 : phi(x', z) < r}.  One integer
-    bisection over all heads in `lattice.quadrant_slabs` finds every h, and
-    the count is the sum of 2^{#nonzero(x')} (2h - 1) over heads with
-    h >= 1: the box scan's count, from about log2(B) rows per head.
+    rows with |z| < h(x') = #{z >= 0 : phi(x', z) < r}, and h is the same
+    for every sign image of x'.  One integer bisection over all the heads
+    of `lattice.orthant_slabs` (the box with z set to 0) finds every h; a
+    small box costs its iterations, not its rows, so the faces share one.
+    The count adds mirrors * max(2h - 1, 0) per head, mirrors being the
+    head's number of sign images: the box scan's count, from about log2(B)
+    rows per head.
     Box route, for every other φ: the whole box in `lattice.slabs`.  Both
     check the box against `COUNT_BUDGET` first.
     """
@@ -133,23 +137,23 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
                    for slab in slabs(2 * box + 1))
 
     axis = int(np.argmax(box))
-    total = 0
-    for heads in quadrant_slabs(np.where(np.arange(box.size) == axis, 0, box)):
-        # h lies in [lo, hi]; a passing test at z = mid - 1 lifts lo to mid
-        lo = np.zeros(heads.shape[0], dtype=np.int64)
-        hi = np.full(heads.shape[0], int(box[axis]) + 1, dtype=np.int64)
-        open_ = np.arange(heads.shape[0])
-        while open_.size:
-            mid = (lo[open_] + hi[open_] + 1) // 2
-            rows = heads[open_]
-            rows[:, axis] = mid - 1
-            below = phi.strictly_below(rows, r)
-            lo[open_] = np.where(below, mid, lo[open_])
-            hi[open_] = np.where(below, hi[open_], mid - 1)
-            open_ = open_[lo[open_] < hi[open_]]
-        mirrors = np.left_shift(1, np.count_nonzero(heads, axis=1))
-        total += int(np.sum(mirrors * np.maximum(2 * lo - 1, 0)))
-    return total
+    # a box within COUNT_BUDGET has under 2e5 heads, so one array holds them
+    faces = list(orthant_slabs(np.where(np.arange(box.size) == axis, 0, box)))
+    heads = np.concatenate([rows for rows, _ in faces])
+    mirrors = np.repeat([m for _, m in faces], [rows.shape[0] for rows, _ in faces])
+    # h lies in [lo, hi]; a passing test at z = mid - 1 lifts lo to mid
+    lo = np.zeros(heads.shape[0], dtype=np.int64)
+    hi = np.full(heads.shape[0], int(box[axis]) + 1, dtype=np.int64)
+    open_ = np.arange(heads.shape[0])
+    while open_.size:
+        mid = (lo[open_] + hi[open_] + 1) // 2
+        rows = heads[open_]
+        rows[:, axis] = mid - 1
+        below = phi.strictly_below(rows, r)
+        lo[open_] = np.where(below, mid, lo[open_])
+        hi[open_] = np.where(below, hi[open_], mid - 1)
+        open_ = open_[lo[open_] < hi[open_]]
+    return int(np.sum(mirrors * np.maximum(2 * lo - 1, 0)))
 
 
 @dataclass(frozen=True)

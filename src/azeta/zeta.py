@@ -45,9 +45,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, DomainError, StripError
-from .homog import HomogeneousFunction
+from .homog import HomogeneousFunction, _coordinate_monotone
 from .kernel import Kernel, SampledTransform, fourier_transform
-from .lattice import box_size, half_box_slabs
+from .lattice import box_size, half_box_slabs, orthant_slabs
 from .quadrature import gl_nodes, panel_points
 from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
                       power_shell_tail)
@@ -111,8 +111,9 @@ _MIN_POINTS = 100_000  # lattice points the estimator needs below t_max
 # points in the box of the table or of the rigorous sum; disc2d's verify point
 # s = 2.25+0.75i takes the rigorous route with a box of 2109^2 = 4,447,881
 _BOX_BUDGET = 5e6
-# rows per slab of the build: its temporaries stay in cache, and 2^15 rows
-# peaked at 42 MB on the superellipse at box_budget 1e7, 1 M rows at 131 MB
+# rows per slab of the build: its temporaries stay in cache, and the orthant
+# walk's table build on the superellipse at box_budget 1e7 peaked at 43 MB RSS
+# with 2^15 rows, at 132 MB with 1 M rows (x86-64 Linux, glibc malloc)
 _BUILD_ROWS = 1 << 15
 _LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long double
 
@@ -120,7 +121,8 @@ _LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long do
 @dataclass(frozen=True)
 class _MomentTable:
     """Bin b holds t_max 2^{-(b+1)/192} <= φ < t_max 2^{-b/192} (up to the
-    rounding of log φ); moments[k, b] is Σ u^k over its `_lattice_values`."""
+    rounding of log φ); moments[k, b] is the weighted sum Σ weight u^k over
+    its `_lattice_values`, so mult times it is the sum over the box."""
 
     t_max: float
     moments: np.ndarray
@@ -133,20 +135,31 @@ def _centres(t_max: float, bins: int) -> np.ndarray:
 
 
 def _lattice_values(phi: HomogeneousFunction, box):
-    """φ over the nonzero rows of the integer box, by `lattice.half_box_slabs`:
-    for an even φ the half box stands for ω and -ω alike (its sums count
-    twice, mult = 2); otherwise the negated rows are evaluated too."""
+    """(φ, weight) slab by slab over the nonzero rows of the integer box;
+    the weighted sums times mult (2 for an even φ, else 1) are the box's.
+
+    A coordinate-monotone φ (`homog._coordinate_monotone`) walks
+    `lattice.orthant_slabs`, a row with 2^k sign images weighing 2^k / 2;
+    the origin's slab comes out empty with weight 0, as the half box's
+    x_0 = 0 slab does in one dimension.  Any other even φ walks
+    `lattice.half_box_slabs` (weight 1), and an uneven φ the negated rows
+    too.  The weights are 0 or powers of two, so scaling by them is exact."""
+    if _coordinate_monotone(phi):
+        for rows, mirrors in orthant_slabs(box, _BUILD_ROWS):
+            yield (phi.evaluate_many(rows) if mirrors > 1 else np.empty(0)), mirrors // 2
+        return
     for rows in half_box_slabs(box, _BUILD_ROWS):
         # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
         for pts in (rows,) if phi.is_even else (rows, 0.0 - rows):
-            yield phi.evaluate_many(pts)
+            yield phi.evaluate_many(pts), 1
 
 
 def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
     """The moment table of the largest complete sublevel set within budget.
 
-    Built in one walk of `_lattice_values`, keeping no value.  λ goes into
-    bin floor((log t_max - λ)/H) at u = (λ - c_b)/H; the two quotients round
+    Built in one walk of `_lattice_values`, keeping no value; each slab's
+    bin sums are scaled by its weight.  λ goes into bin
+    floor((log t_max - λ)/H) at u = (λ - c_b)/H; the two quotients round
     apart by a few ulps of (log t_max + |λ|)/H, under 1e-10 for φ < e^{100},
     so `_windowed_sums` bounds every term for |u| <= `_U_MAX`.  Cached on φ;
     a larger budget rebuilds.
@@ -164,7 +177,7 @@ def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
             break
     moments = np.zeros((_MOMENTS, 2 * _OCTAVE_BINS))
     centres = _centres(t_max, moments.shape[1])
-    for vals in _lattice_values(phi, phi.lattice_box(t_max)):
+    for vals, weight in _lattice_values(phi, phi.lattice_box(t_max)):
         lam = np.log(vals[vals < t_max])
         u = (math.log(t_max) - lam) / _BIN_WIDTH
         bins = u.astype(np.intp)  # a log rounded up to log t_max goes to bin 0
@@ -174,10 +187,10 @@ def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
             centres = _centres(t_max, width)
         np.subtract(lam, centres[bins], out=u)
         u /= _BIN_WIDTH
-        moments[0] += np.bincount(bins, minlength=centres.size)
+        moments[0] += weight * np.bincount(bins, minlength=centres.size)
         power = u.copy()
         for k in range(1, _MOMENTS):
-            moments[k] += np.bincount(bins, weights=power, minlength=centres.size)
+            moments[k] += weight * np.bincount(bins, weights=power, minlength=centres.size)
             power *= u
     table = _MomentTable(t_max, moments, 2 if phi.is_even else 1, box_budget)
     cache["direct_moments"] = table
@@ -376,18 +389,19 @@ def _rigorous_box(phi, re_s: float, c3: float, target: float):
 def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
     """(Σ φ^{-s} over the nonzero box [-m, m]^n, its bar), in `_lattice_values`.
 
-    The bar adds to the integral-test tail the rounding: a term errs by
-    (2|s log φ| + |s| + 2) ulps of itself (φ, its log, the product and the
-    exp), a slab's np.sum by log2(rows) ulps of its terms and each slab by one.
+    Each slab's sums are scaled by its weight, exactly.  The bar adds to the
+    integral-test tail the rounding: a term errs by (2|s log φ| + |s| + 2)
+    ulps of itself (φ, its log, the product and the exp), a slab's np.sum by
+    log2(rows) ulps of its terms and each slab by one, all weighted.
     """
     total, size, spread, slabs = 0j, 0.0, 0.0, 0
-    for slabs, vals in enumerate(_lattice_values(phi, [m_box] * phi.dim), 1):
+    for slabs, (vals, weight) in enumerate(_lattice_values(phi, [m_box] * phi.dim), 1):
         lam = np.log(vals)
         terms = np.exp(-s * lam)
         mag = np.abs(terms)
-        total += terms.sum()
-        size += mag.sum()
-        spread += mag @ np.abs(lam)
+        total += weight * terms.sum()
+        size += weight * mag.sum()
+        spread += weight * (mag @ np.abs(lam))
     rounding = _EPS * (2.0 * abs(s) * spread
                        + (abs(s) + math.log2(_BUILD_ROWS) + slabs + 2.0) * size)
     mult = 2 if phi.is_even else 1

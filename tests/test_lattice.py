@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from azeta.lattice import box_rows, box_size, grid_rows, half_box_slabs, shell, slabs
+from azeta.lattice import (box_rows, box_size, grid_rows, half_box_slabs, orthant_slabs,
+                           shell, slabs)
 from oracles import lattice_points
 
 
@@ -87,3 +89,17 @@ def test_half_box_and_its_negative_partition_the_nonzero_box(dim, box):
     both = sorted(map(tuple, np.concatenate([half, -half]).tolist()))
     assert both == sorted(map(tuple, lattice_points(dim, box).tolist()))
     assert len(set(both)) == len(both)
+
+
+@pytest.mark.parametrize("box", [[3], [3, 0], [2, 3], [0, 2, 1], [2, 1, 3]])
+def test_orthant_rows_and_their_sign_images_give_the_box_once(box):
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(box))))
+    images = []
+    for rows, mirrors in orthant_slabs(box, cap=3):
+        assert 0 < rows.shape[0] <= 3
+        assert np.all(rows >= 0.0)
+        for row in rows:
+            flips = set(map(tuple, (row * signs).tolist()))  # -0.0 == 0.0
+            assert mirrors == len(flips)
+            images.extend(flips)
+    assert sorted(images) == sorted(map(tuple, box_rows(box).tolist()))

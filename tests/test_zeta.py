@@ -10,7 +10,7 @@ import pytest
 from azeta import volume as volume_module
 from azeta import zeta as zeta_module
 from azeta.errors import DivergenceError, DomainError, StripError
-from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm
+from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm, Scaled
 from azeta.kernel import Kernel, SampledTransform, fourier_transform
 from azeta.quadrature import panel_points
 from azeta.theta import BoundedValue, theta_star_table
@@ -26,12 +26,13 @@ from azeta.zeta import (
     zeta_direct,
     zeta_negative_integers,
 )
-from azeta.zeta import _moment_table, _windowed_sums
+from azeta.zeta import _integral_test_tail, _moment_table, _rigorous_sum, _windowed_sums
 
 from oracles import (
     _gamma,
     dirichlet_beta,
     dirichlet_beta_mp,
+    box_points,
     full_box_values,
     riemann_zeta,
     windowed_sums,
@@ -487,10 +488,13 @@ def test_direct_bars_hold_for_a_phi_that_is_not_smooth():
 
 
 # budgets small enough for a full-box reference, large enough for the
-# estimator's point guard
+# estimator's point guard; diag(1, 2, 3) has orthant faces of 2, 4 and 8
+# sign images, disc 1.7 is a Scaled φ
 WINDOW_SHAPES = {
     "disc": (lambda: QuadraticForm(np.eye(2)), 1e6),
     "superellipse": (lambda: AnisotropicSuperellipse([12.0, 18.0], 6.0), 2e5),
+    "diag123": (lambda: QuadraticForm(np.diag([1.0, 2.0, 3.0])), 1e6),
+    "disc1.7": (lambda: Scaled(QuadraticForm(np.eye(2)), 1.7), 1e6),
 }
 
 
@@ -514,6 +518,7 @@ def _t_lows(table):
 def test_window_sums_match_the_per_window_loop(window_tables, name, offset):
     phi, table, vals = window_tables[name]
     assert table.mult == 2
+    assert table.mult * table.moments[0].sum() == vals.size
     s = complex(phi.alpha + offset)
     got, _ = _windowed_sums(s, table)
     want, _ = windowed_sums(s, np.log(vals), _t_lows(table))
@@ -532,6 +537,28 @@ def test_window_sums_lie_within_their_bounds(window_tables, name, offset):
     want, allowance = windowed_sums(s, np.log(vals), _t_lows(table))
     assert np.all(np.abs(got - want) <= bounds + allowance)
     assert np.all(bounds <= 1e-13 * np.abs(want))
+
+
+# the rigorous route's own boxes at target 2.5e-7
+RIGOROUS_SUMS = {
+    "disc": (DISC, 2.9, 89),
+    "superellipse": (SUPERELLIPSE, 2.9, 155),
+    "diag123": (QuadraticForm(np.diag([1.0, 2.0, 3.0])), 4.0 + 0.5j, 36),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGOROUS_SUMS))
+def test_rigorous_sum_charges_its_rounding(name):
+    """Past the integral-test tail, the bar covers the distance to an fsum
+    over the whole nonzero box of terms taken in long double."""
+    phi, s, m = RIGOROUS_SUMS[name]
+    s = complex(s)
+    c3 = phi.growth()[2]
+    value, error = _rigorous_sum(phi, s, m, c3)
+    lam = np.log(phi.evaluate_many(box_points([m] * phi.dim)).astype(np.longdouble))
+    terms = np.exp(-np.clongdouble(s) * lam)
+    want = complex(math.fsum(terms.real.astype(float)), math.fsum(terms.imag.astype(float)))
+    assert abs(value - want) <= error - _integral_test_tail(phi, s.real, c3, m)
 
 
 def test_uneven_profile_enumerates_both_halves():
