@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError
-from .lattice import box_rows, box_size
+from .lattice import box_rows, box_size, grid_rows
 from .matflow import GeneratorMatrix
 
 __all__ = [
@@ -69,6 +69,12 @@ class HomogeneousFunction:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """φ over the tensor grid of `axes`, flattened in C order: the
+        values of ``evaluate_many(grid_rows(axes))``.  Separable variants
+        override it with one term per axis point, to the same bits."""
+        return self.evaluate_many(grid_rows(axes))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate_many(points)
@@ -143,6 +149,24 @@ def _power_sum(points: np.ndarray, powers) -> np.ndarray:
     return out
 
 
+def _grid_sum(terms, op=np.add) -> np.ndarray:
+    """op-reduce of the 1-D per-axis terms over their tensor grid, flat in C
+    order; np.add adds in axis order, as `_power_sum` adds its columns."""
+    dim = len(terms)
+    out = terms[0].reshape([-1] + [1] * (dim - 1))
+    for i in range(1, dim):
+        out = op(out, terms[i].reshape([-1] + [1] * (dim - 1 - i)))
+    return out.reshape(-1)
+
+
+def _grid_power_sum(axes, powers) -> np.ndarray:
+    """`_power_sum` over the tensor grid of `axes`: each |a_i|^{m_i} is formed
+    once on its axis, with the same one-element exponent."""
+    powers = np.asarray(powers, dtype=float)
+    return _grid_sum([np.abs(np.asarray(a, dtype=float)) ** powers[i:i + 1]
+                      for i, a in enumerate(axes)])
+
+
 class QuadraticForm(HomogeneousFunction):
     """φ(x) = xᵀ Q x for symmetric positive definite Q; generator A = I/2."""
 
@@ -164,11 +188,19 @@ class QuadraticForm(HomogeneousFunction):
         self.q_matrix = q
         self.q_matrix.setflags(write=False)
         self._q_inv_diag = np.diag(np.linalg.inv(q))
+        self._diagonal = bool(np.all(q == np.diag(np.diag(q))))
         self.integer_valued = bool(np.all(q == np.round(q)))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.einsum("ij,jk,ik->i", pts, self.q_matrix, pts)
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        if not self._diagonal:
+            return super().evaluate_grid(axes)
+        # the einsum's nonzero products (x_i Q_ii) x_i, added in axis order
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        return _grid_sum([(a * q) * a for a, q in zip(axes, np.diag(self.q_matrix))])
 
     def lattice_box(self, r: float) -> np.ndarray:
         # φ(x) < r forces x_i^2 <= r (Q^{-1})_{ii}.
@@ -259,6 +291,12 @@ class PNorm(HomogeneousFunction):
             return np.max(np.abs(pts), axis=1)
         return _power_sum(pts, np.full(self.dim, self.p)) ** (1.0 / self.p)
 
+    def evaluate_grid(self, axes) -> np.ndarray:
+        if np.isinf(self.p):
+            return _grid_sum([np.abs(np.asarray(a, dtype=float)) for a in axes],
+                             np.maximum)
+        return _grid_power_sum(axes, np.full(self.dim, self.p)) ** (1.0 / self.p)
+
     def lattice_box(self, r: float) -> np.ndarray:
         return np.full(self.dim, int(math.ceil(max(1.0, r))), dtype=int)
 
@@ -298,6 +336,9 @@ class AnisotropicSuperellipse(HomogeneousFunction):
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _power_sum(pts, self.powers) ** (1.0 / self.root)
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        return _grid_power_sum(axes, self.powers) ** (1.0 / self.root)
 
     def lattice_box(self, r: float) -> np.ndarray:
         # |x_i|^{m_i} < r^q on the sublevel set.
@@ -351,6 +392,9 @@ class Scaled(HomogeneousFunction):
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.factor * self.base.evaluate_many(points)
 
+    def evaluate_grid(self, axes) -> np.ndarray:
+        return self.factor * self.base.evaluate_grid(axes)
+
     def lattice_box(self, r: float) -> np.ndarray:
         return self.base.lattice_box(float(r) / self.factor)
 
@@ -371,8 +415,7 @@ def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
     if isinstance(phi, (PNorm, AnisotropicSuperellipse)):
         return True
     if isinstance(phi, QuadraticForm):
-        off = phi.q_matrix - np.diag(np.diag(phi.q_matrix))
-        return bool(np.all(off == 0.0))
+        return phi._diagonal
     if isinstance(phi, HomogeneousPolynomial):
         return bool(
             np.all(phi.coefficients >= 0.0)

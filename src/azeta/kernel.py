@@ -29,9 +29,8 @@ import math
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction, _coordinate_monotone
-from .lattice import grid_rows
 from .quadrature import box_integral
 from .special import exp_shell_tail, power_shell_tail
 
@@ -39,6 +38,11 @@ __all__ = ["Kernel", "SampledTransform", "fourier_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
+# samples of g on one transform grid: the largest grid of the test suite, the
+# shipped configs and the benchmark workloads holds 329,896 (a scaled
+# superellipse at c = 6); the C^2 φ = PNorm(2, 3) at c = 4 reaches 1.1e6 on
+# its coarse grids and 1.4e7 on its fine one, about 10 s and 1 GB
+_MAX_SAMPLES = 1 << 20
 
 
 class Kernel:
@@ -81,6 +85,11 @@ class Kernel:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.radial(self.phi.evaluate_many(points))
+
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """g over the tensor grid of `axes`, flat in C order
+        (`HomogeneousFunction.evaluate_grid`)."""
+        return self.radial(self.phi.evaluate_grid(axes))
 
     def _envelope(self, level: float) -> float:
         """sup of the radial factor over φ >= level."""
@@ -125,7 +134,7 @@ class Kernel:
         """∫ g over R^n by graded panel quadrature on the certified box."""
         if self.dim > 3:
             raise DomainError("space integrals are supported for n <= 3")
-        return box_integral(self.evaluate_many, self.box_radii(), target=target)
+        return box_integral(self.evaluate_grid, self.box_radii(), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +226,10 @@ def _dirichlet(u: np.ndarray, k) -> np.ndarray:
     u (one K per row of a block).
     """
     r = u - np.round(u)
-    width = np.broadcast_to(2.0 * np.asarray(k, dtype=float) + 1.0, r.shape)
-    out = width.copy()
-    hit = r != 0.0
-    out[hit] = np.sin(width[hit] * math.pi * r[hit]) / np.sin(math.pi * r[hit])
-    return out
+    width = 2.0 * np.asarray(k, dtype=float) + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(width * math.pi * r) / np.sin(math.pi * r)
+    return np.where(r != 0.0, ratio, width)
 
 
 def _fold_even(axes, values):
@@ -460,6 +468,17 @@ def _odd_grid(radius: float, h: float):
     return np.arange(-half, half + 1) * h
 
 
+def _samples(kernel: Kernel, axes) -> np.ndarray:
+    """g on the tensor grid of `axes`, in its shape, once the grid's size
+    is checked against `_MAX_SAMPLES`."""
+    shape = [a.size for a in axes]
+    if math.prod(shape) > _MAX_SAMPLES:
+        raise BudgetExceededError(
+            f"Fourier transform grid {'x'.join(map(str, shape))} holds "
+            f"{math.prod(shape):,} samples, over the {_MAX_SAMPLES:,}-sample budget")
+    return kernel.evaluate_grid(axes).reshape(shape)
+
+
 def fourier_transform(kernel: Kernel):
     """Sampled ĝ for a kernel, with measured quadrature and tail estimates.
 
@@ -468,7 +487,9 @@ def fourier_transform(kernel: Kernel):
     the grids of two and three, whose coarse axes hold at most 2^16 and
     4096 points.  When φ is even in every coordinate (every
     coordinate-monotone φ is), each pass samples g on x >= 0 only and folds
-    every axis (`_fft_grid`); otherwise it samples the full grid.
+    every axis (`_fft_grid`); otherwise it samples the full grid.  A grid
+    of more than `_MAX_SAMPLES` samples raises `BudgetExceededError`
+    before g is evaluated on it.
     """
     n = kernel.dim
     if n > 3:
@@ -483,7 +504,7 @@ def fourier_transform(kernel: Kernel):
         if any(a.size > max_grid for a in axes):
             break
         axes = _quadrant(axes, folded)
-        g = kernel.evaluate_many(grid_rows(axes)).reshape([a.size for a in axes])
+        g = _samples(kernel, axes)
         axes_y, hat = _fft_grid(_fold_samples(g, folded), h, folded)
         mags = np.abs(hat)
         scale = float(mags.max())
@@ -515,7 +536,7 @@ def fourier_transform(kernel: Kernel):
     coarse = tuple(slice((a.size // 2) % 2 if f else 0, None, 2)
                    for a, f in zip(axes_f, folded))
     axes_f = _quadrant(axes_f, folded)
-    g_fine = kernel.evaluate_many(grid_rows(axes_f)).reshape([a.size for a in axes_f])
+    g_fine = _samples(kernel, axes_f)
     values = _fold_samples(g_fine, folded)
 
     probes = _band_probes(band)

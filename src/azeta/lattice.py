@@ -1,27 +1,34 @@
-"""Point grids: the one place a tensor grid becomes point rows.
+"""Point grids: tensor grids as axes, and the one place a grid becomes rows.
 
 Every quantity azeta computes is a sum over a grid: ζ(φ,s) = Σ φ(ω)^{-s}
 and the count #{φ(ω) < r} over an integer box, θ sums over boxes and shells,
 and the graded Gauss grids of `quadrature.box_integral`.  This module builds
-those rows, walks a large grid in first-axis slabs of bounded row count, gives
+those grids, walks a large grid in first-axis slabs of bounded row count, gives
 the size of an integer box and the points of a sup-norm shell.  It also walks
 half an integer box: the rows after the origin, which are the lexicographically
 positive rows (first nonzero coordinate positive).  With their negatives they
 partition the nonzero rows of the box, so a sum over an even φ needs only them,
 each counted twice.  Last, it walks the closed orthant prod [0, B_i] of a box
-face by face, each row with its number of sign images: a φ that sees each x_i
-only through |x_i| needs only these rows, for the direct series' moment table
-in `zeta` and for the column heads of `volume.lattice_count`.
+face by face, each slab with its number of sign images: a φ that sees each x_i
+only through |x_i| needs only these points, for the direct series' moment
+table in `zeta` and for the column heads of `volume.lattice_count`.
+
+A grid that is summed goes out as its axes, one 1-D array per coordinate, and
+φ is evaluated on it by `HomogeneousFunction.evaluate_grid`, which for a
+separable φ forms one term per axis point instead of one per row; `grid_rows`
+turns axes into rows only where rows are needed.
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
-``np.ndindex`` walks the grid shape.  Slabs are consecutive ranges of the
-first axis, so walking the slabs in turn visits the same rows in the same
-order.  The orthant walk takes its faces in a fixed order (see
-`orthant_slabs`) and each face's rows in C order.  The order is fixed because
-floating-point sums depend on it: `zeta._rigorous_sum`, `theta.theta_phi` and
-`quadrature._tensor_sum` add their terms in row order, and a different order
-changes their last bits and with them the CLI outputs.
+``np.ndindex`` walks the grid shape, and a grid's values, from
+`evaluate_grid` or from `evaluate_many` on its rows, flatten in the same
+order.  Slabs are consecutive ranges of the first axis, so walking the slabs
+in turn visits the same rows in the same order.  The orthant walk takes its
+faces in a fixed order (see `orthant_slabs`) and each face's grid in C order.
+The order is fixed because floating-point sums depend on it:
+`zeta._rigorous_sum`, `theta.theta_phi` and `quadrature._tensor_sum` add
+their terms in row order, and a different order changes their last bits and
+with them the CLI outputs.
 """
 
 from __future__ import annotations
@@ -44,15 +51,13 @@ SLAB_ROWS = 1_000_000
 COUNT_BUDGET = int(1e8)
 
 
-def grid_rows(axes, first: slice = slice(None)) -> np.ndarray:
+def grid_rows(axes) -> np.ndarray:
     """float64 rows of the tensor grid over `axes`, in C order.
 
-    `first` restricts the first axis to ``axes[0][first]``; the other axes
-    are always whole.  The rows are filled by broadcasting each axis into
-    one array, with no intermediate grids.
+    The rows are filled by broadcasting each axis into one array, with no
+    intermediate grids.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
-    axes[0] = axes[0][first]
     dim = len(axes)
     out = np.empty([a.size for a in axes] + [dim])
     for i, a in enumerate(axes):
@@ -109,29 +114,29 @@ def orthant_slabs(box, cap: int = SLAB_ROWS):
     The face of a nonempty set S of axes is prod_{i in S} [1, B_i] x {0}
     off S; its rows have exactly the axes of S nonzero, and each stands for
     the 2^|S| rows of the box that flipping signs gives.  Yields pairs
-    (rows, mirrors = 2^|S|): first the origin, the one face with 1 mirror;
-    then the other faces in C order of S written as a 0/1 row (for two
-    axes: {1}, {0}, {0, 1}); within a face its rows in C order over the
-    axes of S, in `slabs` steps of at most `cap` rows.  Empty faces are
-    left out.  The rows with their sign images give each row of
+    (axes, mirrors = 2^|S|), a slab as the float axes of its grid (the
+    one-point axis [0] off S): first the origin, the one face with 1
+    mirror; then the other faces in C order of S written as a 0/1 row (for
+    two axes: {1}, {0}, {0, 1}); within a face its grid in `slabs` of at
+    most `cap` points, cut along the first axis of S.  Empty faces are left
+    out.  The slabs' `grid_rows` with their sign images give each row of
     ``box_rows(box)`` once.
     """
     box = [int(b) for b in box]
     dim = len(box)
-    yield np.zeros((1, dim)), 1
+    zero = np.zeros(1)
+    yield [zero] * dim, 1
     for support in list(product((False, True), repeat=dim))[1:]:
         on = np.flatnonzero(support)
         sizes = [box[i] for i in on]
         if 0 in sizes:
             continue
-        rest = [np.arange(1, b + 1) for b in sizes[1:]]
+        axes = [np.arange(1.0, box[i] + 1) if i in on[1:] else zero for i in range(dim)]
         for part in slabs(sizes, cap):
-            # the slab's own range of the first axis, as in `box_rows`
+            # the slab's own range of the first axis of S, as in `box_rows`
             first = range(1, sizes[0] + 1)[part]
-            face = grid_rows([np.arange(first.start, first.stop)] + rest)
-            rows = np.zeros((face.shape[0], dim))
-            rows[:, on] = face
-            yield rows, 1 << on.size
+            axes[on[0]] = np.arange(first.start, first.stop, dtype=float)
+            yield list(axes), 1 << on.size
 
 
 def box_size(box) -> float:

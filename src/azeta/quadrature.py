@@ -1,9 +1,11 @@
 """Gauss-Legendre panel quadrature on lines and boxes.
 
-Everything here is deterministic and vectorized: callers hand in a function that maps
-an (m, n) array of points to m values.  Error estimates come from comparing a panel
-rule against its refinement (Richardson style), which is honest for the smooth,
-rapidly decaying integrands this package produces but is an estimate, not a bound.
+Everything here is deterministic and vectorized: `box_integral` takes a grid
+function, which maps a list of per-axis points to its values over their tensor
+grid, flat in C order (`HomogeneousFunction.evaluate_grid`).  Error estimates
+come from comparing a panel rule against its refinement (Richardson style), which
+is honest for the smooth, rapidly decaying integrands this package produces but is
+an estimate, not a bound.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BudgetExceededError
-from .lattice import grid_rows, slabs
+from .lattice import slabs
 
 __all__ = [
     "gl_nodes",
@@ -74,20 +76,22 @@ _CHUNK = 1 << 19
 
 
 def _tensor_sum(f, pts_list, wts_list) -> float:
-    """Σ f(x) Π_i w_i over the tensor grid, walked in first-axis chunks."""
+    """Σ f(x) Π_i w_i over the tensor grid, walked in first-axis chunks; f
+    maps a list of axes to its values over their grid, flat in C order."""
     rest_w = np.ones(1)
     for wv in wts_list[1:]:
         rest_w = np.outer(rest_w, wv).ravel()
     w0 = wts_list[0]
     total = 0.0
     for slab in slabs([p.size for p in pts_list], _CHUNK):
-        vals = np.asarray(f(grid_rows(pts_list, slab))).reshape(-1, rest_w.size)
-        total += float(np.dot(w0[slab], vals @ rest_w))
+        vals = np.asarray(f([pts_list[0][slab]] + list(pts_list[1:])))
+        total += float(np.dot(w0[slab], vals.reshape(-1, rest_w.size) @ rest_w))
     return total
 
 
 def box_integral(f, radii, target: float | None = None):
-    """Integrate f over the box prod_i [-radii[i], radii[i]] with refinement control.
+    """Integrate the grid function f over the box prod_i [-radii[i], radii[i]]
+    with refinement control.
 
     Per-axis panels are graded toward 0 and refined globally until two successive
     values agree to `target` (or rounds run out).  Returns (value, error_estimate,

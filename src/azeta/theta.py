@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, DivergenceError
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, box_rows, shell, slabs
+from .lattice import COUNT_BUDGET, shell, slabs
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell
 
@@ -105,22 +105,30 @@ def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
     return total.real, err, ESTIMATED
 
 
-def _node_stop(generator: GeneratorMatrix, func, t: float, target: float):
-    """(flow, m, tail, rigorous) at flow time t: t^A, and the first shell m
-    after which the summand's closed-form `shell_tail` meets target.
+def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
+    """(flow, m, tail, rigorous) at each flow time t of ts: t^A, and the first
+    shell m after which the summand's closed-form `shell_tail` meets target.
 
-    Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A, so the
-    stop rests on the tail bound alone and is known before any value of the
-    summand is formed.
+    Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A (one
+    batched SVD for all nodes), so the stop rests on the tail bound alone
+    and is known before any value of the summand is formed.  Neighbouring
+    nodes mostly share their stop, so each search first tries the previous
+    node's m, which is the first shell when it meets target and m - 1 does
+    not; otherwise `first_shell` searches afresh.
     """
-    flow = generator.flow(t)
-    sigma_min = float(np.linalg.svd(flow, compute_uv=False)[-1])
-    m = first_shell(lambda m: func.shell_tail(sigma_min, m + 1)[0] <= target,
-                    _MAX_SHELL)
-    if m is None:
-        raise DivergenceError(f"theta sum did not meet target {target:g} within "
-                              f"{_MAX_SHELL} shells")
-    return (flow, m) + func.shell_tail(sigma_min, m + 1)
+    flows = np.stack([generator.flow(t) for t in ts.tolist()])
+    sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
+    stops, m = [], None
+    for flow, sigma_min in zip(flows, sigmas.tolist()):
+        def meets(j):
+            return func.shell_tail(sigma_min, j + 1)[0] <= target
+        if m is None or not meets(m) or (m > 1 and meets(m - 1)):
+            m = first_shell(meets, _MAX_SHELL)
+        if m is None:
+            raise DivergenceError(f"theta sum did not meet target {target:g} "
+                                  f"within {_MAX_SHELL} shells")
+        stops.append((flow, m) + func.shell_tail(sigma_min, m + 1))
+    return stops
 
 
 def _pairwise_rounding(magnitude, count, passes: int = 1):
@@ -144,8 +152,7 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     rounding (`Kernel.radial_error`): at x = tφ ≫ c a relative error of x
     moves x^c e^{-x} by about |c - x| times as much.
     """
-    _, m_stop, tails, rigorous = zip(*(
-        _node_stop(kernel.generator, kernel, t, target) for t in ts.tolist()))
+    _, m_stop, tails, rigorous = zip(*_node_stops(kernel.generator, kernel, ts, target))
     shells = [shell(kernel.dim, m) for m in range(1, max(m_stop) + 1)]
     used = np.cumsum([rows.shape[0] for rows in shells])[np.asarray(m_stop) - 1]
     phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
@@ -165,12 +172,12 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     return values, errors, RIGOROUS if all(rigorous) else ESTIMATED
 
 
-def _shell_walk(generator: GeneratorMatrix, func, t: float, target: float):
-    """(value, error, kind) of one node, summed shell by shell."""
-    flow, m_stop, tail, rigorous = _node_stop(generator, func, t, target)
+def _shell_walk(func, flow, m_stop: int, tail: float, rigorous: bool):
+    """(value, error, kind) of one node, summed shell by shell out to its stop
+    (`_node_stops`)."""
     total, magnitude, evaluated = 0.0, 0.0, 0
     for m in range(1, m_stop + 1):
-        offsets = shell(generator.dim, m)
+        offsets = shell(flow.shape[0], m)
         vals = func.evaluate_many(offsets @ flow.T)
         total += float(np.sum(vals))
         magnitude += float(np.sum(np.abs(vals)))
@@ -205,8 +212,8 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
         return _kernel_table(func, ts, target)
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
-    values, errors, kinds = zip(*(_shell_walk(generator, func, t, target)
-                                  for t in ts.tolist()))
+    values, errors, kinds = zip(*(_shell_walk(func, *stop) for stop in
+                                  _node_stops(generator, func, ts, target)))
     kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
     return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
 
@@ -226,9 +233,10 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     Shell j sits at φ >= c3 j^{1/β}, so `exp_shell_tail` (a = Re w c3,
     p = 1/β) bounds the tail; the first shell m where it meets target is
     found first, `BudgetExceededError` raised if shells 1..m hold more than
-    `COUNT_BUDGET` points, and the nonzero rows of the box [-m, m]^n, which
+    `COUNT_BUDGET` points, and the nonzero points of the box [-m, m]^n, which
     are shells 1..m, are then summed in `lattice.slabs` of at most a million
-    points.
+    points: φ over each slab's grid (`evaluate_grid`), less the origin's
+    value, in the box's row order.
     """
     w = complex(w)
     if not (w.real > 0.0):
@@ -243,9 +251,13 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
             f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
             f"points, over the {COUNT_BUDGET:.0e} budget")
     total = 1.0 + 0.0j
-    box = [m_stop] * dim
-    for part in slabs([2 * m_stop + 1] * dim):
-        vals = phi.evaluate_many(box_rows(box, part, nonzero=True))
+    axis = np.arange(-m_stop, m_stop + 1, dtype=float)
+    rest = axis.size ** (dim - 1)
+    for part in slabs([axis.size] * dim):
+        vals = phi.evaluate_grid([axis[part]] + [axis] * (dim - 1))
+        if part.start <= m_stop < part.stop:
+            # the origin: x_0 = 0 and the middle of the other axes' grid
+            vals = np.delete(vals, (m_stop - part.start) * rest + rest // 2)
         total += complex(np.sum(np.exp(-w * vals)))
     value = total.real if w.imag == 0.0 else total
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .homog import HomogeneousFunction, _coordinate_monotone
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, box_rows, box_size, orthant_slabs, slabs
+from .lattice import COUNT_BUDGET, box_rows, box_size, grid_rows, orthant_slabs, slabs
 from .special import gamma, gamma_rel_error
 from .theta import ESTIMATED, BoundedValue
 from .zeta import cache_for, zeta_direct
@@ -139,8 +139,9 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     axis = int(np.argmax(box))
     # a box within COUNT_BUDGET has under 2e5 heads, so one array holds them
     faces = list(orthant_slabs(np.where(np.arange(box.size) == axis, 0, box)))
-    heads = np.concatenate([rows for rows, _ in faces])
-    mirrors = np.repeat([m for _, m in faces], [rows.shape[0] for rows, _ in faces])
+    heads = [grid_rows(axes) for axes, _ in faces]
+    mirrors = np.repeat([m for _, m in faces], [rows.shape[0] for rows in heads])
+    heads = np.concatenate(heads)
     # h lies in [lo, hi]; a passing test at z = mid - 1 lifts lo to mid
     lo = np.zeros(heads.shape[0], dtype=np.int64)
     hi = np.full(heads.shape[0], int(box[axis]) + 1, dtype=np.int64)

@@ -139,14 +139,15 @@ def _lattice_values(phi: HomogeneousFunction, box):
     the weighted sums times mult (2 for an even φ, else 1) are the box's.
 
     A coordinate-monotone φ (`homog._coordinate_monotone`) walks
-    `lattice.orthant_slabs`, a row with 2^k sign images weighing 2^k / 2;
+    `lattice.orthant_slabs`, evaluated on each slab's grid
+    (`evaluate_grid`), a point with 2^k sign images weighing 2^k / 2;
     the origin's slab comes out empty with weight 0, as the half box's
     x_0 = 0 slab does in one dimension.  Any other even φ walks
     `lattice.half_box_slabs` (weight 1), and an uneven φ the negated rows
     too.  The weights are 0 or powers of two, so scaling by them is exact."""
     if _coordinate_monotone(phi):
-        for rows, mirrors in orthant_slabs(box, _BUILD_ROWS):
-            yield (phi.evaluate_many(rows) if mirrors > 1 else np.empty(0)), mirrors // 2
+        for axes, mirrors in orthant_slabs(box, _BUILD_ROWS):
+            yield (phi.evaluate_grid(axes) if mirrors > 1 else np.empty(0)), mirrors // 2
         return
     for rows in half_box_slabs(box, _BUILD_ROWS):
         # 0.0 - rows keeps zero coordinates +0.0, as the full box has them

@@ -204,6 +204,14 @@ def test_budget_exit_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_transform_over_its_sample_budget_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, phi={"variant": "pnorm", "dim": 2, "p": 3.0},
+                       generator=[[1.0, 0.0], [0.0, 1.0]])
+    assert main(["zeta", "--config", str(cfg), "--s", "0.5+1i",
+                 "--method", "continued"]) == 3
+    assert "sample budget" in capsys.readouterr().err
+
+
 def test_zero_kernel_power_exits_2_under_continued(tmp_path, capsys):
     cfg = write_config(tmp_path, kernel={"power": 0})
     assert main(["zeta", "--config", str(cfg), "--s", "0.25+1i",

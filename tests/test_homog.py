@@ -19,6 +19,7 @@ from azeta.homog import (
     sandwich_smooth,
     unit_ball_membership,
 )
+from azeta.lattice import grid_rows
 
 from oracles import brute_count, lattice_points
 
@@ -246,3 +247,45 @@ def test_power_sum_has_the_bits_of_numpy_row_sums(n):
         assert np.array_equal(_power_sum(rows, powers), want)
     squares = np.sum(np.square(rows), axis=1)
     assert np.array_equal(_power_sum(rows, np.full(n, 2.0)), squares)
+
+
+def _grid_variants():
+    """name -> φ, every variant in 1 to 3 dimensions."""
+    out = {}
+    for n in (1, 2, 3):
+        for p in (1.0, 2.0, 3.0, math.inf):
+            out[f"pnorm{n}_{p}"] = PNorm(n, p)
+        out[f"diag_form{n}"] = QuadraticForm(np.diag([1.0, 2.3, math.pi][:n]))
+    out["superellipse1"] = AnisotropicSuperellipse([3.0], 2.0)
+    out["superellipse2"] = AnisotropicSuperellipse([12.0, 18.0], 6.0)
+    out["superellipse3"] = AnisotropicSuperellipse([2.0, 4.0, 3.0], 1.5)
+    out["form2"] = QuadraticForm([[2.0, 0.7], [0.7, 1.0]])
+    out["form3"] = QuadraticForm([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    out["polynomial"] = HomogeneousPolynomial(
+        2, {(4, 0): 1.0, (3, 1): 0.5, (1, 3): 0.25, (0, 4): 2.0})
+    base = PNorm(2, 4.0)
+    out["profile2"] = Profile.from_function(base.generator, base, resolution=64)
+    base3 = PNorm(3, 2.0)
+    out["profile3"] = Profile.from_function(base3.generator, base3, resolution=64)
+    out["scaled_superellipse"] = Scaled(out["superellipse2"], 1.7)
+    out["scaled_form"] = Scaled(out["form2"], 0.3)
+    out["scaled_diag_form"] = Scaled(out["diag_form3"], 1.7)
+    return out
+
+
+GRID_VARIANTS = _grid_variants()
+
+
+@pytest.mark.parametrize("name", sorted(GRID_VARIANTS))
+def test_grid_values_have_the_bits_of_the_rows(name):
+    phi = GRID_VARIANTS[name]
+    nodes = np.polynomial.legendre.leggauss(16)[0]
+    grids = [
+        [np.arange(-9.0, 12.0)] * phi.dim,               # integers with 0
+        [np.arange(0.0, 40.0)] + [np.arange(1.0, 8.0)] * (phi.dim - 1),
+        [np.concatenate([3.1 * nodes, 0.7 * nodes + 5.0])] * phi.dim,
+        [np.linspace(-13.3, 9.1, 57)] + [math.e * nodes] * (phi.dim - 1),
+    ]
+    for axes in grids:
+        want = phi.evaluate_many(grid_rows(axes))
+        assert np.array_equal(phi.evaluate_grid(axes), want)

@@ -44,7 +44,8 @@ def test_grid_rows_of_float_axes_slice_the_first_axis():
     full = grid_rows(axes)
     assert full.tolist() == [[0.5, -1.0], [0.5, 2.0], [1.5, -1.0],
                              [1.5, 2.0], [2.5, -1.0], [2.5, 2.0]]
-    np.testing.assert_array_equal(grid_rows(axes, slice(1, 3)), full[2:])
+    # a slab of the first axis is a run of consecutive rows
+    np.testing.assert_array_equal(grid_rows([axes[0][1:3], axes[1]]), full[2:])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -94,12 +95,22 @@ def test_half_box_and_its_negative_partition_the_nonzero_box(dim, box):
 @pytest.mark.parametrize("box", [[3], [3, 0], [2, 3], [0, 2, 1], [2, 1, 3]])
 def test_orthant_rows_and_their_sign_images_give_the_box_once(box):
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(box))))
-    images = []
-    for rows, mirrors in orthant_slabs(box, cap=3):
+    images, walked = [], []
+    for axes, mirrors in orthant_slabs(box, cap=3):
+        assert [a.dtype for a in axes] == [np.float64] * len(box)
+        rows = grid_rows(axes)
         assert 0 < rows.shape[0] <= 3
         assert np.all(rows >= 0.0)
         for row in rows:
             flips = set(map(tuple, (row * signs).tolist()))  # -0.0 == 0.0
             assert mirrors == len(flips)
             images.extend(flips)
-    assert sorted(images) == sorted(map(tuple, box_rows(box).tolist()))
+        walked.append(rows)
+    whole = box_rows(box)
+    assert sorted(images) == sorted(map(tuple, whole.tolist()))
+    # the row order: each face's rows in the box's C order, the faces in C
+    # order of their supports
+    orthant = whole[np.all(whole >= 0.0, axis=1)]
+    faces = [orthant[np.all((orthant > 0.0) == support, axis=1)]
+             for support in itertools.product((False, True), repeat=len(box))]
+    np.testing.assert_array_equal(np.concatenate(walked), np.concatenate(faces))

@@ -9,7 +9,7 @@ import pytest
 
 from azeta import volume as volume_module
 from azeta import zeta as zeta_module
-from azeta.errors import DivergenceError, DomainError, StripError
+from azeta.errors import BudgetExceededError, DivergenceError, DomainError, StripError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm, Scaled
 from azeta.kernel import Kernel, SampledTransform, fourier_transform
 from azeta.quadrature import panel_points
@@ -485,6 +485,13 @@ def test_direct_bars_hold_for_a_phi_that_is_not_smooth():
         assert abs(a.value - b.value) <= a.error + b.error, s
         for got in (a, b):
             assert abs(got.value - want) <= got.error + bar, s
+
+
+def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
+    # the 3-norm's transform at the default power would take 1.4e7 samples
+    # (about 10 s and 1 GB); it stops on its coarse grids instead
+    with pytest.raises(BudgetExceededError, match="sample budget"):
+        zeta_continued(PNorm(2, 3.0), 2.5 + 1j)
 
 
 # budgets small enough for a full-box reference, large enough for the

@@ -17,6 +17,13 @@ inclusive method), and the number of pairs the change won (strictly better
 in the metric's direction).  It also records fail_frac per run, the CPU
 count, the Python and numpy versions, the settings, and a SHA-256 digest of
 each tree's src/azeta sources.  No absolute path is written.
+
+The two trees must sit at resolved paths of equal length (say
+/tmp/bench/parent and /tmp/bench/change); the script refuses any other
+pair.  Timings move with the directory a tree is checked out in: an A/A
+run between two copies of the same parent commit in directories of
+different lengths read pole_table `wall_s` +18%, so a pair of such trees
+can show a "gain" that no code change made.
 """
 
 from __future__ import annotations
@@ -71,6 +78,11 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
         print(f"{args.parent} holds no perfbench/run.py", file=sys.stderr)
+        return 2
+    if len(str(parent)) != len(str(ROOT)):
+        print(f"the parent tree's path has {len(str(parent))} characters and this "
+              f"tree's {len(str(ROOT))}; put both trees in directories whose "
+              f"paths have equal length", file=sys.stderr)
         return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
