@@ -38,11 +38,16 @@ __all__ = ["Kernel", "SampledTransform", "fourier_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
-# samples of g on one transform grid: the largest grid of the test suite, the
-# shipped configs and the benchmark workloads holds 329,896 (a scaled
-# superellipse at c = 6); the C^2 φ = PNorm(2, 3) at c = 4 reaches 1.1e6 on
-# its coarse grids and 1.4e7 on its fine one, about 10 s and 1 GB
-_MAX_SAMPLES = 1 << 20
+# samples of g on one transform grid, about 85 bytes of peak memory each.
+# The test suite, the shipped configs and the benchmark workloads build at
+# most 329,896 (a scaled superellipse at c = 6), but a smooth 3-D φ needs far
+# more on its fine grid: QuadraticForm(eye(3)) 9,129,329 at Re s = -4 (6 s and
+# 750 MB on one Xeon core) and diag(1, 2, 3) 8,238,600 at Re s = -3.  φ whose
+# band does not close stop here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine
+# grid after 1.6 s and 234 MB (10 s and 1 GB unbounded), a non-diagonal 3-D
+# quadratic form at 1.2e7 (56 s and 7 GB unbounded), the 3-D 1- and 2-norms
+# at once on their first coarse grid of 8.1e7
+_MAX_SAMPLES = 12_000_000
 
 
 class Kernel:

@@ -13,10 +13,11 @@ face by face, each slab with its number of sign images: a φ that sees each x_i
 only through |x_i| needs only these points, for the direct series' moment
 table in `zeta` and for the column heads of `volume.lattice_count`.
 
-A grid that is summed goes out as its axes, one 1-D array per coordinate, and
-φ is evaluated on it by `HomogeneousFunction.evaluate_grid`, which for a
-separable φ forms one term per axis point instead of one per row; `grid_rows`
-turns axes into rows only where rows are needed.
+The orthant walk hands out each slab as its axes, one 1-D array per
+coordinate, and φ is evaluated on it by `HomogeneousFunction.evaluate_grid`,
+which for a separable φ forms one term per axis point instead of one per row;
+`grid_rows` and `box_rows` give rows where a caller needs them (the half-box
+walk, the count's column heads and `theta.theta_phi`'s boxes).
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, DivergenceError
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, shell, slabs
+from .lattice import COUNT_BUDGET, box_rows, shell, slabs
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell
 
@@ -111,19 +111,14 @@ def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
 
     Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A (one
     batched SVD for all nodes), so the stop rests on the tail bound alone
-    and is known before any value of the summand is formed.  Neighbouring
-    nodes mostly share their stop, so each search first tries the previous
-    node's m, which is the first shell when it meets target and m - 1 does
-    not; otherwise `first_shell` searches afresh.
+    and is known before any value of the summand is formed.
     """
     flows = np.stack([generator.flow(t) for t in ts.tolist()])
     sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
-    stops, m = [], None
+    stops = []
     for flow, sigma_min in zip(flows, sigmas.tolist()):
-        def meets(j):
-            return func.shell_tail(sigma_min, j + 1)[0] <= target
-        if m is None or not meets(m) or (m > 1 and meets(m - 1)):
-            m = first_shell(meets, _MAX_SHELL)
+        m = first_shell(lambda j: func.shell_tail(sigma_min, j + 1)[0] <= target,
+                        _MAX_SHELL)
         if m is None:
             raise DivergenceError(f"theta sum did not meet target {target:g} "
                                   f"within {_MAX_SHELL} shells")
@@ -233,10 +228,9 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     Shell j sits at φ >= c3 j^{1/β}, so `exp_shell_tail` (a = Re w c3,
     p = 1/β) bounds the tail; the first shell m where it meets target is
     found first, `BudgetExceededError` raised if shells 1..m hold more than
-    `COUNT_BUDGET` points, and the nonzero points of the box [-m, m]^n, which
+    `COUNT_BUDGET` points, and the nonzero rows of the box [-m, m]^n, which
     are shells 1..m, are then summed in `lattice.slabs` of at most a million
-    points: φ over each slab's grid (`evaluate_grid`), less the origin's
-    value, in the box's row order.
+    points.
     """
     w = complex(w)
     if not (w.real > 0.0):
@@ -251,13 +245,9 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
             f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
             f"points, over the {COUNT_BUDGET:.0e} budget")
     total = 1.0 + 0.0j
-    axis = np.arange(-m_stop, m_stop + 1, dtype=float)
-    rest = axis.size ** (dim - 1)
-    for part in slabs([axis.size] * dim):
-        vals = phi.evaluate_grid([axis[part]] + [axis] * (dim - 1))
-        if part.start <= m_stop < part.stop:
-            # the origin: x_0 = 0 and the middle of the other axes' grid
-            vals = np.delete(vals, (m_stop - part.start) * rest + rest // 2)
+    box = [m_stop] * dim
+    for part in slabs([2 * m_stop + 1] * dim):
+        vals = phi.evaluate_many(box_rows(box, part, nonzero=True))
         total += complex(np.sum(np.exp(-w * vals)))
     value = total.real if w.imag == 0.0 else total
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)

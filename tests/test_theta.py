@@ -86,9 +86,9 @@ class _StopShell:
     def growth(self):
         return self._phi.growth()
 
-    def evaluate_grid(self, axes):
-        self.stop = max(self.stop, *(int(np.abs(a).max()) for a in axes))
-        return self._phi.evaluate_grid(axes)
+    def evaluate_many(self, points):
+        self.stop = max(self.stop, int(np.abs(points).max()))
+        return self._phi.evaluate_many(points)
 
 
 @pytest.mark.parametrize("w", [0.002, 0.01, 0.05, 0.5 + 0.2j, 2.0])

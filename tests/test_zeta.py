@@ -489,9 +489,16 @@ def test_direct_bars_hold_for_a_phi_that_is_not_smooth():
 
 def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
     # the 3-norm's transform at the default power would take 1.4e7 samples
-    # (about 10 s and 1 GB); it stops on its coarse grids instead
+    # on its fine grid (about 10 s and 1 GB); it stops before sampling it
     with pytest.raises(BudgetExceededError, match="sample budget"):
         zeta_continued(PNorm(2, 3.0), 2.5 + 1j)
+
+
+def test_continuation_of_the_3d_ball_fits_the_sample_budget():
+    # the largest transform grid measured for a smooth 3-D φ (9.1e6 samples);
+    # ζ of a positive quadratic form vanishes at the negative integers
+    got = zeta_continued(QuadraticForm(np.eye(3)), -4.0)
+    assert abs(got.value) <= got.error
 
 
 # budgets small enough for a full-box reference, large enough for the
