@@ -1,4 +1,4 @@
-"""The test functions g = φ^c e^{-φ}, c >= 0, and their sampled Fourier transforms.
+"""The test functions g = φ^c e^{-φ}, c >= 0, and their Fourier transforms.
 
 c > 0 gives g(0) = 0, the kernel of the continuation; c = 0 gives e^{-φ}
 with g(0) = 1, the kernel of the volume through ∫ e^{-φ} = Γ(α+1)|B|.  Every
@@ -6,7 +6,10 @@ member decays fast enough that g restricted to a certified box carries all
 but a negligible tail, and φ's own generator A carries it along the flow:
 g(t^A x) = radial(t φ(x)), which is what makes its theta transform law work.
 
-Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  Every transform is one
+Fourier convention: ĝ(y) = ∫ g(x) e^{-2πi <x,y>} dx.  For a quadratic form
+φ = Q and an integer c, ĝ is exact: Epstein's case, a polynomial in
+ψ = π² Q⁻¹[y] times e^{-ψ}, which `GaussianTransform` carries as a kernel on
+the dual form ψ (`quadratic_transform`).  Every other transform is one
 type, `SampledTransform`: the samples of g on a symmetric odd grid over the
 certified box, whose trapezoid sums the FFT evaluates on the dual grid;
 off-grid values use the same trapezoid sum directly (no interpolation), so the
@@ -25,28 +28,30 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from .errors import BudgetExceededError, DomainError
-from .homog import HomogeneousFunction, _coordinate_monotone
+from .homog import HomogeneousFunction, QuadraticForm, Scaled, _coordinate_monotone
 from .quadrature import box_integral
-from .special import exp_shell_tail, power_shell_tail
+from .special import exp_shell_tails, power_shell_tail
 
-__all__ = ["Kernel", "SampledTransform", "fourier_transform"]
+__all__ = ["Kernel", "GaussianTransform", "SampledTransform", "fourier_transform",
+           "quadratic_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
 _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 # samples of g on one transform grid, about 85 bytes of peak memory each.
-# The test suite, the shipped configs and the benchmark workloads build at
-# most 329,896 (a scaled superellipse at c = 6), but a smooth 3-D φ needs far
-# more on its fine grid: QuadraticForm(eye(3)) 9,129,329 at Re s = -4 (6 s and
-# 750 MB on one Xeon core) and diag(1, 2, 3) 8,238,600 at Re s = -3.  φ whose
-# band does not close stop here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine
-# grid after 1.6 s and 234 MB (10 s and 1 GB unbounded), a non-diagonal 3-D
-# quadratic form at 1.2e7 (56 s and 7 GB unbounded), the 3-D 1- and 2-norms
-# at once on their first coarse grid of 8.1e7
+# The shipped configs and the benchmark workloads build at most 329,896 (a
+# scaled superellipse at c = 6).  Quadratic forms at integer c take ĝ in
+# closed form, so the largest grids left are sampled ones that a caller asks
+# for: QuadraticForm(eye(3)) at c = 8 holds 9,129,329 (6 s and 750 MB on one
+# Xeon core, the suite's budget check).  φ whose band does not close stop
+# here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine grid after 1.6 s and
+# 234 MB (10 s and 1 GB unbounded), the 3-D 1- and 2-norms at once on their
+# first coarse grid of 8.1e7
 _MAX_SAMPLES = 12_000_000
 
 
@@ -55,6 +60,8 @@ class Kernel:
 
     φ(t^A x) = t φ(x) along φ's generator A, so g(t^A x) = radial(t φ(x)).
     """
+
+    origin_error = 0.0  # g(0) is exact
 
     def __init__(self, phi: HomogeneousFunction, *, power: float):
         if not power >= 0.0:
@@ -76,17 +83,18 @@ class Kernel:
         out[pos] = np.exp(self.power * np.log(level[pos]) - level[pos])
         return out
 
-    def radial_error(self, level: np.ndarray) -> np.ndarray:
-        """Relative rounding error of radial(v) at v > 0, v itself off by up
-        to 4 ulps (from φ and the flow scaling).
+    def radial_terms(self, level: np.ndarray):
+        """(radial(v), a bound on its rounding error) at v > 0, v itself off
+        by up to 4 ulps (from φ and the flow scaling).
 
         v^c e^{-v} is exp(c ln v - v): the log-derivative c - v amplifies
         the error of v, and forming c ln v - v rounds by up to about
         (c|ln v| + v) ulps.  The last ulps are the exp's own.
         """
         c = self.power
-        return (2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
-                + level + 2.0) * 2.0**-52
+        terms = self.radial(level)
+        return terms, terms * ((2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
+                                + level + 2.0) * 2.0**-52)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.radial(self.phi.evaluate_many(points))
@@ -102,16 +110,16 @@ class Kernel:
         peak = max(level, c)
         return math.exp(c * math.log(peak) - peak) if peak > 0 else self.value_at_origin
 
-    def shell_tail(self, sigma: float, m: int):
-        """(bound on Σ |g| over shells j >= m mapped to norm >= sigma j, True).
+    def shell_tail(self, sigma, m):
+        """(bounds on Σ |g| over shells j >= m mapped to norm >= sigma j, True),
+        over arrays of sigma and m.
 
         φ >= c3 |y|^{1/β} for |y| >= 1 puts shell j at φ >= a j^{1/β} with
-        a = c3 σ^{1/β}; `exp_shell_tail` sums g's envelope over the shells."""
-        if sigma * m < 1.0:
-            return math.inf, True
+        a = c3 σ^{1/β}; `exp_shell_tails` sums g's envelope over the shells."""
         p = 1.0 / self.phi.generator.beta
         a = self.phi.growth()[2] * sigma**p
-        return exp_shell_tail(self.dim, m, a, p, self.power), True
+        tail = exp_shell_tails(self.dim, m, a, p, self.power)
+        return np.where(sigma * m < 1.0, math.inf, tail), True
 
     def axis_extent(self, axis: int) -> float:
         """Half-width R on this axis so g is below 1e-16 of its peak outside
@@ -140,6 +148,88 @@ class Kernel:
         if self.dim > 3:
             raise DomainError("space integrals are supported for n <= 3")
         return box_integral(self.evaluate_grid, self.box_radii(), target=target)
+
+
+class GaussianTransform(Kernel):
+    """ĝ of g = Q^c e^{-Q} for a quadratic form Q and an integer c, exactly.
+
+    e^{-λQ} has transform π^{n/2} det(λQ)^{-1/2} e^{-ψ/λ}, ψ = π² Q⁻¹[y], and
+    g = (-∂_λ)^c e^{-λQ} at λ = 1, so ĝ = Σ_j p_j ψ^j e^{-ψ}: a polynomial of
+    degree c in ψ times e^{-ψ} (`quadratic_transform`).  It is a kernel on
+    the dual form ψ, whose generator I/2 is Aᵀ, so its θ* tables take the
+    kernel route.  The p_j alternate in sign, so every bound charges the
+    magnitude M(v) = Σ_j |p_j| v^j e^{-v}: |ĝ| ≤ M, and M ≤ Σ_j |p_j| v^c e^{-v}
+    wherever v >= 1.
+    """
+
+    def __init__(self, dual: HomogeneousFunction, coefficients, spread: float):
+        super().__init__(dual, power=len(coefficients) - 1)
+        self.coefficients = np.asarray(coefficients, dtype=float)
+        self.value_at_origin = float(self.coefficients[0])
+        # ulps that a Q off the diagonal adds to ψ's values and to det(Q)
+        self.spread = float(spread)
+        self.origin_error = (6.0 + self.spread) * 2.0**-52 * abs(self.value_at_origin)
+
+    def radial(self, level: np.ndarray) -> np.ndarray:
+        return np.polynomial.polynomial.polyval(level, self.coefficients) * np.exp(-level)
+
+    def radial_terms(self, level: np.ndarray):
+        """(radial(v), a bound on its rounding error), all in ulps of M(v).
+
+        Horner rounds by c, each coefficient is off by as many ulps as ĝ(0),
+        and v, off by e = 4 + `spread` ulps, moves P(v) by at most ce and
+        e^{-v} by ve; two more for the exp and the product.
+        """
+        decay = np.exp(-level)
+        size = np.polynomial.polynomial.polyval(level, np.abs(self.coefficients)) * decay
+        terms = np.polynomial.polynomial.polyval(level, self.coefficients) * decay
+        c, e = self.power, 4.0 + self.spread
+        return terms, size * ((e * (level + c) + c + 8.0 + self.spread) * 2.0**-52)
+
+    def magnitude(self) -> "GaussianTransform":
+        """The kernel of M(v), whose θ* bounds Σ |ĝ(t^A ω)|."""
+        return GaussianTransform(self.phi, np.abs(self.coefficients), self.spread)
+
+    def shell_tail(self, sigma, m):
+        """`Kernel.shell_tail` times Σ_j |p_j|: its finite tails lie at
+        v >= c, where v^j <= v^c once c >= 1 (c = 0 has the one term)."""
+        tail, rigorous = super().shell_tail(sigma, m)
+        return float(np.sum(np.abs(self.coefficients))) * tail, rigorous
+
+
+def quadratic_matrix(phi: HomogeneousFunction):
+    """Q with φ(x) = xᵀQx for a `QuadraticForm` or a `Scaled` one, else None."""
+    if isinstance(phi, Scaled):
+        q = quadratic_matrix(phi.base)
+        return None if q is None else phi.factor * q
+    return phi.q_matrix if isinstance(phi, QuadraticForm) else None
+
+
+def dual_form(q_matrix) -> QuadraticForm:
+    """ψ = π² Q⁻¹, the form of ĝ's Gaussian."""
+    return QuadraticForm(math.pi**2 * np.linalg.inv(q_matrix))
+
+
+def quadratic_transform(q_matrix, power: int, dual: QuadraticForm | None = None):
+    """ĝ of Q^c e^{-Q} in closed form (`GaussianTransform`); dual is ψ.
+
+    (-∂_λ) maps Σ_j a_j v^j λ^{-n/2-k-j} e^{-v/λ} to the same sum at k + 1
+    with a_j ← (n/2 + k + j) a_j - a_{j-1}; from a = (1) at k = 0, c steps
+    in exact rationals give P_c at λ = 1, with P_c(0) = Γ(c+n/2)/Γ(n/2).
+    The scale π^{n/2} det(Q)^{-1/2} and ψ's values round by a few ulps; a Q
+    off the diagonal adds n cond(Q) to both (its inverse, its determinant
+    and the cancellation of ψ's cross terms).
+    """
+    q = np.asarray(q_matrix, dtype=float)
+    n = q.shape[0]
+    coefficients = [Fraction(1)]
+    for k in range(int(power)):
+        coefficients = [(Fraction(n, 2) + k + j) * a - b for j, (a, b)
+                        in enumerate(zip(coefficients + [0], [0] + coefficients))]
+    scale = math.pi ** (0.5 * n) / math.sqrt(np.linalg.det(q))
+    values = [scale * float(a) for a in coefficients]
+    spread = 0.0 if np.count_nonzero(q - np.diag(np.diag(q))) == 0 else n * float(np.linalg.cond(q))
+    return GaussianTransform(dual or dual_form(q), values, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +473,15 @@ class SampledTransform:
         """Heuristic bound on |ĝ(y)| when max_i |y_i|/band_i = ratio >= 1."""
         return self.edge_level * max(ratio, 1.0) ** (-self.decay_tau)
 
-    def shell_tail(self, sigma: float, m: int):
-        """(fitted bound on Σ |ĝ| over shells j >= m mapped to norm >= sigma j,
-        False): past R = √n max band the model |ĝ| <= edge_level (r/R)^{-τ},
-        summed by `power_shell_tail`; +inf until shell m clears R."""
+    def shell_tail(self, sigma, m):
+        """(fitted bounds on Σ |ĝ| over shells j >= m mapped to norm >= sigma j,
+        False), over arrays of sigma and m: past R = √n max band the model
+        |ĝ| <= edge_level (r/R)^{-τ}, summed by `power_shell_tail`; +inf until
+        shell m clears R."""
         reach = math.sqrt(self.dim) * float(np.max(self.band))
-        if sigma * m <= reach:
-            return math.inf, False
-        return (self.edge_level * (sigma / reach) ** -self.decay_tau
-                * power_shell_tail(self.dim, m, self.decay_tau), False)
+        tail = (self.edge_level * (sigma / reach) ** -self.decay_tau
+                * power_shell_tail(self.dim, np.asarray(m, dtype=float), self.decay_tau))
+        return np.where(sigma * m <= reach, math.inf, tail), False
 
     # -- evaluation ------------------------------------------------------------
 

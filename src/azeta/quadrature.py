@@ -65,11 +65,13 @@ def refine_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-# box_integral settings: grading levels, Gauss order per panel, refinement
-# rounds, evaluation budget, and the row chunk of the tensor sum.  The chunk
-# sums add in order, so _CHUNK is part of the summation order.
+# box_integral settings: grading levels, Gauss order per panel (and the lower
+# order it compares with when no refinement fits), refinement rounds,
+# evaluation budget, and the row chunk of the tensor sum.  The chunk sums add
+# in order, so _CHUNK is part of the summation order.
 _LEVELS = 7
 _ORDER = 16
+_LOW_ORDER = 8
 _MAX_ROUNDS = 3
 _MAX_EVALS = 4e7
 _CHUNK = 1 << 19
@@ -95,8 +97,11 @@ def box_integral(f, radii, target: float | None = None):
 
     Per-axis panels are graded toward 0 and refined globally until two successive
     values agree to `target` (or rounds run out).  Returns (value, error_estimate,
-    evaluations).  Raises BudgetExceededError, carrying the best value so far, if a
-    refinement would exceed `_MAX_EVALS` point evaluations before reaching `target`.
+    evaluations).  Raises BudgetExceededError, carrying the best value so far and
+    its error estimate, if a refinement would exceed `_MAX_EVALS` point
+    evaluations before reaching `target`; when not even the first refinement fits
+    (a 3-D box: 512^3 points), the estimate is the distance to the same panels at
+    order `_LOW_ORDER`.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
     edges = [symmetric_edges(r, _LEVELS) for r in radii]
@@ -110,8 +115,8 @@ def box_integral(f, radii, target: float | None = None):
     if npoints(edges) > _MAX_EVALS:
         raise BudgetExceededError("box integral budget exceeded before first pass")
 
-    def evaluate(eds):
-        pts, wts = zip(*(panel_points(e, _ORDER) for e in eds))
+    def evaluate(eds, order=_ORDER):
+        pts, wts = zip(*(panel_points(e, order) for e in eds))
         return _tensor_sum(f, pts, wts)
 
     evals = npoints(edges)
@@ -121,6 +126,8 @@ def box_integral(f, radii, target: float | None = None):
         finer = [refine_edges(e) for e in edges]
         cost = npoints(finer)
         if evals + cost > _MAX_EVALS:
+            if err == np.inf:
+                err = abs(value - evaluate(edges, _LOW_ORDER))
             raise BudgetExceededError(
                 "box integral budget exceeded", best_value=value, best_error=err
             )

@@ -6,7 +6,9 @@ Re z >= 1/2 `gamma_rel_error` bounds it, 64 ulps times 1 + |z|.  The test suite
 checks real values to 1e-13 against an independent reference implementation.
 Lattice sums run over sup-norm shells: `exp_shell_tail` and `power_shell_tail`
 bound the shells a sum leaves out, over their exact counts, and `first_shell`
-finds the first shell whose tail meets a target.
+finds the first shell whose tail meets a target.  `exp_shell_tails` and
+`first_shells` are their array forms, for many searches at once; the scalar
+forms stay for single searches, where numpy's per-call cost would dominate.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = ["gamma", "gamma_rel_error", "reciprocal_gamma", "digamma",
            "bernoulli_numbers", "gamma_tail_factor", "exp_shell_tail",
-           "power_shell_tail", "first_shell"]
+           "exp_shell_tails", "power_shell_tail", "first_shell", "first_shells"]
 
 # Classic g=7 Lanczos coefficient set (double precision).
 _LANCZOS_G = 7.0
@@ -156,6 +160,22 @@ def exp_shell_tail(dim: int, m: int, a: float, p: float, c: float = 0.0) -> floa
     return total * math.exp(c * math.log(x) - x)
 
 
+def exp_shell_tails(dim: int, m, a, p: float, c: float = 0.0) -> np.ndarray:
+    """`exp_shell_tail` over arrays of m and a (broadcast together), in the
+    same arithmetic done by numpy, whose exp and pow may differ from the
+    scalar form's in the last bit."""
+    m = np.asarray(m, dtype=float)
+    x = a * m**p
+    total = (2.0 * m + 1.0) ** dim - (2.0 * m - 1.0) ** dim
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k, coef in _shell_count_terms(dim):
+            s = (k + 1) / p + c
+            factor = np.where(x > max(0.0, s - 1.0), np.maximum(1.0, x / (x - s + 1.0)), math.inf)
+            total = total + coef / p * m ** (k + 1) / x * factor
+        out = total * np.exp(c * np.log(x) - x)
+    return np.where((x > 0.0) & (x >= (dim - 1) / p + c), out, math.inf)
+
+
 def _power_sum_bound(p: float, a, b):
     """An upper bound on Σ_{j=a}^{b-1} j^{-p}, p > 1, integers 1 <= a < b <= ∞.
 
@@ -186,3 +206,26 @@ def first_shell(meets, limit: int):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if meets(mid) else (mid, hi)
     return hi
+
+
+def first_shells(meets, count: int, limit: int) -> np.ndarray:
+    """`first_shell` for `count` searches at once, or -1 where none is found:
+    meets maps an integer array of m, one per search, to a boolean array.
+    Each doubling or bisection step is one call for every search."""
+    lo = np.zeros(count, dtype=np.int64)
+    hi = np.ones(count, dtype=np.int64)
+    while True:
+        found = meets(hi)
+        grow = ~found & (hi < limit)
+        if not grow.any():
+            break
+        lo = np.where(grow, hi, lo)
+        hi = np.where(grow, np.minimum(2 * hi, limit), hi)
+    while True:
+        open_ = found & (hi - lo > 1)
+        if not open_.any():
+            return np.where(found, hi, -1)
+        mid = (lo + hi) // 2
+        below = meets(mid)
+        hi = np.where(open_ & below, mid, hi)
+        lo = np.where(open_ & ~below, mid, lo)

@@ -28,7 +28,7 @@ from .errors import BudgetExceededError, DomainError, DivergenceError
 from .kernel import Kernel
 from .lattice import COUNT_BUDGET, box_rows, shell, slabs
 from .matflow import GeneratorMatrix
-from .special import _power_sum_bound, exp_shell_tail, first_shell
+from .special import _power_sum_bound, exp_shell_tail, first_shell, first_shells
 
 __all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
            "jacobi_residual"]
@@ -106,24 +106,27 @@ def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
 
 
 def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
-    """(flow, m, tail, rigorous) at each flow time t of ts: t^A, and the first
-    shell m after which the summand's closed-form `shell_tail` meets target.
+    """(m, tails, rigorous) at the flow times ts: each node's first shell m
+    after which the summand's closed-form `shell_tail` meets target, and
+    that tail, from one batched search over all nodes (`first_shells`).
 
-    Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A (one
-    batched SVD for all nodes), so the stop rests on the tail bound alone
+    Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A: on a
+    diagonal A that is t^{a_min} for t ≥ 1 and t^{a_max} below, otherwise
+    one batched SVD of the flows.  So the stop rests on the tail bound alone
     and is known before any value of the summand is formed.
     """
-    flows = np.stack([generator.flow(t) for t in ts.tolist()])
-    sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
-    stops = []
-    for flow, sigma_min in zip(flows, sigmas.tolist()):
-        m = first_shell(lambda j: func.shell_tail(sigma_min, j + 1)[0] <= target,
-                        _MAX_SHELL)
-        if m is None:
-            raise DivergenceError(f"theta sum did not meet target {target:g} "
-                                  f"within {_MAX_SHELL} shells")
-        stops.append((flow, m) + func.shell_tail(sigma_min, m + 1))
-    return stops
+    if generator.is_diagonal:
+        exponents = np.diag(generator.entries)
+        sigmas = np.where(ts >= 1.0, ts ** exponents.min(), ts ** exponents.max())
+    else:
+        flows = np.stack([generator.flow(t) for t in ts.tolist()])
+        sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
+    m = first_shells(lambda j: func.shell_tail(sigmas, j + 1)[0] <= target,
+                     ts.size, _MAX_SHELL)
+    if np.any(m < 0):
+        raise DivergenceError(f"theta sum did not meet target {target:g} "
+                              f"within {_MAX_SHELL} shells")
+    return (m,) + func.shell_tail(sigmas, m + 1)
 
 
 def _pairwise_rounding(magnitude, count, passes: int = 1):
@@ -143,28 +146,30 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     Each node keeps its own stopping shell and tail bound; φ is evaluated
     once on the shells out to the farthest stop, and each block of nodes'
     terms forms one (nodes × points) array, zero past each node's stop.  The
-    bar adds, to the tail and the rounding of the row sum, each term's own
-    rounding (`Kernel.radial_error`): at x = tφ ≫ c a relative error of x
-    moves x^c e^{-x} by about |c - x| times as much.
+    bar adds, to the tail and the rounding of the row sum over |terms|, each
+    term's own rounding (`Kernel.radial_terms`): at x = tφ ≫ c a relative
+    error of x moves x^c e^{-x} by about |c - x| times as much.  The terms
+    of a `GaussianTransform` change sign, so both are charged on magnitudes.
     """
-    _, m_stop, tails, rigorous = zip(*_node_stops(kernel.generator, kernel, ts, target))
-    shells = [shell(kernel.dim, m) for m in range(1, max(m_stop) + 1)]
-    used = np.cumsum([rows.shape[0] for rows in shells])[np.asarray(m_stop) - 1]
+    m_stop, tails, rigorous = _node_stops(kernel.generator, kernel, ts, target)
+    shells = [shell(kernel.dim, m) for m in range(1, int(m_stop.max()) + 1)]
+    used = np.cumsum([rows.shape[0] for rows in shells])[m_stop - 1]
     phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
     values = np.empty(ts.size)
-    errors = np.asarray(tails, dtype=float)
+    errors = np.array(tails, dtype=float)
     step = max(1, _TABLE_BLOCK // phi_vals.size)
     for start in range(0, ts.size, step):
         block = slice(start, start + step)
         width = int(used[block].max())
         level = np.outer(ts[block], phi_vals[:width])
-        terms = kernel.radial(level)
-        terms[np.arange(width)[None, :] >= used[block, None]] = 0.0
-        # the terms are positive, so each row sum is also its magnitude
+        terms, rounding = kernel.radial_terms(level)
+        past = np.arange(width)[None, :] >= used[block, None]
+        terms[past] = 0.0
+        rounding[past] = 0.0
         values[block] = terms.sum(axis=1)
-        errors[block] += (_pairwise_rounding(values[block], width)
-                          + (terms * kernel.radial_error(level)).sum(axis=1))
-    return values, errors, RIGOROUS if all(rigorous) else ESTIMATED
+        errors[block] += (_pairwise_rounding(np.abs(terms).sum(axis=1), width)
+                          + rounding.sum(axis=1))
+    return values, errors, RIGOROUS if rigorous else ESTIMATED
 
 
 def _shell_walk(func, flow, m_stop: int, tail: float, rigorous: bool):
@@ -207,8 +212,10 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
         return _kernel_table(func, ts, target)
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
-    values, errors, kinds = zip(*(_shell_walk(func, *stop) for stop in
-                                  _node_stops(generator, func, ts, target)))
+    m_stop, tails, rigorous = _node_stops(generator, func, ts, target)
+    values, errors, kinds = zip(*(
+        _shell_walk(func, generator.flow(t), m, tail, rigorous)
+        for t, m, tail in zip(ts.tolist(), m_stop.tolist(), tails.tolist())))
     kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
     return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
 
@@ -258,7 +265,8 @@ def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
     """|theta_A(g, i/t) - t^alpha theta_{A^T}(ghat, it)| with its error budget.
 
     Zero in exact arithmetic; the returned error bar says how much of the
-    observed residual the quadrature and tail estimates can explain.
+    observed residual the quadrature and tail estimates, and the rounding
+    of a closed-form ĝ(0), can explain.
     """
     if not (t > 0.0):
         raise DomainError(f"flow time must be positive, got {t}")
@@ -270,5 +278,5 @@ def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
     left = g0 + left_star.value
     right = scale * (ghat0 + right_star.value)
     residual = abs(left - right)
-    err = left_star.error + scale * right_star.error
+    err = left_star.error + scale * (right_star.error + getattr(func_hat, "origin_error", 0.0))
     return BoundedValue(residual, err, left_star.combine_kind(right_star))

@@ -23,7 +23,10 @@ row sum per node order.
 The side's summand sets where its table ends and how its tail is bounded: a
 kernel side carries a certified exponential bound; a transform side ends where
 its band empties, with a fitted power-law model for what is dropped (reported
-as an estimate, never as rigorous).  `_XiMachine` is the one four-term
+as an estimate, never as rigorous).  For a quadratic form at integer c, ĝ
+is exact (`kernel.quadratic_transform`), a kernel on the dual form π²Q⁻¹ whose
+generator is A^T, so its side is a kernel side too; its terms change sign,
+so its tail starts from their magnitude.  `_XiMachine` is the one four-term
 combination, behind `zeta_continued`, `xi_plus` and `xi_full`.  One machine
 per exponent c > 0 serves every s: g(0) = 0 makes s = 0 a regular point
 (`zeta_at_zero` is the continuation there), and within 1e-6 of the pole the
@@ -46,7 +49,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, StripError
 from .homog import HomogeneousFunction, _coordinate_monotone
-from .kernel import Kernel, SampledTransform, fourier_transform
+from .kernel import (GaussianTransform, Kernel, SampledTransform, dual_form, fourier_transform,
+                     quadratic_matrix, quadratic_transform)
 from .lattice import box_size, half_box_slabs, orthant_slabs
 from .quadrature import gl_nodes, panel_points
 from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
@@ -420,7 +424,8 @@ class _XiSide:
 
     The summand decides both.  A Kernel φ^c e^{-φ} decays like t^c e^{-μt}
     along the flow, μ = φ_min: the table ends at the fixed point below and the
-    tail is a certified exponential bound.  A band-limited transform's box
+    tail is a certified exponential bound (from Σ|terms| at the last node for
+    a `GaussianTransform`, whose terms change sign).  A band-limited transform's box
     sums are exactly zero once the flow pushes every nonzero lattice point out
     of its band: the table ends there and the tail is the fitted power-law
     model of what the band dropped, an estimate that needs Re s < γτ.  The
@@ -467,7 +472,11 @@ class _XiSide:
         self.weighted_lo = (lo_w * values[n_hi:]).reshape(panels, 12)
         self.weighted_error_hi = (hi_w * errors[:n_hi]).reshape(panels, 24)
         self.kind = ESTIMATED if self.mu is None else kind
-        self.theta_at_end = float(abs(values[n_hi - 1]) + errors[n_hi - 1])
+        top, top_error = values[n_hi - 1], errors[n_hi - 1]
+        if isinstance(func, GaussianTransform):  # terms of both signs: their magnitude
+            (top,), (top_error,), _ = theta_star_table(generator, func.magnitude(), hi_t[-1:],
+                                                       target=_THETA_TARGET)
+        self.theta_at_end = float(abs(top) + top_error)
 
     def integral(self, s: complex):
         """(value, quadrature error, table error) of ∫_1^{t_end} θ* t^{s-1} dt."""
@@ -538,9 +547,9 @@ class _XiMachine:
         self.kind = RIGOROUS if both == (RIGOROUS, RIGOROUS) else ESTIMATED
         self.g_zero = complex(func.value_at_origin).real
         self.ghat_zero = complex(func_hat.value_at_origin).real
-        # a Kernel standing for its own transform (a self-dual Gaussian) has an
-        # exact value at the origin; a sampled one carries its quadrature error
-        self.ghat_zero_error = (0.0 if isinstance(func_hat, Kernel)
+        # a Kernel's value at the origin carries its rounding (none for a
+        # self-dual Gaussian); a sampled one carries its quadrature error
+        self.ghat_zero_error = (func_hat.origin_error if isinstance(func_hat, Kernel)
                                 else func_hat.quad_error + func_hat.tail_error)
 
     def xi(self, s: complex):
@@ -573,7 +582,10 @@ class _XiMachine:
 def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
     """The machine of the kernel φ^c e^{-φ} and its transform, cached on φ.
 
-    The continuation rests on g(0) = 0, so c must be positive."""
+    A quadratic form at integer c takes ĝ in closed form
+    (`quadratic_transform`), its dual form ψ cached on φ for every c; any
+    other φ or c samples ĝ (`fourier_transform`).  The continuation rests on
+    g(0) = 0, so c must be positive."""
     if not c > 0.0:
         raise DomainError(f"the continuation needs a kernel power c > 0, got {c}")
     cache = cache_for(phi)
@@ -581,7 +593,13 @@ def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
     machine = cache.get(key)
     if machine is None:
         kernel = Kernel(phi, power=c)
-        transform = fourier_transform(kernel)
+        q = quadratic_matrix(phi)
+        if q is not None and float(c).is_integer():
+            if "dual_form" not in cache:
+                cache["dual_form"] = dual_form(q)
+            transform = quadratic_transform(q, int(c), cache["dual_form"])
+        else:
+            transform = fourier_transform(kernel)
         machine = cache[key] = _XiMachine(kernel.generator, kernel, transform)
     return machine
 

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from azeta import zeta as zeta_module
 from azeta.errors import DomainError
 from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm, Scaled
 from azeta.kernel import (
@@ -11,6 +13,8 @@ from azeta.kernel import (
     _band_probes,
     _nudft_points,
     fourier_transform,
+    quadratic_matrix,
+    quadratic_transform,
 )
 from azeta.lattice import box_rows, grid_rows
 from azeta.quadrature import panel_points
@@ -299,3 +303,121 @@ def test_origin_only_box_gives_exactly_zero():
     assert values[1] == 0.0 and values[2] == 0.0
     assert values[0] != 0.0
     assert np.all(errors > 0.0)
+
+
+# ĝ of Q^c e^{-Q} in closed form (GaussianTransform)
+SKEW = QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
+
+
+def _exact_coefficients(n, c):
+    """P_c(v) = c! L_c^{(n/2-1)}(v), the generalized Laguerre polynomial, in
+    mpmath: an independent route to the coefficients of (-∂_λ)^c λ^{-n/2} e^{-v/λ}."""
+    a = mpmath.mpf(n) / 2 - 1
+    return [mpmath.factorial(c) * (-1) ** j * mpmath.binomial(c + a, c - j) / mpmath.factorial(j)
+            for j in range(c + 1)]
+
+
+def _exact_ghat(q, c, v):
+    """ĝ at ψ = v in mpmath, from the Laguerre coefficients."""
+    n = len(q)
+    with mpmath.workdps(30):
+        scale = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q)))
+        return scale * mpmath.polyval(_exact_coefficients(n, c)[::-1], v) * mpmath.exp(-v)
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 3), (1.3, 5), (math.pi, 0)])
+def test_gaussian_transform_is_the_fourier_integral_in_one_dimension(a, c):
+    ghat = quadratic_transform([[a]], c)
+    ys = np.array([0.0, 0.1, 0.37, 0.8, 1.5, 2.2])
+    got = ghat.evaluate_many(ys[:, None])
+    with mpmath.workdps(30):
+        for y, value in zip(ys.tolist(), got):
+            want = mpmath.quad(lambda x: (a * x * x) ** c * mpmath.exp(-a * x * x)
+                               * mpmath.cos(2 * mpmath.pi * x * y), [-mpmath.inf, 0, mpmath.inf])
+            assert abs(value - want) <= 1e-14 * max(1.0, abs(ghat.value_at_origin)), y
+
+
+@pytest.mark.parametrize("phi", [DISC, Scaled(DISC, 1.7), SKEW], ids=["disc", "disc1.7", "skew"])
+def test_gaussian_transform_meets_the_sampled_transform(phi):
+    # at the band probes, where the sampled transform's quad_error is measured;
+    # its trapezoid sums of g >= 0 also round by a few ulps of Σ h^n g = ĝ(0)
+    c = 3.0
+    sampled = fourier_transform(Kernel(phi, power=c))
+    ghat = quadratic_transform(quadratic_matrix(phi), int(c))
+    probes = _band_probes(sampled.band)
+    miss = np.abs(sampled.evaluate_points(probes) - ghat.evaluate_many(probes))
+    assert np.max(miss) <= sampled.quad_error + 8 * 2.0**-52 * ghat.value_at_origin
+    assert ghat.generator.entries.tolist() == phi.generator.entries.T.tolist()
+
+
+@pytest.mark.parametrize("q", [[[1.0]], np.eye(2), 1.7 * np.eye(2), [[2.0, 0.5], [0.5, 1.0]],
+                               [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]],
+                         ids=["square", "disc", "disc1.7", "skew", "skew3"])
+def test_gaussian_transform_at_the_origin(q):
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    for c in range(7):
+        ghat = quadratic_transform(q, c)
+        with mpmath.workdps(30):
+            want = (mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q.tolist())))
+                    * mpmath.gamma(c + mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2))
+        assert abs(ghat.value_at_origin - want) <= ghat.origin_error
+        assert ghat.origin_error <= 16 * n * 2.0**-52 * abs(want)  # a few ulps
+
+
+@pytest.mark.parametrize("phi", [SQUARE, DISC, SKEW], ids=["square", "disc", "skew"])
+def test_gaussian_transform_coefficients_are_laguerre(phi):
+    q = quadratic_matrix(phi)
+    n = phi.dim
+    for c in (1, 4, 6):
+        ghat = quadratic_transform(q, c)
+        with mpmath.workdps(30):
+            scale = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q.tolist())))
+            want = [float(scale * p) for p in _exact_coefficients(n, c)]
+        assert np.allclose(ghat.coefficients, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("phi, c", [(SQUARE, 6), (DISC, 6), (SKEW, 4)],
+                         ids=["square", "disc", "skew"])
+def test_gaussian_table_bars_cover_the_exact_mixed_sign_sums(phi, c):
+    # P_c has c positive roots, so at these flow times the terms of one row
+    # take both signs and some sit near a root; the truth sums the exact ĝ
+    # in mpmath over the box [-8, 8]^n, past which every term is below 1e-50,
+    # one term per distinct level times its count
+    q = quadratic_matrix(phi)
+    ghat = quadratic_transform(q, c)
+    ts, _ = panel_points([0.2, 0.5, 1.0, 2.0], 8)
+    values, errors, kind = theta_star_table(ghat.generator, ghat, ts, target=1e-14)
+    assert kind == "rigorous"
+    rows = box_rows([8] * phi.dim, nonzero=True)
+    keys, first, counts = np.unique(np.round(ghat.phi.evaluate_many(rows), 9),
+                                    return_index=True, return_counts=True)
+    with mpmath.workdps(30):
+        q_inv = mpmath.matrix(q.tolist()) ** -1
+        levels = [mpmath.pi**2 * (mpmath.matrix(r).T * q_inv * mpmath.matrix(r))[0]
+                  for r in rows[first].tolist()]
+    signs = set()
+    for t, value, error in zip(ts.tolist(), values, errors):
+        with mpmath.workdps(30):
+            terms = [_exact_ghat(q.tolist(), c, t * v) for v in levels]
+            want = mpmath.fsum(int(k) * x for k, x in zip(counts, terms))
+        signs |= {mpmath.sign(x) for x in terms if abs(x) > 1e-12}
+        assert abs(value - want) <= error, t
+    assert signs == {-1, 1}
+
+
+def test_gaussian_side_tail_starts_from_the_magnitude():
+    # past the table end |ĝ| <= M(t ψ) and M(tv) <= (t/T)^c M(Tv) e^{-(t-T)v},
+    # so the tail must start from Σ M at the last node, not from |θ*(T)|
+    c = 5
+    ghat = quadratic_transform(DISC.q_matrix, c)
+    side = zeta_module._xi_side(ghat.generator, ghat)
+    t_last = math.exp(side.log_t_hi[-1, -1])
+    rows = box_rows([6, 6], nonzero=True)
+    size = [abs(p) for p in _exact_coefficients(2, c)]
+    with mpmath.workdps(30):
+        scale = mpmath.pi
+        want = mpmath.fsum(scale * mpmath.polyval(size[::-1], x) * mpmath.exp(-x)
+                           for x in (t_last * mpmath.pi**2 * (r[0] ** 2 + r[1] ** 2)
+                                     for r in rows.tolist()))
+    assert want <= side.theta_at_end <= 1.01 * want

@@ -8,10 +8,10 @@ import pytest
 from azeta import theta as theta_module
 from azeta.errors import BudgetExceededError, DomainError
 from azeta.homog import PNorm, QuadraticForm
-from azeta.kernel import Kernel, fourier_transform
+from azeta.kernel import Kernel, fourier_transform, quadratic_transform
 from azeta.lattice import box_rows, shell
 from azeta.quadrature import panel_points
-from azeta.special import _power_sum_bound, exp_shell_tail, gamma_tail_factor
+from azeta.special import _power_sum_bound, exp_shell_tail, first_shell, gamma_tail_factor
 from azeta.theta import (
     jacobi_residual,
     theta_phi,
@@ -144,6 +144,21 @@ def test_jacobi_residual_numeric_transform():
         assert res.value <= max(res.error, 1e-9)
 
 
+@pytest.mark.parametrize("phi", [SQUARE, DISC, QuadraticForm([[2.0, 0.5], [0.5, 1.0]]),
+                                 QuadraticForm([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])],
+                         ids=["square", "disc", "skew", "skew3"])
+def test_jacobi_residual_of_the_closed_form_transform(phi):
+    # ĝ of φ^c e^{-φ} in closed form: the identity holds to the rounding
+    for c in (0, 3, 6):
+        k = Kernel(phi, power=c)
+        ghat = quadratic_transform(phi.q_matrix, c)
+        for t in (0.5, 1.0, 3.0):
+            res = jacobi_residual(k.generator, k, ghat, t)
+            assert res.kind == "rigorous"
+            assert res.value <= res.error, (c, t)
+            assert res.error <= 1e-11 * (1.0 + t**phi.alpha * ghat.value_at_origin)
+
+
 def test_jacobi_rejects_nonpositive_time():
     k = Kernel(SQUARE, power=0.0)
     with pytest.raises(DomainError):
@@ -202,6 +217,30 @@ def test_rigorous_shell_bar_covers_the_rounding_of_the_sum(t):
     got = theta_star_matrix(SUPERELLIPSE.generator, recorder, t, target=1e-14)
     assert got.kind == "rigorous"
     assert abs(got.value - math.fsum(recorder.values)) <= got.error
+
+
+@pytest.mark.parametrize("phi", [DISC, SUPERELLIPSE], ids=["disc", "superellipse"])
+def test_batched_stops_are_the_scalar_searches(phi):
+    # one `first_shells` search over 200 nodes against a scalar `first_shell`
+    # per node on the same σ; the array tails round apart by a few ulps of
+    # their exponent, a m^p ≈ 40
+    kernel = Kernel(phi, power=default_power(phi))
+    ts = np.geomspace(0.02, 80.0, 200)
+    m_stop, tails, rigorous = theta_module._node_stops(phi.generator, kernel, ts, 1e-14)
+    assert rigorous is True
+    c3, p = phi.growth()[2], 1.0 / phi.generator.beta
+    a_min, a_max = np.diag(phi.generator.entries).min(), np.diag(phi.generator.entries).max()
+    for t, m, tail in zip(ts.tolist(), m_stop.tolist(), tails.tolist()):
+        sigma = t ** (a_min if t >= 1.0 else a_max)
+        assert sigma == pytest.approx(
+            np.linalg.svd(phi.generator.flow(t), compute_uv=False)[-1], rel=1e-15)
+
+        def scalar(j, sigma=sigma):
+            return (math.inf if sigma * j < 1.0
+                    else exp_shell_tail(phi.dim, j, c3 * sigma**p, p, kernel.power))
+
+        assert m == first_shell(lambda j: scalar(j + 1) <= 1e-14, 2000), t
+        assert tail == pytest.approx(scalar(m + 1), rel=1e-13), t
 
 
 def test_power_sum_bound_is_above_the_sum():

@@ -41,6 +41,14 @@ def test_exp_integral_superellipse():
     assert abs(got.value - SUPERELLIPSE_VOLUME) <= max(got.error, 1e-6)
 
 
+def test_exp_integral_of_the_3d_ball_has_a_finite_bar():
+    # no refinement of the 256^3-point box quadrature fits the evaluation
+    # budget, so the bar is the distance to the same panels at a lower order
+    got = volume_exp_integral(QuadraticForm(np.eye(3)))
+    assert math.isfinite(got.error)
+    assert abs(got.value - 4.0 * math.pi / 3.0) <= got.error <= 1e-8
+
+
 def test_monte_carlo_is_deterministic():
     a = volume_monte_carlo(DISC, 50_000, seed=7)
     b = volume_monte_carlo(DISC, 50_000, seed=7)

@@ -11,7 +11,7 @@ from azeta import volume as volume_module
 from azeta import zeta as zeta_module
 from azeta.errors import BudgetExceededError, DivergenceError, DomainError, StripError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm, Scaled
-from azeta.kernel import Kernel, SampledTransform, fourier_transform
+from azeta.kernel import Kernel, SampledTransform, fourier_transform, quadratic_transform
 from azeta.quadrature import panel_points
 from azeta.theta import BoundedValue, theta_star_table
 from azeta.zeta import (
@@ -427,9 +427,9 @@ def test_direct_bars_cover_the_closed_forms(name):
         assert abs(got.value - want) <= got.error, (s, got.kind)
 
 
-@pytest.mark.parametrize("name", ["absval", "square"])
+@pytest.mark.parametrize("name", ["absval", "square", "disc"])
 def test_continued_bars_cover_the_closed_forms(name):
-    """The one-dimensional calibration sweep: 25 values of Re s across
+    """The calibration sweep on |x|, x² and x²+y²: 25 values of Re s across
     [-3, α+3], both sides of the pole, at |Im s| up to 30 with both signs."""
     phi, closed_form, _, _ = LAURENT[name]
     for re in np.linspace(-3.0, phi.alpha + 3.0, 25):
@@ -495,10 +495,40 @@ def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
 
 
 def test_continuation_of_the_3d_ball_fits_the_sample_budget():
-    # the largest transform grid measured for a smooth 3-D φ (9.1e6 samples);
-    # ζ of a positive quadratic form vanishes at the negative integers
-    got = zeta_continued(QuadraticForm(np.eye(3)), -4.0)
+    # the largest transform grid measured for a smooth 3-D φ (9.1e6 samples),
+    # the sampled ĝ of the kernel the continuation takes at s = -4; the
+    # continuation itself takes ĝ in closed form.  ζ of a positive quadratic
+    # form vanishes at the negative integers
+    ball = QuadraticForm(np.eye(3))
+    c = default_power(ball, 4.0)
+    sampled = fourier_transform(Kernel(ball, power=c))
+    exact = quadratic_transform(ball.q_matrix, int(c))
+    assert abs(sampled.value_at_origin - exact.value_at_origin) <= (
+        sampled.quad_error + sampled.tail_error + exact.origin_error)
+    got = zeta_continued(ball, -4.0)
     assert abs(got.value) <= got.error
+
+
+# the 3-D form that is not diagonal, whose sampled transform is over the budget
+SKEW3 = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]
+
+
+def test_continuation_of_a_3d_form_off_the_diagonal():
+    """At s = 0.5 against Epstein's functional equation, π^{-s} Γ(s) ζ(Q, s) =
+    det(Q)^{-1/2} π^{s-n/2} Γ(n/2-s) ζ(Q⁻¹, n/2-s), whose right side runs on
+    a machine of its own; at Re s >= 5 against the rigorous direct sum."""
+    phi, dual = QuadraticForm(SKEW3), QuadraticForm(np.linalg.inv(SKEW3))
+    s = 0.5
+    got, other = zeta_continued(phi, s), zeta_continued(dual, 1.5 - s)
+    factor = (np.linalg.det(SKEW3) ** -0.5 * math.pi ** (2 * s - 1.5)
+              * _gamma(1.5 - s).real / _gamma(s).real)
+    assert abs(got.value - factor * other.value) <= got.error + abs(factor) * other.error
+    assert got.error <= 1e-10
+    for s in (5.0 + 1j, 6.5 - 3j):
+        direct = zeta_direct(phi, s)
+        assert direct.kind == "rigorous"
+        continued = zeta_continued(phi, s)
+        assert abs(direct.value - continued.value) <= direct.error + continued.error, s
 
 
 # budgets small enough for a full-box reference, large enough for the

@@ -15,9 +15,15 @@ prints
 
     <config> <command> <key> ratio=<|Δvalue| / (err_parent + err_change)>
 
-then the worst row.  It exits 1 if any ratio is above 1, or if the two
-runs do not produce the same keys, and 0 otherwise.  The script takes no
-other options; it runs one child at a time.
+then the worst row.  It also runs `verify` at both trees and prints, for
+each check of verify_summary.json, keyed by its name,
+
+    <config> verify <check> parent=<PASS|FAIL> change=<PASS|FAIL>
+
+It exits 1 if any ratio is above 1, if the two runs do not produce the same
+keys, or if a check that passes at the parent fails (or is missing) at the
+change, and 0 otherwise.  The script takes no other options; it runs one
+child at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +61,16 @@ def _rows(config: Path, args: list, root: Path) -> list:
                     for r in csv.DictReader(fh)]
 
 
+def _checks(config: Path, root: Path) -> dict:
+    """{check name: passed} of one `verify` run."""
+    with tempfile.TemporaryDirectory(prefix="azeta-agree-") as tmp:
+        _run(config, ["verify"], Path(tmp), root)
+        summary = Path(tmp) / "out" / "verify_summary.json"
+        if not summary.is_file():
+            return {}
+        return {row["name"]: row["passed"] for row in json.loads(summary.read_text())["checks"]}
+
+
 def _ratio(diff: float, bar: float) -> float:
     if diff == 0.0:
         return 0.0
@@ -73,6 +89,13 @@ def main(argv: list) -> int:
     failed = False
     for config in sorted((ROOT / "configs").glob("*.json")):
         for label, args in COMMANDS:
+            if label == "verify":
+                before, after = _checks(config, parent), _checks(config, ROOT)
+                for name, passed in before.items():
+                    kept = after.get(name, False)
+                    print(f"{config.stem} verify {name} parent={'PASS' if passed else 'FAIL'} "
+                          f"change={'PASS' if kept else 'FAIL'}", flush=True)
+                    failed = failed or (passed and not kept)
             if label not in LABELS:
                 continue
             before = _rows(config, args, parent)
