@@ -317,12 +317,17 @@ def _exact_coefficients(n, c):
             for j in range(c + 1)]
 
 
+def _exact_scale(q):
+    """π^{n/2} det(Q)^{-1/2} in mpmath, at the working precision."""
+    q = np.asarray(q, dtype=float).tolist()
+    return mpmath.pi ** (mpmath.mpf(len(q)) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q)))
+
+
 def _exact_ghat(q, c, v):
     """ĝ at ψ = v in mpmath, from the Laguerre coefficients."""
-    n = len(q)
     with mpmath.workdps(30):
-        scale = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q)))
-        return scale * mpmath.polyval(_exact_coefficients(n, c)[::-1], v) * mpmath.exp(-v)
+        return (_exact_scale(q) * mpmath.polyval(_exact_coefficients(len(q), c)[::-1], v)
+                * mpmath.exp(-v))
 
 
 @pytest.mark.parametrize("a, c", [(1.0, 3), (1.3, 5), (math.pi, 0)])
@@ -359,8 +364,8 @@ def test_gaussian_transform_at_the_origin(q):
     for c in range(7):
         ghat = quadratic_transform(q, c)
         with mpmath.workdps(30):
-            want = (mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q.tolist())))
-                    * mpmath.gamma(c + mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2))
+            half = mpmath.mpf(n) / 2
+            want = _exact_scale(q) * mpmath.gamma(c + half) / mpmath.gamma(half)
         assert abs(ghat.value_at_origin - want) <= ghat.origin_error
         assert ghat.origin_error <= 16 * n * 2.0**-52 * abs(want)  # a few ulps
 
@@ -372,8 +377,7 @@ def test_gaussian_transform_coefficients_are_laguerre(phi):
     for c in (1, 4, 6):
         ghat = quadratic_transform(q, c)
         with mpmath.workdps(30):
-            scale = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.sqrt(mpmath.det(mpmath.matrix(q.tolist())))
-            want = [float(scale * p) for p in _exact_coefficients(n, c)]
+            want = [float(_exact_scale(q) * p) for p in _exact_coefficients(n, c)]
         assert np.allclose(ghat.coefficients, want, rtol=1e-14, atol=0.0)
 
 
@@ -390,7 +394,7 @@ def test_gaussian_table_bars_cover_the_exact_mixed_sign_sums(phi, c):
     values, errors, kind = theta_star_table(ghat.generator, ghat, ts, target=1e-14)
     assert kind == "rigorous"
     rows = box_rows([8] * phi.dim, nonzero=True)
-    keys, first, counts = np.unique(np.round(ghat.phi.evaluate_many(rows), 9),
+    _, first, counts = np.unique(np.round(ghat.phi.evaluate_many(rows), 9),
                                     return_index=True, return_counts=True)
     with mpmath.workdps(30):
         q_inv = mpmath.matrix(q.tolist()) ** -1
@@ -399,7 +403,7 @@ def test_gaussian_table_bars_cover_the_exact_mixed_sign_sums(phi, c):
     signs = set()
     for t, value, error in zip(ts.tolist(), values, errors):
         with mpmath.workdps(30):
-            terms = [_exact_ghat(q.tolist(), c, t * v) for v in levels]
+            terms = [_exact_ghat(q, c, t * v) for v in levels]
             want = mpmath.fsum(int(k) * x for k, x in zip(counts, terms))
         signs |= {mpmath.sign(x) for x in terms if abs(x) > 1e-12}
         assert abs(value - want) <= error, t
@@ -416,7 +420,7 @@ def test_gaussian_side_tail_starts_from_the_magnitude():
     rows = box_rows([6, 6], nonzero=True)
     size = [abs(p) for p in _exact_coefficients(2, c)]
     with mpmath.workdps(30):
-        scale = mpmath.pi
+        scale = _exact_scale(DISC.q_matrix)
         want = mpmath.fsum(scale * mpmath.polyval(size[::-1], x) * mpmath.exp(-x)
                            for x in (t_last * mpmath.pi**2 * (r[0] ** 2 + r[1] ** 2)
                                      for r in rows.tolist()))

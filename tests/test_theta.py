@@ -144,8 +144,10 @@ def test_jacobi_residual_numeric_transform():
         assert res.value <= max(res.error, 1e-9)
 
 
-@pytest.mark.parametrize("phi", [SQUARE, DISC, QuadraticForm([[2.0, 0.5], [0.5, 1.0]]),
-                                 QuadraticForm([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])],
+SKEW3 = QuadraticForm([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+
+@pytest.mark.parametrize("phi", [SQUARE, DISC, QuadraticForm([[2.0, 0.5], [0.5, 1.0]]), SKEW3],
                          ids=["square", "disc", "skew", "skew3"])
 def test_jacobi_residual_of_the_closed_form_transform(phi):
     # ĝ of φ^c e^{-φ} in closed form: the identity holds to the rounding
