@@ -32,15 +32,7 @@ class StripError(DomainError):
 
 
 class BudgetExceededError(AzetaError):
-    """A resource cap was hit before the accuracy target was met.
-
-    Carries the best value and error bound achieved so far, when available.
-    """
-
-    def __init__(self, message: str, best_value=None, best_error=None):
-        super().__init__(message)
-        self.best_value = best_value
-        self.best_error = best_error
+    """A resource cap was hit before the accuracy target was met."""
 
 
 class InternalInvariantError(AzetaError):

@@ -421,6 +421,8 @@ class SampledTransform:
         self.quad_error = float(quad_error)
         self.tail_error = float(tail_error)
         self.inherited_error = float(inherited_error)
+        # ĝ(0) is a trapezoid value like any other: it carries every error
+        self.origin_error = self.quad_error + self.inherited_error + self.tail_error
         self.edge_level, self.decay_tau = self._fit_decay()
         self._fold_axes, self._fold_values = _fold_even(self.axes_x, self.values)
         # ĝ(0) = h^n Σ g summed the way box_sum sums, so that subtracting it
@@ -468,10 +470,6 @@ class SampledTransform:
         ys = np.log([levels[i] for i in pick])
         slope, _ = np.polyfit(xs, ys, 1)
         return edge, max(-float(slope), 1.1)
-
-    def out_of_band_bound(self, ratio: float) -> float:
-        """Heuristic bound on |ĝ(y)| when max_i |y_i|/band_i = ratio >= 1."""
-        return self.edge_level * max(ratio, 1.0) ** (-self.decay_tau)
 
     def shell_tail(self, sigma, m):
         """(fitted bounds on Σ |ĝ| over shells j >= m mapped to norm >= sigma j,

@@ -11,17 +11,28 @@ quadratic form q_L(u) = <L u, u>, where L solves  Aᵀ L + L A = I.  Along the f
 q_L(t^{-A} x) is strictly decreasing in t (its derivative is -|t^{-A}x|^2 / t), which
 makes the polar radius a bracketed root-finding problem with a clean Newton step.
 
-Growth certificates: sampled constants c1 <= c2 with
+Flow certificates: constants c1 <= 1 <= c2 with
 
     c1 t^gamma |x| <= |t^A x| <= c2 t^beta |x|    (t >= 1)
     c1 t^beta  |x| <= |t^A x| <= c2 t^gamma |x|    (0 < t <= 1)
 
-where gamma/beta are the extreme real parts of the spectrum (widened by a margin only
-when A is defective).  The constants are certified by sampling with safety factors
-0.5 / 2.0 and validated on 10^4 fresh samples.
+by proof, not by sampling.  For a diagonalizable A = V D V^{-1}, gamma and beta
+are the extreme real parts of the spectrum and c2 = 1/c1 = κ(V), since
+t^A = V t^D V^{-1} and |t^D| is t^beta for t >= 1 and t^gamma for t <= 1; a
+diagonal A has c1 = c2 = 1.  A defective A has its exponents widened by
+`_MARGIN`, so that beta I - A and A - gamma I have spectra in Re > 0 and
+Lyapunov forms L_beta and L_gamma (`solve_lyapunov`).  Along x(s) = e^{sA} x,
+
+    d/ds <L_beta x, x>  = 2 beta <L_beta x, x> - |x|^2   <= 2 beta <L_beta x, x>
+    d/ds <L_gamma x, x> = 2 gamma <L_gamma x, x> + |x|^2 >= 2 gamma <L_gamma x, x>
+
+so L_beta bounds the t^beta sides and L_gamma the t^gamma sides, and both
+regimes hold with c2 = 1/c1 = max(sqrt(cond L_beta), sqrt(cond L_gamma)).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -41,8 +52,11 @@ __all__ = [
 ]
 
 _EIGVEC_COND_LIMIT = 1e6
+# exponent widening for defective generators, and the residual at which
+# polar_many's Newton iteration stops
+_MARGIN = 0.05
+_POLAR_TOL = 1e-13
 _CERT_SEED = 0x5EED_A2E7A
-_VALIDATION_SAMPLES = 10_000
 
 
 def _rng(salt: int = 0) -> np.random.Generator:
@@ -82,31 +96,7 @@ def solve_lyapunov(matrix: np.ndarray) -> np.ndarray:
     return lyap
 
 
-def _flow_matrix(entries, eigvals, eigvecs, eigvecs_inv, diagonalizable, t: float):
-    if diagonalizable:
-        powered = eigvecs * np.exp(eigvals * np.log(t))[None, :]
-        return np.real(powered @ eigvecs_inv)
-    from scipy.linalg import expm  # defective generators only
-
-    return expm(np.log(t) * entries)
-
-
-def _sample_ratios(entries, eig, gamma, beta, t_values, directions):
-    """min/max of |t^A x| / (t^exponent |x|) over the sample, both flow regimes."""
-    lo, hi = np.inf, 0.0
-    for t in t_values:
-        flow = _flow_matrix(entries, *eig, t)
-        norms = np.linalg.norm(directions @ flow.T, axis=1)
-        if t >= 1.0:
-            lo = min(lo, float(np.min(norms / t**gamma)))
-            hi = max(hi, float(np.max(norms / t**beta)))
-        else:
-            lo = min(lo, float(np.min(norms / t**beta)))
-            hi = max(hi, float(np.max(norms / t**gamma)))
-    return lo, hi
-
-
-def _spectral_certificate(entries: np.ndarray, margin: float):
+def _spectral_certificate(entries: np.ndarray):
     eigvals, eigvecs = np.linalg.eig(entries)
     min_re = float(np.min(eigvals.real))
     max_re = float(np.max(eigvals.real))
@@ -116,38 +106,22 @@ def _spectral_certificate(entries: np.ndarray, margin: float):
         )
     cond = float(np.linalg.cond(eigvecs))
     diagonalizable = np.isfinite(cond) and cond < _EIGVEC_COND_LIMIT
-    eigvecs_inv = np.linalg.inv(eigvecs) if diagonalizable else None
-    gamma, beta = min_re, max_re
-    if not diagonalizable:
-        # A Jordan block contributes polynomial-in-log factors; absorb them
-        # into slightly widened exponents.
-        gamma, beta = max(min_re - margin, 0.5 * min_re), max_re + margin
-    eig = (eigvals, eigvecs, eigvecs_inv, diagonalizable)
-
-    rng = _rng(1)
-    n = entries.shape[0]
-    directions = rng.normal(size=(128, n))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    t_values = np.concatenate(
-        [np.geomspace(1.0, 100.0, 25), np.geomspace(0.01, 1.0, 25)]
-    )
-    lo, hi = _sample_ratios(entries, eig, gamma, beta, t_values, directions)
-    c1, c2 = 0.5 * lo, 2.0 * hi
-
-    # Validation pass on fresh samples; widen (never tighten) on any violation.
-    val_dirs = rng.normal(size=(_VALIDATION_SAMPLES // 25, n))
-    val_dirs /= np.linalg.norm(val_dirs, axis=1, keepdims=True)
-    val_t = np.exp(rng.uniform(np.log(0.01), np.log(100.0), size=25))
-    vlo, vhi = _sample_ratios(entries, eig, gamma, beta, val_t, val_dirs)
-    c1 = min(c1, 0.9 * vlo)
-    c2 = max(c2, 1.1 * vhi)
-    return gamma, beta, c1, c2, eig
+    if diagonalizable:
+        eig = (eigvals, eigvecs, np.linalg.inv(eigvecs))
+        return min_re, max_re, 1.0 / cond, cond, eig
+    # A Jordan block contributes polynomial-in-log factors; absorb them into
+    # slightly widened exponents, which makes both shifted systems regular.
+    gamma, beta = max(min_re - _MARGIN, 0.5 * min_re), max_re + _MARGIN
+    eye = np.eye(entries.shape[0])
+    kappa = math.sqrt(max(np.linalg.cond(solve_lyapunov(beta * eye - entries)),
+                          np.linalg.cond(solve_lyapunov(entries - gamma * eye))))
+    return gamma, beta, 1.0 / kappa, kappa, None
 
 
-def spectral_bounds(matrix: np.ndarray, margin: float = 0.05):
-    """(gamma, beta, c1, c2) certificate for the flow of `matrix` (sampled, safe-factored)."""
-    entries = np.asarray(matrix, dtype=float)
-    gamma, beta, c1, c2, _ = _spectral_certificate(entries, margin)
+def spectral_bounds(matrix: np.ndarray):
+    """(gamma, beta, c1, c2) certificate for the flow of `matrix`, by the
+    proofs of the module docstring."""
+    gamma, beta, c1, c2, _ = _spectral_certificate(np.asarray(matrix, dtype=float))
     return gamma, beta, c1, c2
 
 
@@ -159,35 +133,31 @@ class GeneratorMatrix:
     dim : int
     entries : (dim, dim) read-only array
     alpha : trace of the matrix (volume scaling exponent of the flow)
-    lambda_min, lambda_max : extreme eigenvalue real parts
-    gamma, beta : certified flow exponents (margin-widened only if defective)
-    c1, c2 : sampled flow constants, see the module docstring
+    gamma, beta : certified flow exponents (widened by `_MARGIN` only if defective)
+    c1, c2 : proved flow constants, see the module docstring (1 when diagonal)
+    defective : True when the eigenvectors are too ill-conditioned to use
     lyapunov : symmetric positive definite L with Aᵀ L + L A = I
     """
 
-    def __init__(self, matrix, margin: float = 0.05):
+    def __init__(self, matrix):
         entries = np.array(matrix, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise DomainError("generator entries must be finite")
         self.dim = int(entries.shape[0])
-        gamma, beta, c1, c2, eig = _spectral_certificate(entries, margin)
-        eigvals, eigvecs, eigvecs_inv, diagonalizable = eig
+        gamma, beta, c1, c2, eig = _spectral_certificate(entries)
         self.entries = entries
         self.entries.setflags(write=False)
         self.alpha = float(np.trace(entries))
-        self.lambda_min = float(np.min(eigvals.real))
-        self.lambda_max = float(np.max(eigvals.real))
         self.gamma = float(gamma)
         self.beta = float(beta)
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.defective = not diagonalizable
+        self.defective = eig is None
         self.lyapunov = solve_lyapunov(entries)
         self.lyapunov.setflags(write=False)
-        self._eigvals, self._eigvecs, self._eigvecs_inv = eigvals, eigvecs, eigvecs_inv
-        self._chol = np.linalg.cholesky(self.lyapunov)
+        self._eigvals, self._eigvecs, self._eigvecs_inv = eig or (None, None, None)
         self.is_diagonal = bool(
             np.allclose(entries, np.diag(np.diag(entries)), atol=0.0)
         )
@@ -208,14 +178,12 @@ class GeneratorMatrix:
         t = float(t)
         if self.is_diagonal:
             return np.diag(np.power(t, np.diag(self.entries)))
-        return _flow_matrix(
-            self.entries,
-            self._eigvals,
-            self._eigvecs,
-            self._eigvecs_inv,
-            not self.defective,
-            t,
-        )
+        if self.defective:
+            from scipy.linalg import expm  # defective generators only
+
+            return expm(np.log(t) * self.entries)
+        powered = self._eigvecs * np.exp(self._eigvals * np.log(t))[None, :]
+        return np.real(powered @ self._eigvecs_inv)
 
     def apply_flow(self, t: float, points: np.ndarray) -> np.ndarray:
         """Map each row x of `points` to t^A x."""
@@ -244,7 +212,7 @@ class GeneratorMatrix:
 
     # -- vectorized polar coordinates (internal workhorse) -----------------
 
-    def polar_many(self, points: np.ndarray, tol: float = 1e-13):
+    def polar_many(self, points: np.ndarray):
         """Polar radii and directions for many points at once.
 
         Newton iteration on h(t) = q_L(t^{-A} x) - 1, whose derivative is
@@ -285,7 +253,7 @@ class GeneratorMatrix:
             u = pullback(t)
             q = np.einsum("ij,jk,ik->i", u, self.lyapunov, u)
             h = q - 1.0
-            converged = np.abs(h) <= tol
+            converged = np.abs(h) <= _POLAR_TOL
             if np.all(converged):
                 break
             uu = np.einsum("ij,ij->i", u, u)

@@ -76,18 +76,23 @@ def _check_lyapunov(phi):
 
 
 def _check_polar(phi, rng):
+    """x = t^A xbar round-trips, xbar lies on S_L, and t obeys the flow
+    certificate: with r = |x|/|xbar|, c1 t^e <= r <= c2 t^e' for exponents
+    e, e' in {gamma, beta} gives min_e (r/c2)^(1/e) <= t <= max_e (r/c1)^(1/e),
+    tight (up to rounding) on a diagonal generator, where c1 = c2 = 1."""
     gen = phi.generator
     pts = rng.normal(size=(64, gen.dim))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-6]
     t, xbar = gen.polar_many(pts)
     back = np.vstack([gen.apply_flow(ti, xi[None, :]) for ti, xi in zip(t, xbar)])
-    rel = np.linalg.norm(back - pts, axis=1) / np.linalg.norm(pts, axis=1)
+    norms = np.linalg.norm(pts, axis=1)
+    rel = np.linalg.norm(back - pts, axis=1) / norms
     radius = np.einsum("ij,jk,ik->i", xbar, gen.lyapunov, xbar)
     worst_rel = float(rel.max())
     worst_rad = float(np.abs(radius - 1.0).max())
-    norms = np.linalg.norm(pts, axis=1)
-    lo = gen.c1 * np.minimum(norms ** (1.0 / gen.beta), norms ** (1.0 / gen.gamma))
-    hi = gen.c2 * np.maximum(norms ** (1.0 / gen.beta), norms ** (1.0 / gen.gamma))
+    r = norms / np.linalg.norm(xbar, axis=1)
+    lo = np.minimum((r / gen.c2) ** (1.0 / gen.beta), (r / gen.c2) ** (1.0 / gen.gamma))
+    hi = np.maximum((r / gen.c1) ** (1.0 / gen.beta), (r / gen.c1) ** (1.0 / gen.gamma))
     bounds = bool(np.all(t >= lo * (1 - 1e-9)) and np.all(t <= hi * (1 + 1e-9)))
     ok = worst_rel <= 1e-10 and worst_rad <= 1e-11 and bounds
     return (ok,

@@ -96,12 +96,12 @@ def box_integral(f, radii, target: float | None = None):
     with refinement control.
 
     Per-axis panels are graded toward 0 and refined globally until two successive
-    values agree to `target` (or rounds run out).  Returns (value, error_estimate,
-    evaluations).  Raises BudgetExceededError, carrying the best value so far and
-    its error estimate, if a refinement would exceed `_MAX_EVALS` point
-    evaluations before reaching `target`; when not even the first refinement fits
-    (a 3-D box: 512^3 points), the estimate is the distance to the same panels at
-    order `_LOW_ORDER`.
+    values agree to `target` (or rounds run out, or the next refinement would
+    exceed `_MAX_EVALS` point evaluations).  Returns (value, error_estimate,
+    evaluations) of the finest pass; when not even the first refinement fits (a
+    3-D box: 512^3 points), the estimate is the distance to the same panels at
+    order `_LOW_ORDER`.  Raises BudgetExceededError only if the first pass itself
+    does not fit.
     """
     radii = [float(r) for r in np.atleast_1d(radii)]
     edges = [symmetric_edges(r, _LEVELS) for r in radii]
@@ -128,9 +128,7 @@ def box_integral(f, radii, target: float | None = None):
         if evals + cost > _MAX_EVALS:
             if err == np.inf:
                 err = abs(value - evaluate(edges, _LOW_ORDER))
-            raise BudgetExceededError(
-                "box integral budget exceeded", best_value=value, best_error=err
-            )
+            break
         evals += cost
         refined = evaluate(finer)
         err = abs(refined - value)

@@ -265,8 +265,8 @@ def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
     """|theta_A(g, i/t) - t^alpha theta_{A^T}(ghat, it)| with its error budget.
 
     Zero in exact arithmetic; the returned error bar says how much of the
-    observed residual the quadrature and tail estimates, and the rounding
-    of a closed-form ĝ(0), can explain.
+    observed residual the quadrature and tail estimates, and the error of
+    ĝ(0) (`origin_error`), can explain.
     """
     if not (t > 0.0):
         raise DomainError(f"flow time must be positive, got {t}")
@@ -278,5 +278,5 @@ def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
     left = g0 + left_star.value
     right = scale * (ghat0 + right_star.value)
     residual = abs(left - right)
-    err = left_star.error + scale * (right_star.error + getattr(func_hat, "origin_error", 0.0))
+    err = left_star.error + scale * (right_star.error + func_hat.origin_error)
     return BoundedValue(residual, err, left_star.combine_kind(right_star))

@@ -50,8 +50,8 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
 
     Runs the graded box quadrature on the certified decay box of e^{-phi}.
     The bar adds Gamma's relative error times the value.  If the refinement
-    budget runs out first, the best value so far is returned flagged as
-    estimated rather than raising.  Cached on phi per target, so the pole
+    budget runs out first, the finest pass and its estimate stand (always
+    tagged estimated).  Cached on phi per target, so the pole
     term of `zeta_direct`, which takes the default target, reuses it.
     """
     if phi.dim > 3:
@@ -61,13 +61,7 @@ def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> Boun
     if key not in cache:
         kernel = Kernel(phi, power=0.0)
         g = gamma(phi.alpha + 1.0).real
-        try:
-            value, err, _ = kernel.integral_over_space(target=target * g)
-        except BudgetExceededError as stop:
-            if stop.best_value is None:
-                raise
-            value = stop.best_value
-            err = stop.best_error if stop.best_error is not None else abs(value)
+        value, err, _ = kernel.integral_over_space(target=target * g)
         volume = float(np.real(value)) / g
         err = float(abs(err)) / g + gamma_rel_error(phi.alpha + 1.0) * abs(volume)
         cache[key] = BoundedValue(volume, err, ESTIMATED)

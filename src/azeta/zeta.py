@@ -547,10 +547,9 @@ class _XiMachine:
         self.kind = RIGOROUS if both == (RIGOROUS, RIGOROUS) else ESTIMATED
         self.g_zero = complex(func.value_at_origin).real
         self.ghat_zero = complex(func_hat.value_at_origin).real
-        # a Kernel's value at the origin carries its rounding (none for a
-        # self-dual Gaussian); a sampled one carries its quadrature error
-        self.ghat_zero_error = (func_hat.origin_error if isinstance(func_hat, Kernel)
-                                else func_hat.quad_error + func_hat.tail_error)
+        # a Kernel's rounding (none for a self-dual Gaussian), or a sampled
+        # transform's quadrature, inherited and tail errors
+        self.ghat_zero_error = func_hat.origin_error
 
     def xi(self, s: complex):
         """(value, error) of ξ_A(f,s); DomainError at the s=0 and s=α poles.

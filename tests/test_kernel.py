@@ -173,7 +173,6 @@ def test_out_of_band_queries_are_zero_with_model_bound():
     tr = fourier_transform(Kernel(QuadraticForm([[1.0]]), power=0.0))
     far = np.array([[tr.band[0] * 3.0]])
     assert tr.evaluate_points(far)[0] == 0.0
-    assert tr.out_of_band_bound(3.0) < tr.edge_level
 
 
 def test_band_trust_handles_anisotropic_corner_mass():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from azeta.errors import DegenerateSystemError, DomainError, NotPositiveSpectrumError
+from azeta.homog import AnisotropicSuperellipse, PNorm, Profile
 from azeta.matflow import (
     GeneratorMatrix,
     matrix_power,
@@ -13,6 +14,7 @@ from azeta.matflow import (
     solve_lyapunov,
     spectral_bounds,
 )
+from azeta.propsuite import _check_polar
 
 
 def test_identity_generator_spectral_data():
@@ -20,9 +22,8 @@ def test_identity_generator_spectral_data():
     assert g.alpha == 2.0
     assert g.gamma == pytest.approx(1.0)
     assert g.beta == pytest.approx(1.0)
-    # flow of the identity is exact scaling, so the sampled constants must
-    # bracket 1 (they carry a deliberate safety factor, so not equal 1)
-    assert 0.0 < g.c1 <= 1.0 <= g.c2
+    # the flow of the identity is exact scaling: κ(V) = 1
+    assert g.c1 == g.c2 == 1.0
     assert not g.defective
     assert g.is_diagonal
 
@@ -116,18 +117,32 @@ def test_spectral_bounds_straddle_eigenvalues():
     assert 0.0 < c1 <= c2
 
 
+_CERTIFIED = {
+    "upper": [[0.7, 0.2], [0.0, 1.3]],
+    "jordan2": [[1.0, 1.0], [0.0, 1.0]],
+    "jordan3": [[0.7, 1.0, 0.0], [0.0, 0.7, 1.0], [0.0, 0.0, 0.7]],
+    "nonnormal": [[1.0, 0.3], [0.0, 0.7]],
+    "rotation": [[0.8, -0.5], [0.5, 0.8]],
+    "skew3": [[0.5, 4.0, 0.0], [0.0, 0.6, 3.0], [0.0, 0.0, 2.0]],
+    # a Jordan block far below a fast axis: its t <= 1 upper bound needs
+    # L_gamma, whose sqrt(cond) is 24x L_beta's
+    "jordan-spread": [[0.3, 2.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 3.0]],
+}
+
+
 def test_spectral_bounds_certificate_holds_on_samples():
-    entries = np.array([[0.7, 0.2], [0.0, 1.3]])
-    g = GeneratorMatrix(entries)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(64, 2))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    for t in (0.05, 0.4, 3.0, 40.0):
-        norms = np.linalg.norm(g.apply_flow(t, x), axis=1)
-        lo = g.c1 * min(t**g.gamma, t**g.beta)
-        hi = g.c2 * max(t**g.gamma, t**g.beta)
-        assert np.all(norms >= lo * (1.0 - 1e-12))
-        assert np.all(norms <= hi * (1.0 + 1e-12))
+    for name, entries in _CERTIFIED.items():
+        g = GeneratorMatrix(entries)
+        assert (g.gamma, g.beta, g.c1, g.c2) == spectral_bounds(entries)
+        x = rng.normal(size=(1000, g.dim))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for t in np.geomspace(1e-4, 1e4, 200):
+            norms = np.linalg.norm(g.apply_flow(t, x), axis=1)
+            lo = g.c1 * min(t**g.gamma, t**g.beta)
+            hi = g.c2 * max(t**g.gamma, t**g.beta)
+            assert np.all(norms >= lo * (1.0 - 1e-12)), (name, t)
+            assert np.all(norms <= hi * (1.0 + 1e-12)), (name, t)
 
 
 def test_polar_decompose_round_trip():
@@ -182,3 +197,35 @@ def test_group_law_random_times(t1, t2):
     lhs = g.flow(t1) @ g.flow(t2)
     rhs = g.flow(t1 * t2)
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+def _profile(entries):
+    return Profile.from_function(GeneratorMatrix(entries),
+                                 lambda p: 1.0 + 0.2 * p[:, 0] ** 2, resolution=32)
+
+
+# `_check_polar` reads only phi's generator; the Profiles put non-normal and
+# defective generators under it
+_POLAR_PHIS = {
+    "absval": lambda: PNorm(1, 1.0),
+    "superellipse": lambda: AnisotropicSuperellipse([12.0, 18.0], 6.0),
+    "profile-nonnormal": lambda: _profile([[1.0, 0.3], [0.0, 0.7]]),
+    "profile-defective": lambda: _profile([[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("make", _POLAR_PHIS.values(), ids=_POLAR_PHIS.keys())
+def test_polar_check_holds_with_the_proved_constants(make):
+    passed, detail = _check_polar(make(), np.random.default_rng(11))
+    assert passed, detail
+    assert detail.endswith("t within certified bounds: True")
+
+
+@pytest.mark.parametrize("constant, factor", [("c1", 1.01), ("c2", 1.0 / 1.01)])
+def test_polar_check_is_tight_on_a_diagonal_generator(constant, factor):
+    # c1 = c2 = 1 is exact on |x|, so 1% past the proof must fail the check
+    phi = PNorm(1, 1.0)
+    setattr(phi.generator, constant, getattr(phi.generator, constant) * factor)
+    passed, detail = _check_polar(phi, np.random.default_rng(11))
+    assert not passed
+    assert detail.endswith("t within certified bounds: False")

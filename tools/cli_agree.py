@@ -1,13 +1,22 @@
-"""Check that two source trees give values that agree within their bars.
+"""Check that two source trees give the same CLI outputs, or values that
+agree within their bars.
 
     python3 tools/cli_agree.py PARENT_TREE
 
+This script runs every command of `cli_digest.py` on every config in
+configs/, once with the package sources of PARENT_TREE/src and once with the
+sources next to this script.  For each run pair it prints, from the digest
+rows of `cli_digest._run`,
+
+    <config> <command> identical            or
+    <config> <command> differs: <files>
+
+and after all of them the number of byte-identical pairs.
+
 A change that reorders a floating-point sum cannot keep the CLI outputs
 byte-identical; it is judged by agreement within the stated error bars
-instead.  This script runs the `zeta`, `zeta-direct`, `zeta-estimated` and
-`asymp` commands of `cli_digest.py` on every config in configs/, once with
-the package sources of PARENT_TREE/src and once with the sources next to
-this script.  It compares each row of zeta.csv, keyed s=<s>, and the θ
+instead.  For the `zeta`, `zeta-direct`, `zeta-estimated` and `asymp`
+commands the script compares each row of zeta.csv, keyed s=<s>, and the θ
 expansion of asymp_summary.json at the largest w: each term
 (`expansion_terms`, keyed term=<k>; term k >= 1 is the ζ(φ,−k) correction)
 and their sum (`expansion_at_largest_w`, keyed largest_w).  For each it
@@ -15,15 +24,15 @@ prints
 
     <config> <command> <key> ratio=<|Δvalue| / (err_parent + err_change)>
 
-then the worst row.  It also runs `verify` at both trees and prints, for
-each check of verify_summary.json, keyed by its name,
+then the worst row.  For `verify` it prints, for each check of
+verify_summary.json, keyed by its name,
 
     <config> verify <check> parent=<PASS|FAIL> change=<PASS|FAIL>
 
 It exits 1 if any ratio is above 1, if the two runs do not produce the same
 keys, or if a check that passes at the parent fails (or is missing) at the
-change, and 0 otherwise.  The script takes no other options; it runs one
-child at a time.
+change, and 0 otherwise; outputs that differ in bytes alone do not fail it.
+The script takes no other options; it runs one child at a time.
 """
 
 from __future__ import annotations
@@ -44,31 +53,34 @@ def _value(row: dict) -> tuple:
     return complex(float(row["value_re"]), float(row["value_im"])), float(row["error"])
 
 
-def _rows(config: Path, args: list, root: Path) -> list:
-    """The bounded values of one run as (key, value, error)."""
+def _rows(out: Path) -> list:
+    """The bounded values of one run's outputs as (key, value, error)."""
+    if (out / "asymp_summary.json").is_file():
+        summary = json.loads((out / "asymp_summary.json").read_text())
+        terms = [(f"term={k}", row) for k, row in enumerate(summary["expansion_terms"])]
+        return [(key, *_value(row)) for key, row in
+                terms + [("largest_w", summary["expansion_at_largest_w"])]]
+    if not (out / "zeta.csv").is_file():
+        return []
+    with open(out / "zeta.csv", newline="") as fh:
+        return [(f"s={complex(float(r['s_re']), float(r['s_im']))}", *_value(r))
+                for r in csv.DictReader(fh)]
+
+
+def _checks(out: Path) -> dict:
+    """{check name: passed} of one `verify` run's outputs."""
+    summary = out / "verify_summary.json"
+    if not summary.is_file():
+        return {}
+    return {row["name"]: row["passed"] for row in json.loads(summary.read_text())["checks"]}
+
+
+def _outputs(config: Path, args: list, root: Path):
+    """(digest rows, bounded values, verify checks) of one run."""
     with tempfile.TemporaryDirectory(prefix="azeta-agree-") as tmp:
+        digest, _, _ = _run(config, args, Path(tmp), root)
         out = Path(tmp) / "out"
-        _run(config, args, Path(tmp), root)
-        if (out / "asymp_summary.json").is_file():
-            summary = json.loads((out / "asymp_summary.json").read_text())
-            terms = [(f"term={k}", row) for k, row in enumerate(summary["expansion_terms"])]
-            return [(key, *_value(row)) for key, row in
-                    terms + [("largest_w", summary["expansion_at_largest_w"])]]
-        if not (out / "zeta.csv").is_file():
-            return []
-        with open(out / "zeta.csv", newline="") as fh:
-            return [(f"s={complex(float(r['s_re']), float(r['s_im']))}", *_value(r))
-                    for r in csv.DictReader(fh)]
-
-
-def _checks(config: Path, root: Path) -> dict:
-    """{check name: passed} of one `verify` run."""
-    with tempfile.TemporaryDirectory(prefix="azeta-agree-") as tmp:
-        _run(config, ["verify"], Path(tmp), root)
-        summary = Path(tmp) / "out" / "verify_summary.json"
-        if not summary.is_file():
-            return {}
-        return {row["name"]: row["passed"] for row in json.loads(summary.read_text())["checks"]}
+        return digest, _rows(out), _checks(out)
 
 
 def _ratio(diff: float, bar: float) -> float:
@@ -87,19 +99,23 @@ def main(argv: list) -> int:
         return 2
     worst = (-1.0, "")
     failed = False
+    identical = total = 0
     for config in sorted((ROOT / "configs").glob("*.json")):
         for label, args in COMMANDS:
-            if label == "verify":
-                before, after = _checks(config, parent), _checks(config, ROOT)
-                for name, passed in before.items():
-                    kept = after.get(name, False)
-                    print(f"{config.stem} verify {name} parent={'PASS' if passed else 'FAIL'} "
-                          f"change={'PASS' if kept else 'FAIL'}", flush=True)
-                    failed = failed or (passed and not kept)
+            digest0, before, checks0 = _outputs(config, args, parent)
+            digest1, after, checks1 = _outputs(config, args, ROOT)
+            differ = sorted({name for name, _ in set(digest0) ^ set(digest1)})
+            print(f"{config.stem} {label} "
+                  + (f"differs: {' '.join(differ)}" if differ else "identical"), flush=True)
+            identical += not differ
+            total += 1
+            for name, passed in checks0.items():
+                kept = checks1.get(name, False)
+                print(f"{config.stem} verify {name} parent={'PASS' if passed else 'FAIL'} "
+                      f"change={'PASS' if kept else 'FAIL'}", flush=True)
+                failed = failed or (passed and not kept)
             if label not in LABELS:
                 continue
-            before = _rows(config, args, parent)
-            after = _rows(config, args, ROOT)
             if not before or [r[0] for r in before] != [r[0] for r in after]:
                 print(f"{config.stem} {label}: the runs differ in their keys "
                       f"({len(before)} and {len(after)} rows)")
@@ -111,6 +127,7 @@ def main(argv: list) -> int:
                 print(line, flush=True)
                 worst = max(worst, (ratio, line))
                 failed = failed or ratio > 1.0
+    print(f"byte-identical: {identical} of {total} commands")
     print(f"worst: {worst[1]}")
     return 1 if failed else 0
 
