@@ -31,7 +31,6 @@ from .homog import (
     QuadraticForm,
     Scaled,
     evaluate,
-    growth_bounds,
     sandwich_smooth,
     unit_ball_membership,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "counting_limit_scan",
     "evaluate",
     "fourier_transform",
-    "growth_bounds",
     "growth_scan",
     "jacobi_residual",
     "lattice_count",

@@ -26,10 +26,6 @@ class DivergenceError(DomainError):
 class StripError(DomainError):
     """The requested point lies outside the certified continuation strip."""
 
-    def __init__(self, message: str, suggestion: str | None = None):
-        super().__init__(message if suggestion is None else f"{message} ({suggestion})")
-        self.suggestion = suggestion
-
 
 class BudgetExceededError(AzetaError):
     """A resource cap was hit before the accuracy target was met."""

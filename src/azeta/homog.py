@@ -5,12 +5,12 @@ scales as φ(t^A x) = t φ(x) along the flow of a generator matrix A (positive-r
 spectrum).  The sublevel set B(r) = {φ < r} then has volume r^alpha |B(1)| with
 alpha = trace A, and x lies in B(r) exactly when r^{-A} x lies in B(1).
 
-Growth certificates (sampled, with safety factors, validated on 10^4 points):
+Every lattice tail and box rests on one lower growth bound,
 
-    |x| <= 1:  c1 |x|^(1/gamma) <= φ(x) <= c2 |x|^(1/beta)
-    |x| >= 1:  c3 |x|^(1/beta)  <= φ(x) <= c4 |x|^(1/gamma)
+    φ(x) >= c3 |x|^(1/beta)  for |x| >= 1,
 
-with gamma/beta the certified flow exponents of the generator.
+with beta the certified upper flow exponent of the generator; c3 is
+sampled, with a safety factor, and validated on fresh directions.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ __all__ = [
     "Scaled",
     "evaluate",
     "unit_ball_membership",
-    "growth_bounds",
     "sandwich_smooth",
 ]
 
 _GROWTH_SEED = 0x5EED_60441
-_VALIDATION_SAMPLES = 10_000
 
 
 class HomogeneousFunction:
@@ -84,8 +82,8 @@ class HomogeneousFunction:
 
     # -- certified growth --------------------------------------------------
 
-    def growth(self):
-        """(c1, c2, c3, c4) for the two-regime power bounds; cached."""
+    def growth(self) -> float:
+        """c3 of φ(x) >= c3 |x|^(1/β) for |x| >= 1 (`_certify_growth`); cached."""
         if self._growth is None:
             self._growth = _certify_growth(self)
         return self._growth
@@ -114,9 +112,7 @@ class HomogeneousFunction:
         Generic route via the certified lower growth bound; variants override
         with exact boxes where the shape makes one obvious.
         """
-        _, _, c3, _ = self.growth()
-        beta = self.generator.beta
-        radius = max(1.0, (float(r) / c3) ** beta)
+        radius = max(1.0, (float(r) / self.growth()) ** self.generator.beta)
         return np.full(self.dim, int(math.ceil(radius)), dtype=int)
 
     def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
@@ -244,15 +240,14 @@ class HomogeneousPolynomial(HomogeneousFunction):
             if len(e) != dim or any(k < 0 for k in e):
                 raise DomainError(f"bad exponent tuple {e} for dimension {dim}")
         super().__init__(GeneratorMatrix(np.eye(dim) / degree))
-        self.degree = int(degree)
         self.exponents = np.asarray(sorted(terms), dtype=float)
         self.coefficients = np.asarray([terms[tuple(int(v) for v in e)] for e in self.exponents.astype(int)], dtype=float)
         sample = self.generator.sphere_points(4096)
-        self.positivity_certificate = float(np.min(self.evaluate_many(sample)))
-        if self.positivity_certificate <= 0.0:
+        certificate = float(np.min(self.evaluate_many(sample)))
+        if certificate <= 0.0:
             raise DomainError(
                 f"polynomial is not positive on the unit ellipsoid "
-                f"(sampled minimum {self.positivity_certificate:.3e})"
+                f"(sampled minimum {certificate:.3e})"
             )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -444,7 +439,6 @@ class Profile(HomogeneousFunction):
             raise DomainError("directions and values must have equal length")
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             raise DomainError("profile values must be positive and finite")
-        self.positivity_certificate = float(np.min(vals))
         if generator.dim == 2:
             ang = np.arctan2(dirs[:, 1], dirs[:, 0])
             order = np.argsort(ang)
@@ -521,113 +515,42 @@ def unit_ball_membership(phi: HomogeneousFunction, point, r: float = 1.0) -> boo
     return evaluate(phi, point) < r
 
 
-def _certify_growth(phi: HomogeneousFunction):
-    gen = phi.generator
-    inv_gamma = 1.0 / gen.gamma
-    inv_beta = 1.0 / gen.beta
+def _certify_growth(phi: HomogeneousFunction) -> float:
+    """c3 of φ(x) >= c3 |x|^(1/β) for |x| >= 1, sampled: 0.9 times the least
+    φ(r u)/r^(1/β) over 256 random unit directions u at 30 radii r in
+    [1, 10^3], then lowered to 0.99 times the least over 500 fresh
+    directions at the radii >= 1 of geomspace(1e-3, 1e3, 20)."""
+    inv_beta = 1.0 / phi.generator.beta
     rng = np.random.Generator(np.random.Philox(_GROWTH_SEED))
     dirs = rng.normal(size=(256, phi.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lo = np.inf
+    for r in np.geomspace(1.0, 1e3, 30):
+        lo = min(lo, float(np.min(phi.evaluate_many(r * dirs) / r**inv_beta)))
+    c3 = 0.9 * lo
 
-    def extremes(radii, low_exp, high_exp):
-        lo, hi = np.inf, 0.0
-        for r in radii:
-            vals = phi.evaluate_many(r * dirs)
-            lo = min(lo, float(np.min(vals / r**low_exp)))
-            hi = max(hi, float(np.max(vals / r**high_exp)))
-        return lo, hi
-
-    small = np.geomspace(1e-3, 1.0, 30)
-    large = np.geomspace(1.0, 1e3, 30)
-    lo_s, hi_s = extremes(small, inv_gamma, inv_beta)
-    lo_l, hi_l = extremes(large, inv_beta, inv_gamma)
-    c1, c2 = 0.9 * lo_s, 1.1 * hi_s
-    c3, c4 = 0.9 * lo_l, 1.1 * hi_l
-
-    # Validation on fresh samples; widen on any violation.
-    val_dirs = rng.normal(size=(_VALIDATION_SAMPLES // 20, phi.dim))
+    # Validation on fresh directions; lowered on any violation.
+    val_dirs = rng.normal(size=(500, phi.dim))
     val_dirs /= np.linalg.norm(val_dirs, axis=1, keepdims=True)
-    for r in np.geomspace(1e-3, 1e3, 20):
+    radii = np.geomspace(1e-3, 1e3, 20)
+    for r in radii[radii >= 1.0]:
         vals = phi.evaluate_many(r * val_dirs)
-        if r <= 1.0:
-            c1 = min(c1, 0.99 * float(np.min(vals)) / r**inv_gamma)
-            c2 = max(c2, 1.01 * float(np.max(vals)) / r**inv_beta)
-        if r >= 1.0:
-            c3 = min(c3, 0.99 * float(np.min(vals)) / r**inv_beta)
-            c4 = max(c4, 1.01 * float(np.max(vals)) / r**inv_gamma)
-    if min(c1, c2, c3, c4) <= 0.0:
+        c3 = min(c3, 0.99 * float(np.min(vals)) / r**inv_beta)
+    if c3 <= 0.0:
         raise InternalInvariantError("growth certification produced a nonpositive constant")
-    return c1, c2, c3, c4
+    return c3
 
 
-def growth_bounds(phi: HomogeneousFunction):
-    """Certified (c1, c2, c3, c4) for the two-regime power bounds on φ."""
-    return phi.growth()
-
-
-def _ellipse_points(generator: GeneratorMatrix, count: int, offset: float = 0.0):
-    """`count` points of the 2-D ellipse S_L at equally spaced angles from
-    -π + offset."""
-    ang = np.linspace(-math.pi, math.pi, count, endpoint=False) + offset
+def _ellipse_points(generator: GeneratorMatrix, count: int):
+    """`count` points of the 2-D ellipse S_L at equally spaced angles from -π."""
+    ang = np.linspace(-math.pi, math.pi, count, endpoint=False)
     dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     return dirs / np.sqrt(generator.lyapunov_radius(dirs))[:, None]
 
 
-def _mollify_periodic(values: np.ndarray, width: float) -> np.ndarray:
-    """Circular Gaussian smoothing of uniformly spaced periodic samples."""
-    n = values.size
-    freq = np.fft.rfftfreq(n, d=1.0 / n)  # integer frequencies
-    damp = np.exp(-0.5 * (freq * width) ** 2)
-    return np.fft.irfft(np.fft.rfft(values) * damp, n=n)
-
-
 def sandwich_smooth(phi: HomogeneousFunction, epsilon: float):
-    """Smooth homogeneous ψ1 <= φ <= ψ2 with (1-ε)φ <= ψ1 and ψ2 <= (1+ε)φ.
-
-    Smooth built-in variants take the scaling shortcut ψ = (1 ∓ ε/2)φ.  Profiles
-    are mollified on the ellipsoid: the profile samples are smoothed with a
-    circular Gaussian whose width shrinks until the distortion fits inside ε,
-    then scaled down/up to sit on the correct side of φ.
-    """
+    """Homogeneous ψ1 <= φ <= ψ2 with (1-ε)φ <= ψ1 and ψ2 <= (1+ε)φ: the
+    scalings ψ = (1 ∓ ε/2)φ, as smooth as φ itself, for every φ."""
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not isinstance(phi, Profile) or phi.dim != 2:
-        # interpolated profiles in higher dimension carry no sharper regularity
-        # statement than φ itself; scaling is the admissible fallback
-        return phi.scale(1.0 - 0.5 * epsilon), phi.scale(1.0 + 0.5 * epsilon)
-
-    gen = phi.generator
-    pts = _ellipse_points(gen, 512)
-    f = phi.profile_values(pts)
-    # The ratio φ/ψ is constant along flow rays, so a dense probe of the
-    # ellipsoid bounds it everywhere.
-    probe = _ellipse_points(gen, 8192, offset=1e-4)
-    f_probe = phi.profile_values(probe)
-
-    width = 16.0
-    for _ in range(12):
-        smooth = _mollify_periodic(f, width)
-        if np.min(smooth) <= 0.0:
-            width *= 0.5
-            continue
-        cand = Profile(gen, pts, smooth)
-        ratio = f_probe / cand.profile_values(probe)
-        m_lo, m_hi = float(np.min(ratio)), float(np.max(ratio))
-        if m_lo > 0.0 and m_lo >= (1.0 - 0.75 * epsilon) * m_hi:
-            pad = 1e-6
-            lower = Profile(gen, pts, smooth * (m_lo * (1.0 - pad)))
-            upper = Profile(gen, pts, smooth * (m_hi * (1.0 + pad)))
-            r_lo = lower.profile_values(probe) / f_probe
-            r_hi = upper.profile_values(probe) / f_probe
-            ok = (
-                np.max(r_lo) <= 1.0
-                and np.min(r_lo) >= 1.0 - epsilon
-                and np.min(r_hi) >= 1.0
-                and np.max(r_hi) <= 1.0 + epsilon
-            )
-            if ok:
-                return lower, upper
-        width *= 0.5
-    raise DomainError(
-        "profile is too rough to sandwich at this epsilon; increase epsilon"
-    )
+    return phi.scale(1.0 - 0.5 * epsilon), phi.scale(1.0 + 0.5 * epsilon)

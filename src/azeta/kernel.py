@@ -48,7 +48,8 @@ _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 # scaled superellipse at c = 6).  Quadratic forms at integer c take ĝ in
 # closed form, so the largest grids left are sampled ones that a caller asks
 # for: QuadraticForm(eye(3)) at c = 8 holds 9,129,329 (6 s and 750 MB on one
-# Xeon core, the suite's budget check).  φ whose band does not close stop
+# Xeon core; the suite checks the ball's sampled ĝ at c = 2, 1,442,897
+# samples).  φ whose band does not close stop
 # here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine grid after 1.6 s and
 # 234 MB (10 s and 1 GB unbounded), the 3-D 1- and 2-norms at once on their
 # first coarse grid of 8.1e7
@@ -117,7 +118,7 @@ class Kernel:
         φ >= c3 |y|^{1/β} for |y| >= 1 puts shell j at φ >= a j^{1/β} with
         a = c3 σ^{1/β}; `exp_shell_tails` sums g's envelope over the shells."""
         p = 1.0 / self.phi.generator.beta
-        a = self.phi.growth()[2] * sigma**p
+        a = self.phi.growth() * sigma**p
         tail = exp_shell_tails(self.dim, m, a, p, self.power)
         return np.where(sigma * m < 1.0, math.inf, tail), True
 
@@ -133,7 +134,7 @@ class Kernel:
                 if self._envelope(level) <= floor:
                     return float(r)
             raise DomainError("kernel decays too slowly to box on this axis")
-        c3, beta = self.phi.growth()[2], self.phi.generator.beta
+        c3, beta = self.phi.growth(), self.phi.generator.beta
         for r in np.geomspace(0.5, 1e4, 200):  # φ >= c3 |x|^{1/β} for |x| >= 1
             if r >= 1.0 and self._envelope(c3 * r ** (1.0 / beta)) <= floor:
                 return float(r)

@@ -45,6 +45,7 @@ __all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs",
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
 # 1 M rows, at 959 or 1,002 MB with 2 M, 970 MB with 3 M and 981 MB with 4 M.
+# It also caps the points of one θ* table's shells (`theta._shell_limit`).
 SLAB_ROWS = 1_000_000
 # points in the box of one lattice enumeration: `volume.lattice_count`'s box
 # and `theta.theta_phi`'s shells.  It bounds the box, not the rows visited;

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["gamma", "gamma_rel_error", "reciprocal_gamma", "digamma",
+__all__ = ["gamma", "gamma_rel_error", "digamma",
            "bernoulli_numbers", "gamma_tail_factor", "exp_shell_tail",
            "exp_shell_tails", "power_shell_tail", "first_shell", "first_shells"]
 
@@ -79,14 +79,6 @@ def gamma_rel_error(z: complex) -> float:
     |Im z| <= 34 stay below 36 ulps times 1 + |z|.
     """
     return 64.0 * 2.0**-52 * (1.0 + abs(z))
-
-
-def reciprocal_gamma(z: complex) -> complex:
-    """1/gamma(z); entire, so nonpositive integers are fine and map to 0."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        return 0.0 + 0.0j
-    return 1.0 / gamma(z)
 
 
 def digamma(x: float) -> float:

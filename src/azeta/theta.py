@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, DivergenceError
+from .errors import BudgetExceededError, DomainError
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, box_rows, shell, slabs
+from .lattice import COUNT_BUDGET, SLAB_ROWS, box_rows, shell, slabs
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell, first_shells
 
@@ -39,7 +39,7 @@ ESTIMATED = "estimated"
 # entries per (nodes × points) block of a kernel table: blocks of 2^18 raised
 # plane_grid's peak RSS from 100.4 to 101.4 MB
 _TABLE_BLOCK = 1 << 15
-_MAX_SHELL = 2000  # shells a θ* walk may take before its tail meets target
+_MAX_SHELL = 2000  # shells a θ* search may take; see `_shell_limit`
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,16 @@ def _tensor_table(generator: GeneratorMatrix, func, ts: np.ndarray):
     return total.real, err, ESTIMATED
 
 
+def _shell_limit(dim: int) -> int:
+    """The largest m ≤ `_MAX_SHELL` whose box [-m, m]^dim holds at most
+    SLAB_ROWS nonzero points: 2000 shells in one dimension, 499 in two and
+    49 in three."""
+    m = min(_MAX_SHELL, int(((SLAB_ROWS + 1) ** (1.0 / dim) - 1.0) / 2.0) + 1)
+    while (2 * m + 1) ** dim - 1 > SLAB_ROWS:
+        m -= 1
+    return m
+
+
 def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
     """(m, tails, rigorous) at the flow times ts: each node's first shell m
     after which the summand's closed-form `shell_tail` meets target, and
@@ -113,7 +123,10 @@ def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
     Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A: on a
     diagonal A that is t^{a_min} for t ≥ 1 and t^{a_max} below, otherwise
     one batched SVD of the flows.  So the stop rests on the tail bound alone
-    and is known before any value of the summand is formed.
+    and is known before any value of the summand is formed.  The search
+    ends at `_shell_limit`, so a table never forms more than SLAB_ROWS
+    points (nor keeps larger shells in the `lattice.shell` cache); a node
+    whose tail needs more raises `BudgetExceededError`.
     """
     if generator.is_diagonal:
         exponents = np.diag(generator.entries)
@@ -121,11 +134,14 @@ def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
     else:
         flows = np.stack([generator.flow(t) for t in ts.tolist()])
         sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
+    limit = _shell_limit(generator.dim)
     m = first_shells(lambda j: func.shell_tail(sigmas, j + 1)[0] <= target,
-                     ts.size, _MAX_SHELL)
+                     ts.size, limit)
     if np.any(m < 0):
-        raise DivergenceError(f"theta sum did not meet target {target:g} "
-                              f"within {_MAX_SHELL} shells")
+        raise BudgetExceededError(
+            f"θ* sum did not meet target {target:g} within {limit} shells, the "
+            f"most whose box fits the {SLAB_ROWS:,}-point budget and the "
+            f"{_MAX_SHELL}-shell cap")
     return (m,) + func.shell_tail(sigmas, m + 1)
 
 
@@ -203,6 +219,9 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
     per summand type: a Kernel on its own flow (`_kernel_table`), a
     transform with a closed-form box sum on a diagonal flow
     (`_tensor_table`), and a shell walk per node for everything else.
+    The first and last stop each node at its first shell whose tail meets
+    target, searched only as far as a box of SLAB_ROWS points
+    (`_node_stops`): a node that needs more raises `BudgetExceededError`.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     if not np.all((ts > 0.0) & np.isfinite(ts)):
@@ -243,7 +262,7 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     if not (w.real > 0.0):
         raise DomainError(f"theta needs Re w > 0, got {w}")
     dim = phi.dim
-    a, p = w.real * phi.growth()[2], 1.0 / phi.generator.beta
+    a, p = w.real * phi.growth(), 1.0 / phi.generator.beta
     m_stop = first_shell(lambda m: exp_shell_tail(dim, m + 1, a, p) <= target,
                          1 << 60) or 1 << 60
     points = (2 * m_stop + 1) ** dim

@@ -79,9 +79,7 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
     samples = int(samples)
     if samples <= 0:
         raise DomainError(f"need a positive sample count, got {samples}")
-    _, _, c3, _ = phi.growth()
-    beta = phi.generator.beta
-    radius = max(1.0, (1.0 / c3) ** beta)
+    radius = max(1.0, (1.0 / phi.growth()) ** phi.generator.beta)
     box_vol = (2.0 * radius) ** phi.dim
     rng = np.random.Generator(np.random.Philox(int(seed)))
     hits = 0

@@ -347,7 +347,7 @@ def zeta_direct(phi: HomogeneousFunction, s: complex, *,
 
     gen = phi.generator
     beta_n = gen.beta * phi.dim
-    _, _, c3, _ = phi.growth()
+    c3 = phi.growth()
     if s.real > beta_n + 0.25:
         m_box = _rigorous_box(phi, s.real, c3, target)
         if m_box is not None and (2.0 * m_box + 1.0) ** phi.dim <= box_budget:
@@ -498,8 +498,8 @@ class _XiSide:
             if re_s >= self.decay - 0.25:
                 raise StripError(
                     f"transform decay γτ ≈ {self.decay:.3g} cannot cover "
-                    f"Re(α-s) = {re_s:.3g}",
-                    suggestion="increase the kernel exponent c (smoother φ^c)",
+                    f"Re(α-s) = {re_s:.3g} (increase the kernel exponent c "
+                    f"(smoother φ^c))"
                 )
             return self.edge_level * T**re_s / (self.decay - re_s)
         # θ*(t) <= θ*(T)(t/T)^c e^{-μ(t-T)} integrates against t^{σ-1} to

@@ -15,13 +15,13 @@ from azeta.homog import (
     QuadraticForm,
     Scaled,
     evaluate,
-    growth_bounds,
     sandwich_smooth,
     unit_ball_membership,
 )
 from azeta.lattice import grid_rows
 
 from oracles import brute_count, lattice_points
+from shapes import ABSVAL, DISC, SQUARE, SUPERELLIPSE
 
 
 def euclid2():
@@ -105,15 +105,13 @@ def test_scale_multiplies_values():
 
 
 def test_growth_bounds_bracket_euclidean():
-    c1, c2, c3, c4 = growth_bounds(euclid2())
-    # exact constants are all 1; the certificate may widen but must bracket
-    assert c3 <= 1.0 <= c4
-    assert c1 <= 1.0 <= c2
+    # the exact constant is 1; the certificate may lower it but not raise it
+    assert 0.0 < euclid2().growth() <= 1.0
 
 
 def test_growth_certificate_holds_on_samples():
     phi = superellipse()
-    _, _, c3, c4 = phi.growth()
+    c3 = phi.growth()
     g = phi.generator
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(200, 2)) * 4.0
@@ -121,9 +119,25 @@ def test_growth_certificate_holds_on_samples():
     vals = phi(pts)
     norms = np.linalg.norm(pts, axis=1)
     lower = c3 * np.minimum(norms ** (1.0 / g.beta), norms ** (1.0 / g.gamma))
-    upper = c4 * np.maximum(norms ** (1.0 / g.beta), norms ** (1.0 / g.gamma))
     assert np.all(vals >= lower * (1.0 - 1e-12))
-    assert np.all(vals <= upper * (1.0 + 1e-12))
+
+
+# c3 of the benchmark's five shapes, to the bit: every certified tail and
+# box, and so every CLI output, rests on it
+GROWTH_BITS = {
+    "absval": (ABSVAL, 0.9),
+    "square": (SQUARE, 0.9),
+    "disc": (DISC, 0.8999999999999995),
+    "disc17": (DISC.scale(1.7), 1.529999999999999),
+    "superellipse": (SUPERELLIPSE, 0.4343938423996981),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_BITS))
+def test_growth_constant_keeps_its_bits(name):
+    phi, want = GROWTH_BITS[name]
+    got = phi.growth()
+    assert type(got) is float and got == want
 
 
 def test_lattice_box_contains_sublevel_set():
@@ -135,12 +149,19 @@ def test_lattice_box_contains_sublevel_set():
 
 
 def test_sandwich_smooth_orders_pointwise():
-    phi = superellipse()
-    lo, hi = sandwich_smooth(phi, 0.2)
+    generator = QuadraticForm(np.eye(2)).generator
+    profile = Profile.from_function(
+        generator, lambda pts: 1.0 + 0.3 * pts[:, 0] / np.linalg.norm(pts, axis=1),
+        resolution=64)
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(100, 2)) * 2.0
-    assert np.all(lo(pts) <= phi(pts) * (1.0 + 1e-12))
-    assert np.all(phi(pts) <= hi(pts) * (1.0 + 1e-12))
+    for phi in (superellipse(), profile):
+        lo, hi = sandwich_smooth(phi, 0.2)
+        vals = phi(pts)
+        assert np.all(0.8 * vals <= lo(pts) * (1.0 + 1e-12))
+        assert np.all(lo(pts) <= vals * (1.0 + 1e-12))
+        assert np.all(vals <= hi(pts) * (1.0 + 1e-12))
+        assert np.all(hi(pts) <= 1.2 * vals * (1.0 + 1e-12))
 
 
 def test_profile_round_trips_smooth_function():

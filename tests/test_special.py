@@ -12,7 +12,6 @@ from azeta.special import (
     digamma,
     gamma,
     gamma_rel_error,
-    reciprocal_gamma,
 )
 
 from oracles import _gamma, bernoulli_exact
@@ -52,16 +51,6 @@ def test_gamma_reflection():
 def test_gamma_conjugate_symmetry():
     z = 1.7 + 2.3j
     assert gamma(np.conj(z)) == pytest.approx(np.conj(gamma(z)), rel=1e-14)
-
-
-def test_reciprocal_gamma_vanishes_at_poles():
-    for k in (0, -1, -2, -5):
-        assert reciprocal_gamma(float(k)) == 0.0
-
-
-def test_reciprocal_gamma_is_reciprocal_off_poles():
-    for z in (2.5, 0.5 + 1.0j, -0.5):
-        assert reciprocal_gamma(z) * gamma(z) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bernoulli_first_values():

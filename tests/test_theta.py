@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import azeta
 from azeta import theta as theta_module
 from azeta.errors import BudgetExceededError, DomainError
-from azeta.homog import PNorm, QuadraticForm
+from azeta.homog import PNorm, Profile, QuadraticForm
 from azeta.kernel import Kernel, fourier_transform, quadratic_transform
 from azeta.lattice import box_rows, shell
+from azeta.matflow import GeneratorMatrix
 from azeta.quadrature import panel_points
 from azeta.special import _power_sum_bound, exp_shell_tail, first_shell, gamma_tail_factor
 from azeta.theta import (
@@ -115,6 +121,58 @@ def test_theta_over_the_point_budget_raises_at_once():
     with pytest.raises(BudgetExceededError, match="1e\\+08 budget"):
         theta_phi(DISC, 1e-7)
     assert time.perf_counter() - start < 1.0
+
+
+# θ*(ball kernel, 1e-3) stops at shell 257 by its tail bound, 1.4e8 rows if
+# the table were formed; run under a 1 GiB address-space cap, so a tree
+# without the point budget fails with MemoryError instead of taking gigabytes
+_THETA_STAR_BUDGET_SCRIPT = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from azeta.errors import BudgetExceededError
+from azeta.homog import QuadraticForm
+from azeta.kernel import Kernel
+from azeta.theta import theta_star_matrix
+ball = QuadraticForm(np.eye(3))
+start = time.perf_counter()
+try:
+    theta_star_matrix(ball.generator, Kernel(ball, power=4), 1e-3)
+except BudgetExceededError as exc:
+    print(f"{time.perf_counter() - start:.3f}", exc)
+"""
+
+
+def test_theta_star_table_over_the_point_budget_raises_at_once():
+    src = str(Path(azeta.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _THETA_STAR_BUDGET_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seconds, message = out.stdout.strip().split(" ", 1)
+    assert "within 49 shells" in message and "1,000,000-point budget" in message
+    assert float(seconds) < 1.0
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 0.3], [-0.3, 1.0]], [[1.0, 0.3], [0.0, 0.7]]],
+                         ids=["rotating", "sheared"])
+def test_kernel_table_off_a_diagonal_flow_matches_a_brute_sum(entries):
+    # a Profile on a flow that is not diagonal, so `_node_stops` takes the
+    # batched SVD; the brute sum applies each flow t^A to the box of 160,
+    # past which the terms add up to under 1e-23
+    generator = GeneratorMatrix(entries)
+    phi = Profile.from_function(
+        generator, lambda p: 1.0 + 0.2 * np.cos(3.0 * np.arctan2(p[:, 1], p[:, 0])),
+        resolution=64)
+    kernel = Kernel(phi, power=4)
+    ts = np.array([1.0, 2.5, 6.0])
+    values, errors, kind = theta_star_table(generator, kernel, ts)
+    assert kind == "rigorous"
+    rows = box_rows([160, 160], nonzero=True)
+    for t, value, error in zip(ts.tolist(), values, errors):
+        want = math.fsum(kernel.evaluate_many(rows @ generator.flow(t).T).tolist())
+        assert abs(value - want) <= error, t
 
 
 def test_theta_star_is_theta_minus_center_term():
@@ -230,7 +288,7 @@ def test_batched_stops_are_the_scalar_searches(phi):
     ts = np.geomspace(0.02, 80.0, 200)
     m_stop, tails, rigorous = theta_module._node_stops(phi.generator, kernel, ts, 1e-14)
     assert rigorous is True
-    c3, p = phi.growth()[2], 1.0 / phi.generator.beta
+    c3, p = phi.growth(), 1.0 / phi.generator.beta
     a_min, a_max = np.diag(phi.generator.entries).min(), np.diag(phi.generator.entries).max()
     for t, m, tail in zip(ts.tolist(), m_stop.tolist(), tails.tolist()):
         sigma = t ** (a_min if t >= 1.0 else a_max)
@@ -264,7 +322,7 @@ def _tail_cases():
               "superellipse": SUPERELLIPSE, "ball": BALL}
     cases = []
     for name, phi in shapes.items():
-        c3, p = phi.growth()[2], 1.0 / phi.generator.beta
+        c3, p = phi.growth(), 1.0 / phi.generator.beta
         if name != "square":
             cases += [pytest.param(phi.dim, w * c3, p, 0.0, id=f"theta-{name}-w{w}")
                       for w in (0.002, 0.01, 0.05, 0.5, 2.0)]

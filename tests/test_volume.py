@@ -7,6 +7,7 @@ from azeta.errors import BudgetExceededError, DomainError
 from azeta.homog import (
     HomogeneousPolynomial,
     PNorm,
+    Profile,
     QuadraticForm,
     _coordinate_monotone,
 )
@@ -85,6 +86,16 @@ def test_lattice_count_matches_brute_oracle():
     pts = lattice_points(2, 8)
     vals = np.sum(pts.astype(float) ** 2, axis=1)
     assert lattice_count(DISC, r) == brute_count(vals, r)
+    # φ that are not coordinate-monotone take the box route
+    skew = QuadraticForm([[2.0, 0.7], [0.7, 1.0]])
+    uneven = Profile.from_function(
+        DISC.generator, lambda p: 1.0 + 0.3 * p[:, 0] / np.linalg.norm(p, axis=1),
+        resolution=64)
+    pts = lattice_points(2, 12)
+    for phi in (skew, uneven):
+        assert not _coordinate_monotone(phi)
+        assert max(phi.lattice_box(r)) < 12
+        assert lattice_count(phi, r) == brute_count(phi.evaluate_many(pts), r)
 
 
 def test_lattice_count_rejects_bad_radius():

@@ -495,14 +495,13 @@ def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
 
 
 def test_continuation_of_the_3d_ball_fits_the_sample_budget():
-    # the largest transform grid measured for a smooth 3-D φ (9.1e6 samples),
-    # the sampled ĝ of the kernel the continuation takes at s = -4; the
-    # continuation itself takes ĝ in closed form.  ζ of a positive quadratic
-    # form vanishes at the negative integers
+    # the sampled ĝ of a 3-D kernel (c = 2: 1.44e6 samples) against its
+    # closed form, which the continuation takes; at the c = 8 it takes at
+    # s = -4 the sampled grid is 9.1e6 samples, 6 s and 750 MB.  ζ of a
+    # positive quadratic form vanishes at the negative integers
     ball = QuadraticForm(np.eye(3))
-    c = default_power(ball, 4.0)
-    sampled = fourier_transform(Kernel(ball, power=c))
-    exact = quadratic_transform(ball.q_matrix, int(c))
+    sampled = fourier_transform(Kernel(ball, power=2.0))
+    exact = quadratic_transform(ball.q_matrix, 2)
     assert abs(sampled.value_at_origin - exact.value_at_origin) <= (
         sampled.quad_error + sampled.tail_error + exact.origin_error)
     got = zeta_continued(ball, -4.0)
@@ -597,7 +596,7 @@ def test_rigorous_sum_charges_its_rounding(name):
     over the whole nonzero box of terms taken in long double."""
     phi, s, m = RIGOROUS_SUMS[name]
     s = complex(s)
-    c3 = phi.growth()[2]
+    c3 = phi.growth()
     value, error = _rigorous_sum(phi, s, m, c3)
     lam = np.log(phi.evaluate_many(box_points([m] * phi.dim)).astype(np.longdouble))
     terms = np.exp(-np.clongdouble(s) * lam)
