@@ -495,10 +495,10 @@ def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
 
 
 def test_continuation_of_the_3d_ball_fits_the_sample_budget():
-    # the sampled ĝ of a 3-D kernel (c = 2: 1.44e6 samples) against its
-    # closed form, which the continuation takes; at the c = 8 it takes at
-    # s = -4 the sampled grid is 9.1e6 samples, 6 s and 750 MB.  ζ of a
-    # positive quadratic form vanishes at the negative integers
+    # the sampled ĝ of the ball's kernel against the closed form that the
+    # continuation takes, at c = 2 (1.44e6 samples; the c = 8 of s = -4
+    # samples 9.1e6 in 6 s and 750 MB).  ζ of a positive quadratic form
+    # vanishes at the negative integers
     ball = QuadraticForm(np.eye(3))
     sampled = fourier_transform(Kernel(ball, power=2.0))
     exact = quadratic_transform(ball.q_matrix, 2)
