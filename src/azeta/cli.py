@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"budget exceeded: out of memory ({exc})", file=sys.stderr)
+        return 3
     except DomainError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2

@@ -4,20 +4,21 @@ Every quantity azeta computes is a sum over a grid: ζ(φ,s) = Σ φ(ω)^{-s}
 and the count #{φ(ω) < r} over an integer box, θ sums over boxes and shells,
 and the graded Gauss grids of `quadrature.box_integral`.  This module builds
 those grids, walks a large grid in first-axis slabs of bounded row count, gives
-the size of an integer box and the points of a sup-norm shell.  It also walks
-half an integer box: the rows after the origin, which are the lexicographically
-positive rows (first nonzero coordinate positive).  With their negatives they
-partition the nonzero rows of the box, so a sum over an even φ needs only them,
-each counted twice.  Last, it walks the closed orthant prod [0, B_i] of a box
-face by face, each slab with its number of sign images: a φ that sees each x_i
-only through |x_i| needs only these points, for the direct series' moment
-table in `zeta` and for the column heads of `volume.lattice_count`.
+the size of an integer box and its nonzero rows in sup-norm order.  It also
+walks half an integer box: the rows after the origin, which are the
+lexicographically positive rows (first nonzero coordinate positive).  With
+their negatives they partition the nonzero rows of the box, so a sum over an
+even φ needs only them, each counted twice.  Last, it walks the closed
+orthant prod [0, B_i] of a box face by face, each slab with its number of
+sign images: a φ that sees each x_i only through |x_i| needs only these
+points, for the walk of φ over a box (`homog._lattice_values`) and for the
+column heads of `volume.lattice_count`.
 
 The orthant walk hands out each slab as its axes, one 1-D array per
 coordinate, and φ is evaluated on it by `HomogeneousFunction.evaluate_grid`,
 which for a separable φ forms one term per axis point instead of one per row;
 `grid_rows` and `box_rows` give rows where a caller needs them (the half-box
-walk, the count's column heads and `theta.theta_phi`'s boxes).
+walk, θ's orthant slabs, the count's column heads and the θ* tables' shells).
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
@@ -34,21 +35,20 @@ with them the CLI outputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-__all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs",
-           "half_box_slabs", "orthant_slabs", "box_size", "shell"]
+__all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "shell_rows", "slabs",
+           "half_box_slabs", "orthant_slabs", "box_size"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
 # 1 M rows, at 959 or 1,002 MB with 2 M, 970 MB with 3 M and 981 MB with 4 M.
-# It also caps the points of one θ* table's shells (`theta._shell_limit`).
+# It also caps the points of one θ* table (`theta._shell_limit`).
 SLAB_ROWS = 1_000_000
 # points in the box of one lattice enumeration: `volume.lattice_count`'s box
-# and `theta.theta_phi`'s shells.  It bounds the box, not the rows visited;
+# and `theta.theta_phi`'s box.  It bounds the box, not the rows visited;
 # `lattice_count`'s column-height route visits far fewer rows than its box.
 COUNT_BUDGET = int(1e8)
 
@@ -81,6 +81,18 @@ def box_rows(box, first: slice = slice(None), nonzero: bool = False) -> np.ndarr
     if nonzero:
         rows = rows[np.any(rows != 0.0, axis=1)]
     return rows
+
+
+def shell_rows(dim: int, stops) -> tuple:
+    """(rows, counts): the nonzero rows of the box [-M, M]^dim, M the largest
+    of the integer `stops`, stably sorted by sup norm, so shell by shell and
+    each shell in the box's C order; the first counts[i] rows are those of
+    sup norm at most stops[i]."""
+    stops = np.asarray(stops)
+    rows = box_rows([int(stops.max())] * dim, nonzero=True)
+    norms = np.abs(rows).max(axis=1)
+    order = np.argsort(norms, kind="stable")
+    return rows[order], np.searchsorted(norms[order], stops, side="right")
 
 
 def slabs(sizes, cap: int = SLAB_ROWS) -> list:
@@ -144,36 +156,3 @@ def orthant_slabs(box, cap: int = SLAB_ROWS):
 def box_size(box) -> float:
     """Number of points in the integer box prod [-B_i, B_i], as a float."""
     return float(np.prod(2.0 * np.asarray(box, dtype=float) + 1.0))
-
-
-@lru_cache(maxsize=256)
-def shell(dim: int, m: int) -> np.ndarray:
-    """Integer vectors with sup norm exactly m, as read-only float64 rows.
-
-    The rows are those of the box [-m, m]^dim with sup norm m, in the box's
-    C order, built face by face in O(m^(dim-1)) rows (see `_shell_rows`).
-    """
-    rows = _shell_rows(dim, m)
-    rows.setflags(write=False)
-    return rows
-
-
-def _shell_rows(dim: int, m: int) -> np.ndarray:
-    """The rows of `shell` in C order: with the first coordinate at -m, the
-    whole (dim-1)-box; at each -m < x_0 < m, the (dim-1)-shell; at m, the
-    whole (dim-1)-box again."""
-    if m == 0:
-        return np.zeros((1, dim))
-    if dim == 1:
-        return np.array([[-m], [m]], dtype=float)
-    axis = np.arange(-m, m + 1)
-    face = grid_rows([axis] * (dim - 1))
-    inner = _shell_rows(dim - 1, m)
-    rows = np.empty((2 * face.shape[0] + (2 * m - 1) * inner.shape[0], dim))
-    n = face.shape[0]
-    rows[:n, 0], rows[:n, 1:] = -m, face
-    rows[-n:, 0], rows[-n:, 1:] = m, face
-    middle = rows[n:-n].reshape(2 * m - 1, inner.shape[0], dim)
-    middle[..., 0] = axis[1:-1, None]
-    middle[..., 1:] = inner
-    return rows

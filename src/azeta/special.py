@@ -8,7 +8,9 @@ Lattice sums run over sup-norm shells: `exp_shell_tail` and `power_shell_tail`
 bound the shells a sum leaves out, over their exact counts, and `first_shell`
 finds the first shell whose tail meets a target.  `exp_shell_tails` and
 `first_shells` are their array forms, for many searches at once; the scalar
-forms stay for single searches, where numpy's per-call cost would dominate.
+forms stay for single searches: `theta_phi`'s stop search on the disc takes
+19–52 µs in scalar form and 330–720 µs as a one-element batch, at w = 0.05
+and 0.002 (best of 7 × 200 calls on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations

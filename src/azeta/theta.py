@@ -11,8 +11,10 @@ use their fitted decay model and are flagged as estimates.
 one route per summand type: a kernel on its own flow evaluates φ once and
 scales it, since φ(t^A ω) = t φ(ω); a transform on a diagonal flow sums its
 in-band boxes in closed form, all nodes in one blocked contraction; anything
-else is walked shell by shell per node.  `theta_star_matrix` is its one-node
-call.
+else sums each node's shells in one evaluation.  Both shell routes take their
+rows from `lattice.shell_rows`, the box in sup-norm order.
+`theta_star_matrix` is its one-node call.  `theta_phi` sums e^{-wφ} over the
+direct series' walk of the box (`homog._lattice_values`).
 
 The transform law reads theta_A(g, i/t) = t^alpha theta_{A^T}(ghat, it) in the
 convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
@@ -20,13 +22,15 @@ convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
+from .homog import _lattice_values
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, SLAB_ROWS, box_rows, shell, slabs
+from .lattice import COUNT_BUDGET, SLAB_ROWS, shell_rows
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell, first_shells
 
@@ -125,8 +129,7 @@ def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
     one batched SVD of the flows.  So the stop rests on the tail bound alone
     and is known before any value of the summand is formed.  The search
     ends at `_shell_limit`, so a table never forms more than SLAB_ROWS
-    points (nor keeps larger shells in the `lattice.shell` cache); a node
-    whose tail needs more raises `BudgetExceededError`.
+    points; a node whose tail needs more raises `BudgetExceededError`.
     """
     if generator.is_diagonal:
         exponents = np.diag(generator.entries)
@@ -168,9 +171,8 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     of a `GaussianTransform` change sign, so both are charged on magnitudes.
     """
     m_stop, tails, rigorous = _node_stops(kernel.generator, kernel, ts, target)
-    shells = [shell(kernel.dim, m) for m in range(1, int(m_stop.max()) + 1)]
-    used = np.cumsum([rows.shape[0] for rows in shells])[m_stop - 1]
-    phi_vals = kernel.phi.evaluate_many(np.vstack(shells))
+    rows, used = shell_rows(kernel.dim, m_stop)
+    phi_vals = kernel.phi.evaluate_many(rows)
     values = np.empty(ts.size)
     errors = np.array(tails, dtype=float)
     step = max(1, _TABLE_BLOCK // phi_vals.size)
@@ -188,25 +190,18 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     return values, errors, RIGOROUS if rigorous else ESTIMATED
 
 
-def _shell_walk(func, flow, m_stop: int, tail: float, rigorous: bool):
-    """(value, error, kind) of one node, summed shell by shell out to its stop
-    (`_node_stops`)."""
-    total, magnitude, evaluated = 0.0, 0.0, 0
-    for m in range(1, m_stop + 1):
-        offsets = shell(flow.shape[0], m)
-        vals = func.evaluate_many(offsets @ flow.T)
-        total += float(np.sum(vals))
-        magnitude += float(np.sum(np.abs(vals)))
-        evaluated += offsets.shape[0]
-    # the m_stop shell sums are added up m_stop times more
-    rounding = _pairwise_rounding(magnitude, offsets.shape[0], m_stop)
-    err = tail + rounding + _grid_sum_error(func, evaluated)
+def _shell_walk(func, flow, offsets, tail: float, rigorous: bool):
+    """(value, error, kind) of one node: one sum over its shells out to its
+    stop (`_node_stops`), the rows `offsets`."""
+    vals = func.evaluate_many(offsets @ flow.T)
+    rounding = _pairwise_rounding(float(np.sum(np.abs(vals))), offsets.shape[0])
+    err = tail + rounding + _grid_sum_error(func, offsets.shape[0])
     kind = (
         RIGOROUS
         if rigorous and not hasattr(func, "quad_error")
         else ESTIMATED
     )
-    return total, err, kind
+    return float(np.sum(vals)), err, kind
 
 
 def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12):
@@ -232,9 +227,10 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
     m_stop, tails, rigorous = _node_stops(generator, func, ts, target)
+    rows, used = shell_rows(generator.dim, m_stop)
     values, errors, kinds = zip(*(
-        _shell_walk(func, generator.flow(t), m, tail, rigorous)
-        for t, m, tail in zip(ts.tolist(), m_stop.tolist(), tails.tolist())))
+        _shell_walk(func, generator.flow(t), rows[:n], tail, rigorous)
+        for t, n, tail in zip(ts.tolist(), used.tolist(), tails.tolist())))
     kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
     return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
 
@@ -255,8 +251,11 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
     p = 1/β) bounds the tail; the first shell m where it meets target is
     found first, `BudgetExceededError` raised if shells 1..m hold more than
     `COUNT_BUDGET` points, and the nonzero rows of the box [-m, m]^n, which
-    are shells 1..m, are then summed in `lattice.slabs` of at most a million
-    points.
+    are shells 1..m, are then summed in the walk of the direct series
+    (`homog._lattice_values`): one orthant or half the box where φ's
+    symmetry allows.  Each slab is evaluated in one `evaluate_many` call
+    (``grid=False``), so a trace of the call counts its points, and the
+    slab sums are added exactly (`math.fsum`), the same on every platform.
     """
     w = complex(w)
     if not (w.real > 0.0):
@@ -270,12 +269,13 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
         raise BudgetExceededError(
             f"theta at Re w = {w.real:g} needs at least {points:.3g} lattice "
             f"points, over the {COUNT_BUDGET:.0e} budget")
-    total = 1.0 + 0.0j
-    box = [m_stop] * dim
-    for part in slabs([2 * m_stop + 1] * dim):
-        vals = phi.evaluate_many(box_rows(box, part, nonzero=True))
-        total += complex(np.sum(np.exp(-w * vals)))
-    value = total.real if w.imag == 0.0 else total
+    rate = w.real if w.imag == 0.0 else w  # real w keeps every array real
+    mult = 2 if phi.is_even else 1
+    parts = [mult * weight * complex(np.sum(np.exp(-rate * vals)))
+             for vals, weight in _lattice_values(phi, [m_stop] * dim, grid=False)]
+    value = math.fsum([1.0] + [z.real for z in parts])
+    if w.imag != 0.0:
+        value = complex(value, math.fsum(z.imag for z in parts))
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)
 
 

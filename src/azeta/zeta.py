@@ -48,10 +48,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, DomainError, StripError
-from .homog import HomogeneousFunction, _coordinate_monotone
+from .homog import _WALK_ROWS, HomogeneousFunction, _lattice_values
 from .kernel import (GaussianTransform, Kernel, SampledTransform, dual_form, fourier_transform,
                      quadratic_matrix, quadratic_transform)
-from .lattice import box_size, half_box_slabs, orthant_slabs
+from .lattice import box_size
 from .quadrature import gl_nodes, panel_points
 from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
                       power_shell_tail)
@@ -115,10 +115,6 @@ _MIN_POINTS = 100_000  # lattice points the estimator needs below t_max
 # points in the box of the table or of the rigorous sum; disc2d's verify point
 # s = 2.25+0.75i takes the rigorous route with a box of 2109^2 = 4,447,881
 _BOX_BUDGET = 5e6
-# rows per slab of the build: its temporaries stay in cache, and the orthant
-# walk's table build on the superellipse at box_budget 1e7 peaked at 43 MB RSS
-# with 2^15 rows, at 132 MB with 1 M rows (x86-64 Linux, glibc malloc)
-_BUILD_ROWS = 1 << 15
 _LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long double
 
 
@@ -136,27 +132,6 @@ class _MomentTable:
 
 def _centres(t_max: float, bins: int) -> np.ndarray:
     return math.log(t_max) - (np.arange(bins) + 0.5) * _BIN_WIDTH
-
-
-def _lattice_values(phi: HomogeneousFunction, box):
-    """(φ, weight) slab by slab over the nonzero rows of the integer box;
-    the weighted sums times mult (2 for an even φ, else 1) are the box's.
-
-    A coordinate-monotone φ (`homog._coordinate_monotone`) walks
-    `lattice.orthant_slabs`, evaluated on each slab's grid
-    (`evaluate_grid`), a point with 2^k sign images weighing 2^k / 2;
-    the origin's slab comes out empty with weight 0, as the half box's
-    x_0 = 0 slab does in one dimension.  Any other even φ walks
-    `lattice.half_box_slabs` (weight 1), and an uneven φ the negated rows
-    too.  The weights are 0 or powers of two, so scaling by them is exact."""
-    if _coordinate_monotone(phi):
-        for axes, mirrors in orthant_slabs(box, _BUILD_ROWS):
-            yield (phi.evaluate_grid(axes) if mirrors > 1 else np.empty(0)), mirrors // 2
-        return
-    for rows in half_box_slabs(box, _BUILD_ROWS):
-        # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
-        for pts in (rows,) if phi.is_even else (rows, 0.0 - rows):
-            yield phi.evaluate_many(pts), 1
 
 
 def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
@@ -408,7 +383,7 @@ def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
         size += weight * mag.sum()
         spread += weight * (mag @ np.abs(lam))
     rounding = _EPS * (2.0 * abs(s) * spread
-                       + (abs(s) + math.log2(_BUILD_ROWS) + slabs + 2.0) * size)
+                       + (abs(s) + math.log2(_WALK_ROWS) + slabs + 2.0) * size)
     mult = 2 if phi.is_even else 1
     return complex(mult * total), _integral_test_tail(phi, s.real, c3, m_box) + float(mult * rounding)
 

@@ -212,6 +212,18 @@ def test_transform_over_its_sample_budget_exits_3(tmp_path, capsys):
     assert "sample budget" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 363. MiB")
+
+    monkeypatch.setattr("azeta.cli.zeta_continued", exhausted)
+    cfg = write_config(tmp_path)
+    assert main(["zeta", "--config", str(cfg), "--s", "0.5+1i",
+                 "--method", "continued"]) == 3
+    assert ("budget exceeded: out of memory (Unable to allocate 363. MiB)"
+            in capsys.readouterr().err)
+
+
 def test_zero_kernel_power_exits_2_under_continued(tmp_path, capsys):
     cfg = write_config(tmp_path, kernel={"power": 0})
     assert main(["zeta", "--config", str(cfg), "--s", "0.25+1i",

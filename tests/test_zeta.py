@@ -262,6 +262,15 @@ def test_negative_integers_1d():
         assert got.value.real == pytest.approx(target, abs=1e-6)
 
 
+def test_negative_integers_retry_with_the_next_power():
+    # ζ(superellipse, -5) is decided by the retry ladder: its first power,
+    # c = 12, falls short of the strip, and the next, c = 18, is taken
+    assert default_power(SUPERELLIPSE, 5.0) == 12
+    with pytest.raises(StripError):
+        zeta_continued(SUPERELLIPSE, -5.0, power=12)
+    assert zeta_negative_integers(SUPERELLIPSE, 5) == zeta_continued(SUPERELLIPSE, -5.0, power=18)
+
+
 def test_scaling_law():
     phi = disc()
     s = 2.25 + 0.75j

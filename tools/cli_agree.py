@@ -15,9 +15,10 @@ and after all of them the number of byte-identical pairs.
 
 A change that reorders a floating-point sum cannot keep the CLI outputs
 byte-identical; it is judged by agreement within the stated error bars
-instead.  For the `zeta`, `zeta-direct`, `zeta-estimated` and `asymp`
-commands the script compares each row of zeta.csv, keyed s=<s>, and the θ
-expansion of asymp_summary.json at the largest w: each term
+instead.  For the `zeta`, `zeta-direct`, `zeta-estimated`, `theta` and
+`asymp` commands the script compares each row of zeta.csv, keyed s=<s>, each
+row of theta.csv, keyed w=<w>, and the θ expansion of asymp_summary.json at
+the largest w: each term
 (`expansion_terms`, keyed term=<k>; term k >= 1 is the ζ(φ,−k) correction)
 and their sum (`expansion_at_largest_w`, keyed largest_w).  For each it
 prints
@@ -46,7 +47,7 @@ from pathlib import Path
 
 from cli_digest import COMMANDS, ROOT, _run
 
-LABELS = ("zeta", "zeta-direct", "zeta-estimated", "asymp")
+LABELS = ("zeta", "zeta-direct", "zeta-estimated", "theta", "asymp")
 
 
 def _value(row: dict) -> tuple:
@@ -60,11 +61,12 @@ def _rows(out: Path) -> list:
         terms = [(f"term={k}", row) for k, row in enumerate(summary["expansion_terms"])]
         return [(key, *_value(row)) for key, row in
                 terms + [("largest_w", summary["expansion_at_largest_w"])]]
-    if not (out / "zeta.csv").is_file():
-        return []
-    with open(out / "zeta.csv", newline="") as fh:
-        return [(f"s={complex(float(r['s_re']), float(r['s_im']))}", *_value(r))
-                for r in csv.DictReader(fh)]
+    for name, var in (("zeta.csv", "s"), ("theta.csv", "w")):
+        if (out / name).is_file():
+            with open(out / name, newline="") as fh:
+                return [(f"{var}={complex(float(r[var + '_re']), float(r[var + '_im']))}",
+                         *_value(r)) for r in csv.DictReader(fh)]
+    return []
 
 
 def _checks(out: Path) -> dict:
