@@ -85,17 +85,18 @@ class Kernel:
         return out
 
     def radial_terms(self, level: np.ndarray):
-        """(radial(v), a bound on its rounding error) at v > 0, v itself off
-        by up to 4 ulps (from φ and the flow scaling).
+        """(radial(v), a bound on its error) at v > 0, v itself off by up to
+        4 ulps (from φ and the flow scaling) and by φ's `value_error`.
 
         v^c e^{-v} is exp(c ln v - v): the log-derivative c - v amplifies
-        the error of v, and forming c ln v - v rounds by up to about
-        (c|ln v| + v) ulps.  The last ulps are the exp's own.
+        the relative error of v, and forming c ln v - v rounds by up to
+        about (c|ln v| + v) ulps.  The last ulps are the exp's own.
         """
         c = self.power
         terms = self.radial(level)
-        return terms, terms * ((2.0 * np.abs(c - level) + 1.5 * c * np.abs(np.log(level))
-                                + level + 2.0) * 2.0**-52)
+        gain = np.abs(c - level)
+        return terms, terms * ((2.0 * gain + 1.5 * c * np.abs(np.log(level)) + level + 2.0)
+                               * 2.0**-52 + gain * self.phi.value_error)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.radial(self.phi.evaluate_many(points))

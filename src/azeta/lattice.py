@@ -1,14 +1,14 @@
 """Point grids: tensor grids as axes, and the one place a grid becomes rows.
 
 Every quantity azeta computes is a sum over a grid: ζ(φ,s) = Σ φ(ω)^{-s}
-and the count #{φ(ω) < r} over an integer box, θ sums over boxes and shells,
-and the graded Gauss grids of `quadrature.box_integral`.  This module builds
-those grids, walks a large grid in first-axis slabs of bounded row count, gives
-the size of an integer box and its nonzero rows in sup-norm order.  It also
-walks half an integer box: the rows after the origin, which are the
-lexicographically positive rows (first nonzero coordinate positive).  With
-their negatives they partition the nonzero rows of the box, so a sum over an
-even φ needs only them, each counted twice.  Last, it walks the closed
+and the count #{φ(ω) < r} over an integer box, θ sums over boxes, and the
+graded Gauss grids of `quadrature.box_integral`.  This module builds those
+grids, walks a large grid in first-axis slabs of bounded row count and gives
+the size of an integer box.  It also walks half an integer box: the rows
+after the origin, which are the lexicographically positive rows (first
+nonzero coordinate positive).  With their negatives they partition the
+nonzero rows of the box, so a sum over an even φ needs only them, each
+counted twice.  Last, it walks the closed
 orthant prod [0, B_i] of a box face by face, each slab with its number of
 sign images: a φ that sees each x_i only through |x_i| needs only these
 points, for the walk of φ over a box (`homog._lattice_values`) and for the
@@ -18,7 +18,8 @@ The orthant walk hands out each slab as its axes, one 1-D array per
 coordinate, and φ is evaluated on it by `HomogeneousFunction.evaluate_grid`,
 which for a separable φ forms one term per axis point instead of one per row;
 `grid_rows` and `box_rows` give rows where a caller needs them (the half-box
-walk, θ's orthant slabs, the count's column heads and the θ* tables' shells).
+walk, θ's orthant slabs, the count's column heads and the θ* tables' boxes
+for summands off their own flow).
 
 Row order is a contract: a grid over axes a_0, ..., a_{n-1} comes out in C
 order, first axis slowest and last axis fastest, the order in which
@@ -39,8 +40,8 @@ from itertools import product
 
 import numpy as np
 
-__all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "shell_rows", "slabs",
-           "half_box_slabs", "orthant_slabs", "box_size"]
+__all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs", "half_box_slabs",
+           "orthant_slabs", "box_size"]
 
 # Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
 # Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
@@ -81,18 +82,6 @@ def box_rows(box, first: slice = slice(None), nonzero: bool = False) -> np.ndarr
     if nonzero:
         rows = rows[np.any(rows != 0.0, axis=1)]
     return rows
-
-
-def shell_rows(dim: int, stops) -> tuple:
-    """(rows, counts): the nonzero rows of the box [-M, M]^dim, M the largest
-    of the integer `stops`, stably sorted by sup norm, so shell by shell and
-    each shell in the box's C order; the first counts[i] rows are those of
-    sup norm at most stops[i]."""
-    stops = np.asarray(stops)
-    rows = box_rows([int(stops.max())] * dim, nonzero=True)
-    norms = np.abs(rows).max(axis=1)
-    order = np.argsort(norms, kind="stable")
-    return rows[order], np.searchsorted(norms[order], stops, side="right")
 
 
 def slabs(sizes, cap: int = SLAB_ROWS) -> list:

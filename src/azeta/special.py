@@ -6,11 +6,10 @@ Re z >= 1/2 `gamma_rel_error` bounds it, 64 ulps times 1 + |z|.  The test suite
 checks real values to 1e-13 against an independent reference implementation.
 Lattice sums run over sup-norm shells: `exp_shell_tail` and `power_shell_tail`
 bound the shells a sum leaves out, over their exact counts, and `first_shell`
-finds the first shell whose tail meets a target.  `exp_shell_tails` and
-`first_shells` are their array forms, for many searches at once; the scalar
-forms stay for single searches: `theta_phi`'s stop search on the disc takes
-19–52 µs in scalar form and 330–720 µs as a one-element batch, at w = 0.05
-and 0.002 (best of 7 × 200 calls on a 2-core x86-64 VM).
+finds the first shell whose tail meets a target.  `exp_shell_tails` is the
+array form of `exp_shell_tail`, for a kernel's tails at many flow times at
+once (`Kernel.shell_tail`); each search, θ's or a θ* table's, is one scalar
+`first_shell`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import DomainError
 
 __all__ = ["gamma", "gamma_rel_error", "digamma",
            "bernoulli_numbers", "gamma_tail_factor", "exp_shell_tail",
-           "exp_shell_tails", "power_shell_tail", "first_shell", "first_shells"]
+           "exp_shell_tails", "power_shell_tail", "first_shell"]
 
 # Classic g=7 Lanczos coefficient set (double precision).
 _LANCZOS_G = 7.0
@@ -200,26 +199,3 @@ def first_shell(meets, limit: int):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if meets(mid) else (mid, hi)
     return hi
-
-
-def first_shells(meets, count: int, limit: int) -> np.ndarray:
-    """`first_shell` for `count` searches at once, or -1 where none is found:
-    meets maps an integer array of m, one per search, to a boolean array.
-    Each doubling or bisection step is one call for every search."""
-    lo = np.zeros(count, dtype=np.int64)
-    hi = np.ones(count, dtype=np.int64)
-    while True:
-        found = meets(hi)
-        grow = ~found & (hi < limit)
-        if not grow.any():
-            break
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, np.minimum(2 * hi, limit), hi)
-    while True:
-        open_ = found & (hi - lo > 1)
-        if not open_.any():
-            return np.where(found, hi, -1)
-        mid = (lo + hi) // 2
-        below = meets(mid)
-        hi = np.where(open_ & below, mid, hi)
-        lo = np.where(open_ & ~below, mid, lo)

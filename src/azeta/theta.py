@@ -1,20 +1,20 @@
 """Lattice theta sums along a matrix flow.
 
 theta_A(f, it) = sum over the integer lattice of f(t^A ω); the starred variant
-drops ω = 0.  Sums run over sup-norm shells and stop at the first shell whose
-tail meets target, found before any shell is summed.  Shell j lands at norm
+drops ω = 0.  Sums run over the box [-m, m]^n of the first m whose tail
+meets target, found before any term is summed.  Shell j lands at norm
 >= sigma_min(t^A) j, so the summand's `shell_tail(sigma, m)` bounds the tail
 in closed form (`special`).  Kernel bounds are certified; sampled transforms
 use their fitted decay model and are flagged as estimates.
 
 `theta_star_table` gives θ* at a whole table of flow times in one call, with
-one route per summand type: a kernel on its own flow evaluates φ once and
-scales it, since φ(t^A ω) = t φ(ω); a transform on a diagonal flow sums its
-in-band boxes in closed form, all nodes in one blocked contraction; anything
-else sums each node's shells in one evaluation.  Both shell routes take their
-rows from `lattice.shell_rows`, the box in sup-norm order.
-`theta_star_matrix` is its one-node call.  `theta_phi` sums e^{-wφ} over the
-direct series' walk of the box (`homog._lattice_values`).
+one route per summand type: a kernel on its own flow evaluates φ once on the
+direct series' walk of the box (`homog._lattice_values`, one orthant or half
+the box) and scales it, since φ(t^A ω) = t φ(ω); a transform on a diagonal
+flow sums its in-band boxes in closed form, all nodes in one blocked
+contraction; anything else sums the box's nonzero rows at each node.  Both
+box routes share one box per table (`_table_stop`).  `theta_star_matrix` is
+its one-node call.  `theta_phi` sums e^{-wφ} over the same walk.
 
 The transform law reads theta_A(g, i/t) = t^alpha theta_{A^T}(ghat, it) in the
 convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
@@ -30,9 +30,9 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError
 from .homog import _lattice_values
 from .kernel import Kernel
-from .lattice import COUNT_BUDGET, SLAB_ROWS, shell_rows
+from .lattice import COUNT_BUDGET, SLAB_ROWS, box_rows
 from .matflow import GeneratorMatrix
-from .special import _power_sum_bound, exp_shell_tail, first_shell, first_shells
+from .special import _power_sum_bound, exp_shell_tail, first_shell
 
 __all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
            "jacobi_residual"]
@@ -44,6 +44,7 @@ ESTIMATED = "estimated"
 # plane_grid's peak RSS from 100.4 to 101.4 MB
 _TABLE_BLOCK = 1 << 15
 _MAX_SHELL = 2000  # shells a θ* search may take; see `_shell_limit`
+_THETA_PHI_TARGET = 1e-13  # the target of `theta_phi`'s tail
 
 
 @dataclass(frozen=True)
@@ -119,17 +120,18 @@ def _shell_limit(dim: int) -> int:
     return m
 
 
-def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
-    """(m, tails, rigorous) at the flow times ts: each node's first shell m
-    after which the summand's closed-form `shell_tail` meets target, and
-    that tail, from one batched search over all nodes (`first_shells`).
+def _table_stop(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
+    """(m, tails, rigorous) of a table at the flow times ts: the first shell
+    m after which the summand's closed-form `shell_tail` meets target at
+    the node of least σ, and each node's own tail past that m.
 
     Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A: on a
     diagonal A that is t^{a_min} for t ≥ 1 and t^{a_max} below, otherwise
-    one batched SVD of the flows.  So the stop rests on the tail bound alone
-    and is known before any value of the summand is formed.  The search
+    one batched SVD of the flows.  `shell_tail` does not increase with σ at
+    fixed m, so the m that serves the node of least σ serves every node,
+    and it is known before any value of the summand is formed.  The search
     ends at `_shell_limit`, so a table never forms more than SLAB_ROWS
-    points; a node whose tail needs more raises `BudgetExceededError`.
+    points; a table that needs more raises `BudgetExceededError`.
     """
     if generator.is_diagonal:
         exponents = np.diag(generator.entries)
@@ -138,9 +140,9 @@ def _node_stops(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
         flows = np.stack([generator.flow(t) for t in ts.tolist()])
         sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
     limit = _shell_limit(generator.dim)
-    m = first_shells(lambda j: func.shell_tail(sigmas, j + 1)[0] <= target,
-                     ts.size, limit)
-    if np.any(m < 0):
+    least = sigmas.min(keepdims=True)
+    m = first_shell(lambda j: func.shell_tail(least, j + 1)[0][0] <= target, limit)
+    if m is None:
         raise BudgetExceededError(
             f"θ* sum did not meet target {target:g} within {limit} shells, the "
             f"most whose box fits the {SLAB_ROWS:,}-point budget and the "
@@ -160,39 +162,32 @@ def _pairwise_rounding(magnitude, count, passes: int = 1):
 
 
 def _kernel_table(kernel, ts: np.ndarray, target: float):
-    """A kernel on its own flow: g(t^A ω) = radial(t φ(ω)).
-
-    Each node keeps its own stopping shell and tail bound; φ is evaluated
-    once on the shells out to the farthest stop, and each block of nodes'
-    terms forms one (nodes × points) array, zero past each node's stop.  The
-    bar adds, to the tail and the rounding of the row sum over |terms|, each
-    term's own rounding (`Kernel.radial_terms`): at x = tφ ≫ c a relative
-    error of x moves x^c e^{-x} by about |c - x| times as much.  The terms
-    of a `GaussianTransform` change sign, so both are charged on magnitudes.
-    """
-    m_stop, tails, rigorous = _node_stops(kernel.generator, kernel, ts, target)
-    rows, used = shell_rows(kernel.dim, m_stop)
-    phi_vals = kernel.phi.evaluate_many(rows)
+    """A kernel on its own flow, g(t^A ω) = radial(t φ(ω)): φ once on the
+    walk of the table's box, each value weighted by the points it stands
+    for, and one (nodes × points) array of terms per block of nodes.  The
+    bar adds to the tail the rounding of the row sums and each term's own
+    error (`Kernel.radial_terms`), on magnitudes, since the terms of a
+    `GaussianTransform` change sign."""
+    m_stop, tails, rigorous = _table_stop(kernel.generator, kernel, ts, target)
+    mult = 2 if kernel.phi.is_even else 1
+    walk = [(vals, np.full(vals.size, mult * weight, dtype=float))
+            for vals, weight in _lattice_values(kernel.phi, [m_stop] * kernel.dim)]
+    phi_vals, weights = (np.concatenate(part) for part in zip(*walk))
     values = np.empty(ts.size)
     errors = np.array(tails, dtype=float)
     step = max(1, _TABLE_BLOCK // phi_vals.size)
     for start in range(0, ts.size, step):
         block = slice(start, start + step)
-        width = int(used[block].max())
-        level = np.outer(ts[block], phi_vals[:width])
-        terms, rounding = kernel.radial_terms(level)
-        past = np.arange(width)[None, :] >= used[block, None]
-        terms[past] = 0.0
-        rounding[past] = 0.0
-        values[block] = terms.sum(axis=1)
-        errors[block] += (_pairwise_rounding(np.abs(terms).sum(axis=1), width)
-                          + rounding.sum(axis=1))
+        terms, rounding = kernel.radial_terms(np.outer(ts[block], phi_vals))
+        values[block] = (terms * weights).sum(axis=1)
+        errors[block] += (_pairwise_rounding(np.abs(terms) @ weights, phi_vals.size)
+                          + rounding @ weights)
     return values, errors, RIGOROUS if rigorous else ESTIMATED
 
 
 def _shell_walk(func, flow, offsets, tail: float, rigorous: bool):
-    """(value, error, kind) of one node: one sum over its shells out to its
-    stop (`_node_stops`), the rows `offsets`."""
+    """(value, error, kind) of one node: one sum over the table's box, the
+    nonzero rows `offsets`, mapped by the node's flow."""
     vals = func.evaluate_many(offsets @ flow.T)
     rounding = _pairwise_rounding(float(np.sum(np.abs(vals))), offsets.shape[0])
     err = tail + rounding + _grid_sum_error(func, offsets.shape[0])
@@ -209,14 +204,15 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
 
     Returns (values, errors, kind): two arrays and one tag for the table.
     `func` needs evaluate_many(points) and shell_tail(sigma, m), a bound on
-    its sum over the shells j >= m at norm >= sigma j; kernels give
-    certified bounds, sampled transforms fitted ones.  Three routes, one
-    per summand type: a Kernel on its own flow (`_kernel_table`), a
-    transform with a closed-form box sum on a diagonal flow
-    (`_tensor_table`), and a shell walk per node for everything else.
-    The first and last stop each node at its first shell whose tail meets
-    target, searched only as far as a box of SLAB_ROWS points
-    (`_node_stops`): a node that needs more raises `BudgetExceededError`.
+    its sum over the shells j >= m at norm >= sigma j, over arrays of sigma
+    and m; kernels give certified bounds, sampled transforms fitted ones.
+    At fixed m the bound must not increase with sigma: the table's box is
+    the one that meets target at its node of least σ (`_table_stop`), and
+    every node charges its own tail past that box.  Three routes, one per
+    summand type: a Kernel on its own flow (`_kernel_table`), a transform
+    with a closed-form box sum on a diagonal flow (`_tensor_table`), and a
+    sum over the box's nonzero rows at each node for everything else.  A
+    box of more than SLAB_ROWS points raises `BudgetExceededError`.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     if not np.all((ts > 0.0) & np.isfinite(ts)):
@@ -226,11 +222,11 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
         return _kernel_table(func, ts, target)
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
-    m_stop, tails, rigorous = _node_stops(generator, func, ts, target)
-    rows, used = shell_rows(generator.dim, m_stop)
+    m_stop, tails, rigorous = _table_stop(generator, func, ts, target)
+    rows = box_rows([m_stop] * generator.dim, nonzero=True)
     values, errors, kinds = zip(*(
-        _shell_walk(func, generator.flow(t), rows[:n], tail, rigorous)
-        for t, n, tail in zip(ts.tolist(), used.tolist(), tails.tolist())))
+        _shell_walk(func, generator.flow(t), rows, tail, rigorous)
+        for t, tail in zip(ts.tolist(), tails.tolist())))
     kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
     return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
 
@@ -243,7 +239,7 @@ def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
     return BoundedValue(float(values[0]), float(errors[0]), kind)
 
 
-def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
+def theta_phi(phi, w) -> BoundedValue:
     """theta(φ, iw) = 1 + sum over nonzero ω of e^{-w φ(ω)}, for Re w > 0.
 
     Accepts complex w in the right half plane (the value is then complex).
@@ -262,7 +258,7 @@ def theta_phi(phi, w, target: float = 1e-13) -> BoundedValue:
         raise DomainError(f"theta needs Re w > 0, got {w}")
     dim = phi.dim
     a, p = w.real * phi.growth(), 1.0 / phi.generator.beta
-    m_stop = first_shell(lambda m: exp_shell_tail(dim, m + 1, a, p) <= target,
+    m_stop = first_shell(lambda m: exp_shell_tail(dim, m + 1, a, p) <= _THETA_PHI_TARGET,
                          1 << 60) or 1 << 60
     points = (2 * m_stop + 1) ** dim
     if points > COUNT_BUDGET:

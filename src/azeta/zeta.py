@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, StripError
+from .errors import BudgetExceededError, DivergenceError, DomainError, StripError
 from .homog import _WALK_ROWS, HomogeneousFunction, _lattice_values
 from .kernel import (GaussianTransform, Kernel, SampledTransform, dual_form, fourier_transform,
                      quadratic_matrix, quadratic_transform)
@@ -664,7 +664,8 @@ def residue_at_alpha(phi: HomogeneousFunction, *,
 
 def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue:
     """ζ(φ,-k) for positive integer k, retrying with a larger kernel power if
-    the first transform's certified strip falls short."""
+    the first transform's certified strip falls short or its grid outgrows
+    the sample budget; the last attempt raises."""
     if k < 1 or k != int(k):
         raise DomainError(f"need a positive integer order, got {k}")
     c = default_power(phi, float(k))
@@ -672,7 +673,7 @@ def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue
     for attempt in range(2):
         try:
             return zeta_continued(phi, -float(k), power=c + attempt * step)
-        except StripError:
+        except (StripError, BudgetExceededError):
             pass
     return zeta_continued(phi, -float(k), power=c + 2 * step)
 

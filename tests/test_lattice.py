@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from azeta.lattice import (box_rows, box_size, grid_rows, half_box_slabs, orthant_slabs,
-                           shell_rows, slabs)
+from azeta.lattice import box_rows, box_size, grid_rows, half_box_slabs, orthant_slabs, slabs
 from oracles import lattice_points
 
 
@@ -46,23 +45,6 @@ def test_grid_rows_of_float_axes_slice_the_first_axis():
                              [1.5, 2.0], [2.5, -1.0], [2.5, 2.0]]
     # a slab of the first axis is a run of consecutive rows
     np.testing.assert_array_equal(grid_rows([axes[0][1:3], axes[1]]), full[2:])
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_shells_partition_the_nonzero_box(dim):
-    top = 4
-    ordered, counts = shell_rows(dim, np.arange(top + 1))
-    assert counts[0] == 0
-    rings = []
-    for m in range(1, top + 1):
-        rows = ordered[counts[m - 1]:counts[m]]
-        assert rows.shape == ((2 * m + 1) ** dim - (2 * m - 1) ** dim, dim)
-        box = box_rows([m] * dim)
-        np.testing.assert_array_equal(rows, box[np.max(np.abs(box), axis=1) == m])
-        rings.append(rows)
-    together = sorted(map(tuple, np.concatenate(rings).tolist()))
-    whole = sorted(map(tuple, box_rows([top] * dim, nonzero=True).tolist()))
-    assert together == whole
 
 
 @pytest.mark.parametrize("box", [[0], [9], [2, 5], [1, 2, 3]])

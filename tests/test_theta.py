@@ -215,7 +215,7 @@ def test_theta_star_table_over_the_point_budget_raises_at_once():
 @pytest.mark.parametrize("entries", [[[1.0, 0.3], [-0.3, 1.0]], [[1.0, 0.3], [0.0, 0.7]]],
                          ids=["rotating", "sheared"])
 def test_kernel_table_off_a_diagonal_flow_matches_a_brute_sum(entries):
-    # a Profile on a flow that is not diagonal, so `_node_stops` takes the
+    # a Profile on a flow that is not diagonal, so `_table_stop` takes the
     # batched SVD; the brute sum applies each flow t^A to the box of 160,
     # past which the terms add up to under 1e-23
     generator = GeneratorMatrix(entries)
@@ -225,6 +225,27 @@ def test_kernel_table_off_a_diagonal_flow_matches_a_brute_sum(entries):
     kernel = Kernel(phi, power=4)
     ts = np.array([1.0, 2.5, 6.0])
     values, errors, kind = theta_star_table(generator, kernel, ts)
+    assert kind == "rigorous"
+    rows = box_rows([160, 160], nonzero=True)
+    for t, value, error in zip(ts.tolist(), values, errors):
+        want = math.fsum(kernel.evaluate_many(rows @ generator.flow(t).T).tolist())
+        assert abs(value - want) <= error, t
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 0.3], [-0.3, 1.0]], [[1.0, 0.3], [0.0, 0.7]]],
+                         ids=["rotating", "sheared"])
+def test_kernel_table_bars_cover_the_polar_error_of_a_profile(entries):
+    # at target 1e-14 the tail no longer hides a Profile's own error: its
+    # polar radius stops at a residual that leaves φ off by up to 7.7e-14
+    # relative on the sheared flow, and a term x^c e^{-x} moves by |c - x|
+    # times as much; the brute sum is the one of the test above
+    generator = GeneratorMatrix(entries)
+    phi = Profile.from_function(
+        generator, lambda p: 1.0 + 0.2 * np.cos(3.0 * np.arctan2(p[:, 1], p[:, 0])),
+        resolution=64)
+    kernel = Kernel(phi, power=4)
+    ts = np.array([1.0, 2.5, 6.0, 12.0])
+    values, errors, kind = theta_star_table(generator, kernel, ts, target=1e-14)
     assert kind == "rigorous"
     rows = box_rows([160, 160], nonzero=True)
     for t, value, error in zip(ts.tolist(), values, errors):
@@ -336,28 +357,52 @@ def test_rigorous_shell_bar_covers_the_rounding_of_the_sum(t):
     assert abs(got.value - math.fsum(recorder.values)) <= got.error
 
 
-@pytest.mark.parametrize("phi", [DISC, SUPERELLIPSE], ids=["disc", "superellipse"])
-def test_batched_stops_are_the_scalar_searches(phi):
-    # one `first_shells` search over 200 nodes against a scalar `first_shell`
-    # per node on the same σ; the array tails round apart by a few ulps of
-    # their exponent, a m^p ≈ 40
+_TAIL_SUMMANDS = {
+    "kernel-disc": lambda: Kernel(DISC, power=default_power(DISC)),
+    "kernel-superellipse": lambda: Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE)),
+    "gaussian-disc": lambda: quadratic_transform(DISC.q_matrix, int(default_power(DISC))),
+    "sampled-superellipse": lambda: fourier_transform(
+        Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAIL_SUMMANDS))
+def test_shell_tails_do_not_grow_with_sigma(name):
+    # a θ* table takes one stop for all its nodes, the one of its least σ;
+    # that serves every node because at fixed m no tail bound grows with σ
+    func = _TAIL_SUMMANDS[name]()
+    sigmas = np.geomspace(0.05, 50.0, 400)
+    for m in (1, 2, 5, 11, 40):
+        tails = np.broadcast_to(func.shell_tail(sigmas, m)[0], sigmas.shape)
+        assert np.all(tails[1:] <= tails[:-1]), m
+
+
+@pytest.mark.parametrize("phi, ts", [
+    (DISC, np.geomspace(0.3, 40.0, 60)),
+    (SUPERELLIPSE, np.geomspace(0.5, 80.0, 60)),
+    (Profile.from_function(GeneratorMatrix([[1.0, 0.3], [0.0, 0.7]]),
+                           lambda p: 1.0 + 0.2 * p[:, 0] ** 2, resolution=64),
+     np.geomspace(0.5, 12.0, 30)),
+], ids=["disc", "superellipse", "sheared-profile"])
+def test_table_stop_is_the_scalar_search_at_the_least_sigma(phi, ts):
+    # the table's stop against a scalar `first_shell` over the scalar
+    # `exp_shell_tail` at the least singular value of the nodes' flows, and
+    # each node's tail at that stop against the scalar tail at its own σ;
+    # the array tails round apart by a few ulps of their exponent
     kernel = Kernel(phi, power=default_power(phi))
-    ts = np.geomspace(0.02, 80.0, 200)
-    m_stop, tails, rigorous = theta_module._node_stops(phi.generator, kernel, ts, 1e-14)
+    m_stop, tails, rigorous = theta_module._table_stop(phi.generator, kernel, ts, 1e-14)
     assert rigorous is True
     c3, p = phi.growth(), 1.0 / phi.generator.beta
-    a_min, a_max = np.diag(phi.generator.entries).min(), np.diag(phi.generator.entries).max()
-    for t, m, tail in zip(ts.tolist(), m_stop.tolist(), tails.tolist()):
-        sigma = t ** (a_min if t >= 1.0 else a_max)
-        assert sigma == pytest.approx(
-            np.linalg.svd(phi.generator.flow(t), compute_uv=False)[-1], rel=1e-15)
+    sigmas = [np.linalg.svd(phi.generator.flow(t), compute_uv=False)[-1] for t in ts]
 
-        def scalar(j, sigma=sigma):
-            return (math.inf if sigma * j < 1.0
-                    else exp_shell_tail(phi.dim, j, c3 * sigma**p, p, kernel.power))
+    def scalar(j, sigma):
+        return (math.inf if sigma * j < 1.0
+                else exp_shell_tail(phi.dim, j, c3 * sigma**p, p, kernel.power))
 
-        assert m == first_shell(lambda j: scalar(j + 1) <= 1e-14, 2000), t
-        assert tail == pytest.approx(scalar(m + 1), rel=1e-13), t
+    assert m_stop == first_shell(lambda j: scalar(j + 1, min(sigmas)) <= 1e-14, 2000)
+    assert np.all(tails <= 1e-14)
+    for sigma, tail in zip(sigmas, tails.tolist()):
+        assert tail == pytest.approx(scalar(m_stop + 1, sigma), rel=1e-13), sigma
 
 
 def test_power_sum_bound_is_above_the_sum():
@@ -448,7 +493,8 @@ def test_kernel_table_bars_cover_the_conditioning_of_g(phi):
 
 
 def test_kernel_table_in_blocks_matches_one_node_calls(monkeypatch):
-    # blocks of a few nodes each, every block cut to its own farthest stop
+    # blocks of a few nodes each over the table's one box, against one-node
+    # tables, each over the box of its own stop, which is no larger
     kernel = Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))
     ts, _ = panel_points([1.0, 2.0, 4.0], 12)
     monkeypatch.setattr(theta_module, "_TABLE_BLOCK", 2000)

@@ -271,6 +271,14 @@ def test_negative_integers_retry_with_the_next_power():
     assert zeta_negative_integers(SUPERELLIPSE, 5) == zeta_continued(SUPERELLIPSE, -5.0, power=18)
 
 
+def test_negative_integers_retry_past_the_sample_budget():
+    # ζ(PNorm(2, 4), -1): the first power, c = 5, outgrows the transform's
+    # sample budget, and the ladder takes the next, c = 6
+    assert default_power(PNorm(2, 4.0), 1.0) == 5
+    assert zeta_negative_integers(PNorm(2, 4.0), 1) == zeta_continued(PNorm(2, 4.0), -1.0,
+                                                                      power=6)
+
+
 def test_scaling_law():
     phi = disc()
     s = 2.25 + 0.75j
