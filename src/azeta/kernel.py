@@ -34,7 +34,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from .errors import BudgetExceededError, DomainError
-from .homog import HomogeneousFunction, QuadraticForm, Scaled, _coordinate_monotone
+from .homog import HomogeneousFunction, PNorm, QuadraticForm, Scaled, _coordinate_monotone
 from .quadrature import box_integral
 from .special import exp_shell_tails, power_shell_tail
 
@@ -199,12 +199,19 @@ class GaussianTransform(Kernel):
         return float(np.sum(np.abs(self.coefficients))) * tail, rigorous
 
 
-def quadratic_matrix(phi: HomogeneousFunction):
-    """Q with φ(x) = xᵀQx for a `QuadraticForm` or a `Scaled` one, else None."""
+def quadratic_root(phi: HomogeneousFunction):
+    """(Q, b) with φ^b = Q a positive quadratic form, or None: b = 1 and Q = φ
+    for a `QuadraticForm`, b = 2 and Q = |x|² for |x| (a 1-D `PNorm` of any
+    p) and `PNorm(n, 2)`, and Q times a^b for a `Scaled` a·φ.  Q's generator
+    is A/b, and b is a power of two, so s/b is exact: ζ(φ, s) = ζ(Q, s/b)."""
     if isinstance(phi, Scaled):
-        q = quadratic_matrix(phi.base)
-        return None if q is None else phi.factor * q
-    return phi.q_matrix if isinstance(phi, QuadraticForm) else None
+        root = quadratic_root(phi.base)
+        return root and (QuadraticForm(phi.factor ** root[1] * root[0].q_matrix), root[1])
+    if isinstance(phi, QuadraticForm):
+        return phi, 1
+    if isinstance(phi, PNorm) and (phi.dim == 1 or phi.p == 2.0):
+        return QuadraticForm(np.eye(phi.dim)), 2
+    return None
 
 
 def dual_form(q_matrix) -> QuadraticForm:

@@ -20,7 +20,7 @@ from .homog import HomogeneousFunction, sandwich_smooth
 from .matflow import matrix_power
 from .theta import theta_phi
 from .volume import lattice_count, volume_exp_integral, volume_monte_carlo
-from .zeta import default_power, zeta_continued, zeta_direct
+from .zeta import _route, default_power, zeta_continued, zeta_direct
 
 __all__ = ["CheckRow", "verify_suite"]
 
@@ -171,8 +171,9 @@ def _check_conjugate_symmetry(phi):
 
 def _check_kernel_independence(phi):
     s = _suite_s(phi)
-    c = default_power(phi)
-    step = max(1, int(phi.smooth_step))
+    q, _ = _route(phi)  # `power` names the kernel power on the route's φ
+    c = default_power(q)
+    step = max(1, int(q.smooth_step))
     one = zeta_continued(phi, s, power=c)
     two = zeta_continued(phi, s, power=c + step)
     gap = abs(one.value - two.value)

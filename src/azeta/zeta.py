@@ -26,7 +26,8 @@ its band empties, with a fitted power-law model for what is dropped (reported
 as an estimate, never as rigorous).  For a quadratic form at integer c, ĝ
 is exact (`kernel.quadratic_transform`), a kernel on the dual form π²Q⁻¹ whose
 generator is A^T, so its side is a kernel side too; its terms change sign,
-so its tail starts from their magnitude.  `_XiMachine` is the one four-term
+so its tail starts from their magnitude; φ^b = Q runs on Q's machine at
+s/b (`_route`).  `_XiMachine` is the one four-term
 combination, behind `zeta_continued`, `xi_plus` and `xi_full`.  One machine
 per exponent c > 0 serves every s: g(0) = 0 makes s = 0 a regular point
 (`zeta_at_zero` is the continuation there), and within 1e-6 of the pole the
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import BudgetExceededError, DivergenceError, DomainError, StripError
 from .homog import _WALK_ROWS, HomogeneousFunction, _lattice_values
 from .kernel import (GaussianTransform, Kernel, SampledTransform, dual_form, fourier_transform,
-                     quadratic_matrix, quadratic_transform)
+                     quadratic_root, quadratic_transform)
 from .lattice import box_size
 from .quadrature import gl_nodes, panel_points
 from .special import (digamma, first_shell, gamma as gamma_fn, gamma_rel_error,
@@ -372,7 +373,9 @@ def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
     Each slab's sums are scaled by its weight, exactly.  The bar adds to the
     integral-test tail the rounding: a term errs by (2|s log φ| + |s| + 2)
     ulps of itself (φ, its log, the product and the exp), a slab's np.sum by
-    log2(rows) ulps of its terms and each slab by one, all weighted.
+    log2(rows) ulps of its terms and each slab by one, all weighted.  φ's
+    `value_error` δ moves each term by at most expm1(|s| δ/(1-δ)) of itself,
+    since |log(1+ε)| <= δ/(1-δ) for |ε| <= δ.
     """
     total, size, spread, slabs = 0j, 0.0, 0.0, 0
     for slabs, (vals, weight) in enumerate(_lattice_values(phi, [m_box] * phi.dim), 1):
@@ -384,6 +387,7 @@ def _rigorous_sum(phi, s: complex, m_box: int, c3: float):
         spread += weight * (mag @ np.abs(lam))
     rounding = _EPS * (2.0 * abs(s) * spread
                        + (abs(s) + math.log2(_WALK_ROWS) + slabs + 2.0) * size)
+    rounding += math.expm1(abs(s) * phi.value_error / (1.0 - phi.value_error)) * size
     mult = 2 if phi.is_even else 1
     return complex(mult * total), _integral_test_tail(phi, s.real, c3, m_box) + float(mult * rounding)
 
@@ -567,28 +571,35 @@ def _xi_machine(phi: HomogeneousFunction, c: float) -> _XiMachine:
     machine = cache.get(key)
     if machine is None:
         kernel = Kernel(phi, power=c)
-        q = quadratic_matrix(phi)
-        if q is not None and float(c).is_integer():
-            if "dual_form" not in cache:
-                cache["dual_form"] = dual_form(q)
-            transform = quadratic_transform(q, int(c), cache["dual_form"])
+        if "dual_form" not in cache:  # (Q's matrix, ψ) for a quadratic form, else None
+            q, b = quadratic_root(phi) or (None, 0)
+            cache["dual_form"] = (q.q_matrix, dual_form(q.q_matrix)) if b == 1 else None
+        form = cache["dual_form"]
+        if form is not None and float(c).is_integer():
+            transform = quadratic_transform(form[0], int(c), form[1])
         else:
             transform = fourier_transform(kernel)
         machine = cache[key] = _XiMachine(kernel.generator, kernel, transform)
     return machine
 
 
+def _route(phi: HomogeneousFunction) -> tuple:
+    """(Q, b) of `quadratic_root` where b ≠ 1, else (φ, 1); cached on φ, and Q
+    holds no reference to φ, so Q's machines are built once per φ."""
+    cache = cache_for(phi)
+    if "quadratic_root" not in cache:
+        root = quadratic_root(phi)
+        cache["quadratic_root"] = None if root is None or root[1] == 1 else root
+    return cache["quadratic_root"] or (phi, 1)
+
+
 def default_power(phi: HomogeneousFunction, k_max: float = 0.0) -> float:
     """Kernel exponent c = max(βn+1, α+k_max+2), rounded up to the smoothness
-    step of the variant; one-dimensional kink variants get a floor of 6 so the
-    transform band is wide enough for the tight negative-integer targets."""
+    step of the variant; a root φ^b = Q continues at `default_power(Q, k_max/b)`."""
     gen = phi.generator
     c = max(gen.beta * phi.dim + 1.0, phi.alpha + k_max + 2.0)
     step = max(1, int(phi.smooth_step))
-    c = step * math.ceil(c / step)
-    if phi.dim == 1 and phi.smooth_step == 2:
-        c = max(c, 6)
-    return float(c)
+    return float(step * math.ceil(c / step))
 
 
 def zeta_continued(phi: HomogeneousFunction, s: complex, *,
@@ -599,26 +610,30 @@ def zeta_continued(phi: HomogeneousFunction, s: complex, *,
 
     g(0) = 0, so s = 0 is a regular point like any other.  Within 1e-6 of
     the pole the value carries its Laurent data (`_laurent`) in `near_pole`.
+    φ^b = Q with b ≠ 1 (|x| and the Euclidean norms, `_route`) continues as
+    ζ(Q,s/b), where ĝ is exact: `power` names Q's kernel power, by default
+    `default_power(Q, max(0, -Re s/b))`, and the residue is b times Q's.
     """
     s = complex(s)
     alpha = phi.alpha
-    c = default_power(phi, max(0.0, -s.real)) if power is None else float(power)
-    sc = s + c
+    q, b = _route(phi)
+    c = default_power(q, max(0.0, -s.real / b)) if power is None else float(power)
+    sc = s / b + c
     if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):
         raise DomainError(
             f"Γ(s+c) pole at s+c = {sc.real:g}; choose a different kernel power"
         )
-    machine = _xi_machine(phi, c)
+    machine = _xi_machine(q, c)
     near_pole = None
     dist = abs(s - alpha)
     if dist < _NEAR_POLE:
         residue, constant = _laurent(machine, c)
         if dist == 0.0:
             raise DomainError(
-                f"s = {s} is the pole of ζ(φ, s); residue {residue:.9g}"
+                f"s = {s} is the pole of ζ(φ, s); residue {b * residue:.9g}"
             )
-        near_pole = (alpha, dist, residue, constant)
-    xi_value, xi_err = machine.xi(s)
+        near_pole = (alpha, dist, b * residue, constant)
+    xi_value, xi_err = machine.xi(s / b)
     gam = gamma_fn(sc)
     value = xi_value / gam
     # the default power keeps Re(s + c) >= α + 2, where gamma_rel_error
@@ -651,25 +666,27 @@ def residue_at_alpha(phi: HomogeneousFunction, *,
                      power: float | None = None) -> BoundedValue:
     """Res_{s=α} ζ(φ,s) = ĝ(0)/Γ(α+c), from the ĝ(0) of the continuation's
     own ξ machine, with its bar, Γ's relative error and an ulp for the
-    division."""
-    c = default_power(phi) if power is None else float(power)
-    machine = _xi_machine(phi, c)
-    z = phi.alpha + c
+    division; b times Q's for φ^b = Q, as in `zeta_continued`."""
+    q, b = _route(phi)
+    c = default_power(q) if power is None else float(power)
+    machine = _xi_machine(q, c)
+    z = q.alpha + c
     gam = gamma_fn(z).real
-    value = machine.ghat_zero / gam
-    error = (machine.ghat_zero_error / abs(gam)
+    value = b * machine.ghat_zero / gam
+    error = (b * machine.ghat_zero_error / abs(gam)
              + (gamma_rel_error(z) + _EPS) * abs(value))
     return BoundedValue(value, error, ESTIMATED)
 
 
 def zeta_negative_integers(phi: HomogeneousFunction, k: int) -> MeromorphicValue:
-    """ζ(φ,-k) for positive integer k, retrying with a larger kernel power if
-    the first transform's certified strip falls short or its grid outgrows
-    the sample budget; the last attempt raises."""
+    """ζ(φ,-k) for positive integer k, retrying with a larger kernel power on
+    the route's φ (`_route`) if the first transform's certified strip falls
+    short or its grid outgrows the sample budget; the last attempt raises."""
     if k < 1 or k != int(k):
         raise DomainError(f"need a positive integer order, got {k}")
-    c = default_power(phi, float(k))
-    step = max(1, int(phi.smooth_step))
+    q, b = _route(phi)
+    c = default_power(q, k / b)
+    step = max(1, int(q.smooth_step))
     for attempt in range(2):
         try:
             return zeta_continued(phi, -float(k), power=c + attempt * step)

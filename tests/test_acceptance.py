@@ -177,9 +177,9 @@ def test_bernoulli_identity():
     report = bernoulli_identity_check(5)
     exact = bernoulli_exact(6)
     worst = max(abs(lhs - float(exact[k + 1])) for k, lhs, _, _ in report.rows)
-    assert _line(worst <= 1e-5, "bernoulli identity",
+    assert _line(worst <= 1e-12, "bernoulli identity",
                  f"worst |-(k+1) zeta(-k) - B_(k+1)| = {worst:.2e} for k=1..5 "
-                 f"(tol 1e-5)")
+                 f"(tol 1e-12)")
 
 
 def test_growth_scan():

@@ -13,7 +13,7 @@ from azeta.kernel import (
     _band_probes,
     _nudft_points,
     fourier_transform,
-    quadratic_matrix,
+    quadratic_root,
     quadratic_transform,
 )
 from azeta.lattice import box_rows, grid_rows
@@ -347,7 +347,7 @@ def test_gaussian_transform_meets_the_sampled_transform(phi):
     # its trapezoid sums of g >= 0 also round by a few ulps of Σ h^n g = ĝ(0)
     c = 3.0
     sampled = fourier_transform(Kernel(phi, power=c))
-    ghat = quadratic_transform(quadratic_matrix(phi), int(c))
+    ghat = quadratic_transform(quadratic_root(phi)[0].q_matrix, int(c))
     probes = _band_probes(sampled.band)
     miss = np.abs(sampled.evaluate_points(probes) - ghat.evaluate_many(probes))
     assert np.max(miss) <= sampled.quad_error + 8 * 2.0**-52 * ghat.value_at_origin
@@ -371,7 +371,7 @@ def test_gaussian_transform_at_the_origin(q):
 
 @pytest.mark.parametrize("phi", [SQUARE, DISC, SKEW], ids=["square", "disc", "skew"])
 def test_gaussian_transform_coefficients_are_laguerre(phi):
-    q = quadratic_matrix(phi)
+    q = quadratic_root(phi)[0].q_matrix
     n = phi.dim
     for c in (1, 4, 6):
         ghat = quadratic_transform(q, c)
@@ -387,7 +387,7 @@ def test_gaussian_table_bars_cover_the_exact_mixed_sign_sums(phi, c):
     # take both signs and some sit near a root; the truth sums the exact ĝ
     # in mpmath over the box [-8, 8]^n, past which every term is below 1e-50,
     # one term per distinct level times its count
-    q = quadratic_matrix(phi)
+    q = quadratic_root(phi)[0].q_matrix
     ghat = quadratic_transform(q, c)
     ts, _ = panel_points([0.2, 0.5, 1.0, 2.0], 8)
     values, errors, kind = theta_star_table(ghat.generator, ghat, ts, target=1e-14)

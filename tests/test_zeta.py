@@ -12,6 +12,7 @@ from azeta import zeta as zeta_module
 from azeta.errors import BudgetExceededError, DivergenceError, DomainError, StripError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm, Scaled
 from azeta.kernel import Kernel, SampledTransform, fourier_transform, quadratic_transform
+from azeta.matflow import GeneratorMatrix
 from azeta.quadrature import panel_points
 from azeta.theta import BoundedValue, theta_star_table
 from azeta.zeta import (
@@ -298,8 +299,9 @@ def test_conjugate_symmetry():
 
 
 def test_explicit_power_gamma_pole_rejected():
+    # |x| continues through x² at s/2, and `power` names that kernel's c
     with pytest.raises(DomainError):
-        zeta_continued(absval(), -2.0, power=2.0)
+        zeta_continued(absval(), -2.0, power=1.0)
 
 
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
@@ -456,6 +458,53 @@ def test_continued_bars_cover_the_closed_forms(name):
             with mpmath.workdps(25):
                 want = complex(closed_form(mpmath.mpc(re, im)))
             assert abs(got.value - want) <= got.error, s
+
+
+# roots of quadratic forms, which continue through their form: ζ(φ,s) = ζ(Q,s/b)
+ROOTS = {
+    "absval": (PNorm(1, 1.0), lambda s: 2 * mpmath.zeta(s)),
+    "euclidean": (PNorm(2, 2.0), lambda s: 4 * mpmath.zeta(s / 2) * dirichlet_beta_mp(s / 2)),
+    "absval1.7": (PNorm(1, 1.0).scale(1.7), lambda s: mpmath.mpf(1.7) ** -s * 2 * mpmath.zeta(s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTS))
+def test_roots_of_quadratic_forms_continue_within_their_bars(name):
+    phi, closed_form = ROOTS[name]
+    for re in (-3.0, -1.0, 0.5, phi.alpha + 0.5, phi.alpha + 2.0):
+        for im in (0.0, 5.0, -5.0, 20.0, -20.0, 30.0, -30.0):
+            got = zeta_continued(phi, complex(re, im))
+            with mpmath.workdps(30):
+                want = complex(closed_form(mpmath.mpc(re, im)))
+            assert abs(got.value - want) <= got.error, (re, im)
+
+
+def test_roots_of_quadratic_forms_scale_the_residue():
+    # |x| = (x²)^{1/2}: residue 2 = 2·1 and constant 2γ at the pole α = 1;
+    # the Euclidean norm of Z² has residue 2π = 2·π
+    got = zeta_continued(ABSVAL, 1.0 + 1e-8)
+    residue = residue_at_alpha(ABSVAL)
+    _, _, res, constant = got.near_pole
+    assert res == residue.value
+    assert abs(res - 2.0) <= residue.error
+    with mpmath.workdps(30):
+        assert abs(constant - float(2 * mpmath.euler)) <= min(got.error, 1e-12)
+    disc = residue_at_alpha(PNorm(2, 2.0))
+    assert abs(disc.value - 2.0 * math.pi) <= disc.error
+
+
+def test_a_cold_absval_continuation_samples_no_transform(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the |x| continuation sampled a transform")
+
+    monkeypatch.setattr(zeta_module, "fourier_transform", no_transform)
+    phi = PNorm(1, 1.0)  # cold: no machine cached yet
+    for s in (0.25 + 1j, -3.0, 1.0 + 1e-8, 4.0 - 20j):
+        got = zeta_continued(phi, s)
+        with mpmath.workdps(30):
+            assert abs(got.value - complex(2 * mpmath.zeta(mpmath.mpc(s)))) <= got.error
+    assert zeta_negative_integers(phi, 3).error <= 1e-12
+    residue_at_alpha(phi)
 
 
 def test_direct_bar_carries_the_volume_bar(monkeypatch):
@@ -619,6 +668,47 @@ def test_rigorous_sum_charges_its_rounding(name):
     terms = np.exp(-np.clongdouble(s) * lam)
     want = complex(math.fsum(terms.real.astype(float)), math.fsum(terms.imag.astype(float)))
     assert abs(value - want) <= error - _integral_test_tail(phi, s.real, c3, m)
+
+
+def test_rigorous_sum_charges_the_value_error_of_a_profile(monkeypatch):
+    """A Profile's values are off by up to `value_error` δ relative, which
+    moves each term by up to expm1(|s| δ/(1-δ)) of itself; the bar charges
+    that on Σ|φ^{-s}|, and covers the sum over the same box with φ's polar
+    radius polished by two more Newton steps."""
+    generator = GeneratorMatrix([[1.0, 0.3], [0.0, 0.7]])
+    phi = Profile.from_function(
+        generator, lambda p: 1.0 + 0.2 * np.cos(3.0 * np.arctan2(p[:, 1], p[:, 0])),
+        resolution=64)
+    delta, c3 = phi.value_error, phi.growth()
+    assert delta > 0.0
+
+    def pullback(t, pts):  # t^{-A} x; A is upper triangular, so in closed form
+        a, b, d = 1.0, 0.3, 0.7
+        lo, hi = t**-a, t**-d
+        return np.stack([lo * pts[:, 0] + b * (lo - hi) / (a - d) * pts[:, 1],
+                         hi * pts[:, 1]], axis=1)
+
+    for s in (10.0, 14.0 + 3j, 20.0, 30.0 + 5j):
+        s = complex(s)
+        got = zeta_direct(phi, s, target=1e-15)
+        assert got.kind == "rigorous"
+        m = zeta_module._rigorous_box(phi, s.real, c3, 1e-15)
+        pts = box_points([m, m])
+        t, _ = generator.polar_many(pts)
+        for _ in range(2):
+            u = pullback(t, pts)
+            q = np.einsum("ij,jk,ik->i", u, generator.lyapunov, u)
+            t = t + t * (q - 1.0) / np.einsum("ij,ij->i", u, u)
+        terms = np.exp(-s * np.log(t * phi.profile_values(pullback(t, pts))))
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(got.value - want) <= got.error, s
+        size = math.fsum(np.exp(-s.real * np.log(phi.evaluate_many(pts))))
+        _, error = _rigorous_sum(phi, s, m, c3)
+        with monkeypatch.context() as patch:
+            patch.setattr(phi, "value_error", 0.0)
+            _, error_without = _rigorous_sum(phi, s, m, c3)
+        charged = math.expm1(abs(s) * delta / (1.0 - delta)) * size
+        assert error - error_without == pytest.approx(charged, rel=1e-9), s
 
 
 def test_uneven_profile_enumerates_both_halves():
