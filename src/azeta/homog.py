@@ -42,6 +42,11 @@ _GROWTH_SEED = 0x5EED_60441
 # peaked at 43 MB RSS with 2^15 rows, at 132 MB with 1 M rows (x86-64 Linux,
 # glibc malloc)
 _WALK_ROWS = 1 << 15
+# rows per slab where the walk evaluates rows (`evaluate_many`): the rows and
+# φ's temporaries are several arrays of the slab's size, and at 2^15 a θ sum
+# of 1.7e4-4.5e4 rows grew the heap by 50-290 page faults a call, as many as
+# the heap's history left room for; at 2^13 none (same platform)
+_WALK_EVAL_ROWS = 1 << 13
 
 
 class HomogeneousFunction:
@@ -441,14 +446,18 @@ def _lattice_values(phi: HomogeneousFunction, box, grid: bool = True):
     their grids (`evaluate_grid`), or with `grid` false as rows in one
     `evaluate_many` call each, to the same bits.  Any other even φ walks
     `lattice.half_box_slabs` (weight 1), and an uneven φ the negated rows
-    too.  Slabs hold at most `_WALK_ROWS` rows.  The weights are 0 or
-    powers of two, so scaling by them is exact."""
+    too.  Grid slabs hold at most `_WALK_ROWS` rows, slabs evaluated as
+    rows at most `_WALK_EVAL_ROWS`.  The weights are 0 or powers of two, so
+    scaling by them is exact."""
     if _coordinate_monotone(phi):
-        evaluate = phi.evaluate_grid if grid else lambda axes: phi.evaluate_many(grid_rows(axes))
-        for axes, mirrors in orthant_slabs(box, _WALK_ROWS):
+        if grid:
+            evaluate, cap = phi.evaluate_grid, _WALK_ROWS
+        else:
+            evaluate, cap = lambda axes: phi.evaluate_many(grid_rows(axes)), _WALK_EVAL_ROWS
+        for axes, mirrors in orthant_slabs(box, cap):
             yield (evaluate(axes) if mirrors > 1 else np.empty(0)), mirrors // 2
         return
-    for rows in half_box_slabs(box, _WALK_ROWS):
+    for rows in half_box_slabs(box, _WALK_EVAL_ROWS):
         # 0.0 - rows keeps zero coordinates +0.0, as the full box has them
         for pts in (rows,) if phi.is_even else (rows, 0.0 - rows):
             yield phi.evaluate_many(pts), 1

@@ -12,7 +12,8 @@ import pytest
 import azeta
 from azeta import theta as theta_module
 from azeta.errors import BudgetExceededError, DomainError
-from azeta.homog import PNorm, Profile, QuadraticForm, _coordinate_monotone, _lattice_values
+from azeta.homog import (_WALK_EVAL_ROWS, PNorm, Profile, QuadraticForm, _coordinate_monotone,
+                         _lattice_values)
 from azeta.kernel import Kernel, fourier_transform, quadratic_transform
 from azeta.lattice import box_rows
 from azeta.matflow import GeneratorMatrix
@@ -129,6 +130,17 @@ def test_theta_sums_each_branch_of_the_lattice_walk(phi, branch, monkeypatch):
         terms = np.exp(-w * phi.evaluate_many(box_rows(boxes[-1], nonzero=True)))
         want = 1.0 + complex(math.fsum(terms.real), math.fsum(np.imag(terms)))
         assert abs(got.value - want) <= got.error + 4 * 2.0**-52 * abs(want)
+
+
+def test_row_slabs_are_capped_and_give_the_grid_walks_values():
+    # the orthant face of [-200, 200]^2 has 4e4 rows: two grid slabs, five row slabs
+    box = [200, 200]
+    walks = [list(_lattice_values(SUPERELLIPSE, box, grid)) for grid in (True, False)]
+    assert max(v.size for v, _ in walks[0]) > _WALK_EVAL_ROWS
+    assert max(v.size for v, _ in walks[1]) <= _WALK_EVAL_ROWS
+    flat = [(np.concatenate([v for v, _ in walk]),
+             np.concatenate([np.full(v.size, w) for v, w in walk])) for walk in walks]
+    assert np.array_equal(flat[0][0], flat[1][0]) and np.array_equal(flat[0][1], flat[1][1])
 
 
 class _StopShell:
