@@ -48,7 +48,7 @@ _BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
 # scaled superellipse at c = 6).  Quadratic forms at integer c take ĝ in
 # closed form, so the largest grids left are sampled ones that a caller asks
 # for: QuadraticForm(eye(3)) at c = 8 holds 9,129,329 (6 s and 750 MB on one
-# Xeon core; the suite checks the ball's sampled ĝ at c = 2, 1,442,897
+# Xeon core; the suite checks the ball's sampled ĝ at c = 2, 5,832,000
 # samples).  φ whose band does not close stop
 # here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine grid after 1.6 s and
 # 234 MB (10 s and 1 GB unbounded), the 3-D 1- and 2-norms at once on their
@@ -246,30 +246,54 @@ def quadratic_transform(q_matrix, power: int, dual: QuadraticForm | None = None)
 # ---------------------------------------------------------------------------
 
 
+def _fast_length(n: int) -> int:
+    """The smallest odd N >= n whose only prime factors are 3, 5 and 7."""
+    best, p7 = math.inf, 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < n:
+                p3 *= 3
+            best = min(best, p3)
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 def _fft_grid(values: np.ndarray, spacing: np.ndarray, folded):
     """Trapezoid transform of grid samples on the dual grid; returns (axes_y, hat).
 
-    A folded axis holds x >= 0 of a symmetric odd grid of 2m+1 points, in the
-    folded form of `_fold_even`: its sum is the cosine sum Σ_j f_j cos(2π x_j y),
-    the real part of a real FFT of length 2m+1 zero-padded past x_m, kept on
-    y >= 0.  Folded axes need real samples and go first, while the data are
-    real.  Every other axis is a full symmetric odd grid and takes a complex
-    FFT on the full dual grid.
+    Each axis is transformed at N = `_fast_length` of its full grid's size
+    (2n - 1 for a folded axis of n samples): a length with a prime factor
+    above 7 would send pocketfft to Bluestein's algorithm, several times
+    slower and planned anew in every process.  The samples are zero past the
+    box, so each output is still the trapezoid sum, at y_k = k / (N h); N
+    stays odd, so the dual grid is a symmetric odd grid over one period.
+
+    A folded axis holds x >= 0 of a symmetric odd grid, in the folded form of
+    `_fold_even`: its sum is the cosine sum Σ_j f_j cos(2π x_j y), the real
+    part of a real FFT zero-padded past x_m, kept on y >= 0.  Folded axes need
+    real samples and go first, while the data are real.  Every other axis is
+    a full symmetric odd grid, padded with zeros on both sides to length N,
+    and takes a complex FFT on the full dual grid.
     """
     hat = values
     axes_y = [None] * values.ndim
     for axis in reversed(range(values.ndim)):
         if folded[axis]:
-            size = 2 * values.shape[axis] - 1
+            size = _fast_length(2 * values.shape[axis] - 1)
             hat = np.fft.rfft(hat, n=size, axis=axis).real
             axes_y[axis] = np.fft.rfftfreq(size, d=spacing[axis])
     full = [axis for axis in range(values.ndim) if not folded[axis]]
     if full:
-        hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(hat, axes=full), axes=full),
-                              axes=full)
+        pad = [(0, 0)] * values.ndim
         for axis in full:
-            axes_y[axis] = np.fft.fftshift(np.fft.fftfreq(values.shape[axis],
-                                                          d=spacing[axis]))
+            size = _fast_length(values.shape[axis])
+            pad[axis] = ((size - values.shape[axis]) // 2,) * 2
+            axes_y[axis] = np.fft.fftshift(np.fft.fftfreq(size, d=spacing[axis]))
+        hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(np.pad(hat, pad), axes=full),
+                                          axes=full), axes=full)
     return axes_y, hat * np.prod(spacing)
 
 
@@ -375,9 +399,10 @@ def _fold_samples(samples, folded):
 
 
 def _band_ratio_mesh(axes_y, band) -> np.ndarray:
-    """max_i |y_i| / band_i over the tensor grid of the given dual axes."""
+    """max_i |y_i| / band_i over the tensor grid of the given dual axes; the
+    sparse mesh broadcasts each axis, so only the result is full size."""
     return functools.reduce(np.maximum, np.meshgrid(
-        *[np.abs(np.asarray(a)) / b for a, b in zip(axes_y, band)], indexing="ij"))
+        *[np.abs(np.asarray(a)) / b for a, b in zip(axes_y, band)], indexing="ij", sparse=True))
 
 
 def _band_probes(band: np.ndarray) -> np.ndarray:
@@ -589,7 +614,10 @@ def fourier_transform(kernel: Kernel):
     the grids of two and three, whose coarse axes hold at most 2^16 and
     4096 points.  When φ is even in every coordinate (every
     coordinate-monotone φ is), each pass samples g on x >= 0 only and folds
-    every axis (`_fft_grid`); otherwise it samples the full grid.  A grid
+    every axis; otherwise it samples the full grid.  `_fft_grid` takes each
+    axis at the next odd length with no prime factor above 7, so no pass
+    pays for Bluestein's algorithm; the band is read on that slightly finer
+    dual grid, and `edge_level` and `decay_tau` with it.  A grid
     of more than `_MAX_SAMPLES` samples raises `BudgetExceededError`
     before g is evaluated on it.
     """

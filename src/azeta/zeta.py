@@ -620,8 +620,9 @@ def zeta_continued(phi: HomogeneousFunction, s: complex, *,
     c = default_power(q, max(0.0, -s.real / b)) if power is None else float(power)
     sc = s / b + c
     if sc.imag == 0.0 and sc.real <= 0.0 and sc.real == round(sc.real):
+        arg = "s+c" if b == 1 else f"s/{b}+c"
         raise DomainError(
-            f"Γ(s+c) pole at s+c = {sc.real:g}; choose a different kernel power"
+            f"Γ({arg}) pole at {arg} = {sc.real:g}; choose a different kernel power"
         )
     machine = _xi_machine(q, c)
     near_pole = None

@@ -11,6 +11,9 @@ from azeta.kernel import (
     Kernel,
     SampledTransform,
     _band_probes,
+    _fast_length,
+    _fft_grid,
+    _fold_samples,
     _nudft_points,
     fourier_transform,
     quadratic_root,
@@ -156,6 +159,49 @@ def test_folded_transform_is_the_full_grid_sum(phi, power):
     origin = float(np.prod(tr.spacing)) * g.sum()
     assert abs(tr.value_at_origin - origin) <= 1e-12 * scale
     assert abs(tr.center_term - origin) <= 1e-12 * scale
+
+
+def _seven_smooth(n):
+    for p in (3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length_is_the_smallest_odd_seven_smooth_length():
+    # brute force: every odd 3-5-7-smooth length up to past the last answer
+    lengths = [m for m in range(1, 6000, 2) if _seven_smooth(m)]
+    for n in range(1, 5001):
+        got = _fast_length(n)
+        assert got % 2 == 1 and got >= n and _seven_smooth(got)
+        assert got == min(m for m in lengths if m >= n)
+
+
+@pytest.mark.parametrize("folded", [(True, True), (False, False)],
+                         ids=["folded", "full"])
+def test_fft_grid_is_the_trapezoid_sum_at_its_dual_nodes(folded):
+    # axes whose FFT length before padding is prime (31, 43; 37, 41): the
+    # transform pads them to 35, 45; 45, 45 and must still give the
+    # trapezoid sum at every node of its finer dual grid
+    h = np.array([0.25, 0.2])
+    if all(folded):
+        axes = [np.arange(16) * h[0], np.arange(22) * h[1]]
+        values = np.exp(-np.square(axes[0])[:, None] - 2.0 * np.square(axes[1]))
+        values = _fold_samples(values, folded)
+    else:  # off-centre, so ĝ is complex and not even
+        axes = [np.arange(-18, 19) * h[0], np.arange(-20, 21) * h[1]]
+        values = np.exp(-np.square(axes[0] - 0.3)[:, None] - 2.0 * np.square(axes[1] + 0.2))
+    axes_y, hat = _fft_grid(values, h, folded)
+    lengths = [2 * a.size - 1 if f else a.size for a, f in zip(axes, folded)]
+    want_shape = [(_fast_length(n) + 1) // 2 if f else _fast_length(n)
+                  for n, f in zip(lengths, folded)]
+    assert all(not _seven_smooth(n) for n in lengths)
+    assert list(hat.shape) == want_shape
+    for a, n, size, step, f in zip(axes_y, lengths, want_shape, h, folded):
+        assert a.size == size and np.allclose(np.diff(a), 1.0 / (_fast_length(n) * step))
+        assert a[0] == 0.0 if f else np.array_equal(a, -a[::-1])
+    want = _nudft_points(axes, values, h, grid_rows(axes_y), folded).reshape(hat.shape)
+    assert np.max(np.abs(hat - want)) <= 1e-12 * np.max(np.abs(hat))
 
 
 def test_centrally_even_phi_is_not_folded():

@@ -304,6 +304,16 @@ def test_explicit_power_gamma_pole_rejected():
         zeta_continued(absval(), -2.0, power=1.0)
 
 
+@pytest.mark.parametrize("phi, s, message", [
+    (PNorm(1, 1.0), -2.0, r"Γ\(s/2\+c\) pole at s/2\+c = 0;"),
+    (QuadraticForm(np.eye(2)), -3.0, r"Γ\(s\+c\) pole at s\+c = -2;"),
+], ids=["root", "form"])
+def test_gamma_pole_message_names_the_argument_it_checks(phi, s, message):
+    # on a root φ² = Q the check is on Γ(s/2 + c), on a form on Γ(s + c)
+    with pytest.raises(DomainError, match=message):
+        zeta_continued(phi, s, power=1.0)
+
+
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
 def test_continuation_needs_a_positive_power(power):
     # the split drops -g(0)/s only because g(0) = 0, which e^{-φ} (c = 0)
@@ -562,7 +572,7 @@ def test_continuation_of_a_phi_that_is_not_smooth_stops_at_the_sample_budget():
 
 def test_continuation_of_the_3d_ball_fits_the_sample_budget():
     # the sampled ĝ of the ball's kernel against the closed form that the
-    # continuation takes, at c = 2 (1.44e6 samples; the c = 8 of s = -4
+    # continuation takes, at c = 2 (5.8e6 samples; the c = 8 of s = -4
     # samples 9.1e6 in 6 s and 750 MB).  ζ of a positive quadratic form
     # vanishes at the negative integers
     ball = QuadraticForm(np.eye(3))

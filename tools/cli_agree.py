@@ -25,7 +25,13 @@ prints
 
     <config> <command> <key> ratio=<|Δvalue| / (err_parent + err_change)>
 
-then the worst row.  For `verify` it prints, for each check of
+then the worst row.  For each such command whose outputs differ it also
+prints the row whose bar moved most,
+
+    <config> <command> largest bar change <err_change/err_parent - 1> at <key>
+
+so a change that keeps values and moves bars shows by how much.  For
+`verify` it prints, for each check of
 verify_summary.json, keyed by its name,
 
     <config> verify <check> parent=<PASS|FAIL> change=<PASS|FAIL>
@@ -123,12 +129,18 @@ def main(argv: list) -> int:
                       f"({len(before)} and {len(after)} rows)")
                 failed = True
                 continue
+            moved = (-1.0, 0.0, "")
             for (key, v0, e0), (_, v1, e1) in zip(before, after):
                 ratio = _ratio(abs(v1 - v0), e0 + e1)
                 line = f"{config.stem} {label} {key} ratio={ratio:.3e}"
                 print(line, flush=True)
                 worst = max(worst, (ratio, line))
                 failed = failed or ratio > 1.0
+                change = _ratio(e1 - e0, e0)  # err_change/err_parent - 1
+                moved = max(moved, (abs(change), change, key))
+            if differ:
+                print(f"{config.stem} {label} largest bar change {moved[1]:+.3e} "
+                      f"at {moved[2]}", flush=True)
     print(f"byte-identical: {identical} of {total} commands")
     print(f"worst: {worst[1]}")
     return 1 if failed else 0
