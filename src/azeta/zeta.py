@@ -123,7 +123,10 @@ _LONG_EPS = float(np.finfo(np.longdouble).eps)  # the window sums add in long do
 class _MomentTable:
     """Bin b holds t_max 2^{-(b+1)/192} <= φ < t_max 2^{-b/192} (up to the
     rounding of log φ); moments[k, b] is the weighted sum Σ weight u^k over
-    its `_lattice_values`, so mult times it is the sum over the box."""
+    its `_lattice_values`, so mult times it is the sum over the box.  The
+    counts (k = 0) are exact; a moment k >= 1 is a float sum in some order,
+    within ε (count + K + 2) Σ weight |u|^k of the exact sum of the same u,
+    which is what `_windowed_sums` charges for it."""
 
     t_max: float
     moments: np.ndarray
@@ -131,47 +134,78 @@ class _MomentTable:
     budget: float
 
 
-def _centres(t_max: float, bins: int) -> np.ndarray:
-    return math.log(t_max) - (np.arange(bins) + 0.5) * _BIN_WIDTH
+def _centres(t_max: float, bins: np.ndarray) -> np.ndarray:
+    return math.log(t_max) - (bins + 0.5) * _BIN_WIDTH
+
+
+def _bin_segments(bins):
+    """(order, starts, which): bins[order] is sorted, in runs of equal bins
+    that begin at `starts`, and which = bins[order][starts] is strictly
+    increasing.
+
+    A span of bins under 2^16 sorts as uint16 offsets from the least bin,
+    which numpy's stable sort does by radix, in O(N); a wider span sorts the
+    offsets as they are, to the same order.
+    """
+    low = int(bins.min())
+    key = bins - low
+    if int(key.max()) < 1 << 16:
+        key = key.astype(np.uint16)
+    order = np.argsort(key, -1, "stable")
+    ordered = key[order]
+    starts = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
+    return order, starts, ordered[starts].astype(np.intp) + low
 
 
 def _moment_table(phi: HomogeneousFunction, box_budget: float) -> _MomentTable:
     """The moment table of the largest complete sublevel set within budget.
 
-    Built in one walk of `_lattice_values`, keeping no value; each slab's
-    bin sums are scaled by its weight.  λ goes into bin
-    floor((log t_max - λ)/H) at u = (λ - c_b)/H; the two quotients round
+    Built in one walk of `_lattice_values`, keeping no value.  λ goes into
+    bin floor((log t_max - λ)/H) at u = (λ - c_b)/H; the two quotients round
     apart by a few ulps of (log t_max + |λ|)/H, under 1e-10 for φ < e^{100},
-    so `_windowed_sums` bounds every term for |u| <= `_U_MAX`.  Cached on φ;
-    a larger budget rebuilds.
+    so `_windowed_sums` bounds every term for |u| <= `_U_MAX`.  Each slab is
+    sorted by bin once (`_bin_segments`), and each bin's run adds one
+    contiguous segment sum of the powers of u, scaled by the slab's weight.
+    The counts are exact; the other moments differ from a sum in walk order
+    by rounding only, within the ε (count + K + 2) that `_windowed_sums`
+    charges, as that bounds a float sum in any order.  The search for t_max
+    stops where the box leaves the float range, so a φ that grows too
+    slowly for the budget leaves too few points and `zeta_direct` says so.
+    Cached on φ; a larger budget rebuilds.
     """
     cache = cache_for(phi)
     table = cache.get("direct_moments")
     if table is not None and table.budget >= box_budget:
         return table
     t_max = 1.0
-    while box_size(phi.lattice_box(2.0 * t_max)) <= box_budget:
-        t_max *= 2.0
-    for frac in (1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1):
-        if box_size(phi.lattice_box(frac * t_max)) <= box_budget:
-            t_max *= frac
-            break
+    try:  # the search ends where t, or t over φ's growth, leaves the float range
+        while box_size(phi.lattice_box(2.0 * t_max)) <= box_budget:
+            t_max *= 2.0
+        for frac in (1.9, 1.8, 1.7, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1):
+            if box_size(phi.lattice_box(frac * t_max)) <= box_budget:
+                t_max *= frac
+                break
+    except OverflowError:
+        pass
     moments = np.zeros((_MOMENTS, 2 * _OCTAVE_BINS))
-    centres = _centres(t_max, moments.shape[1])
     for vals, weight in _lattice_values(phi, phi.lattice_box(t_max)):
         lam = np.log(vals[vals < t_max])
-        u = (math.log(t_max) - lam) / _BIN_WIDTH
-        bins = u.astype(np.intp)  # a log rounded up to log t_max goes to bin 0
-        width = int(bins.max(initial=0)) + 1
+        if not lam.size:
+            continue
+        # a log rounded up to log t_max goes to bin 0
+        bins = ((math.log(t_max) - lam) / _BIN_WIDTH).astype(np.intp)
+        width = int(bins.max()) + 1
         if width > moments.shape[1]:
             moments = np.pad(moments, ((0, 0), (0, width - moments.shape[1])))
-            centres = _centres(t_max, width)
-        np.subtract(lam, centres[bins], out=u)
+        order, starts, which = _bin_segments(bins)
+        counts = np.diff(starts, append=lam.size)
+        u = lam[order]
+        u -= np.repeat(_centres(t_max, which), counts)
         u /= _BIN_WIDTH
-        moments[0] += weight * np.bincount(bins, minlength=centres.size)
+        moments[0, which] += weight * counts
         power = u.copy()
         for k in range(1, _MOMENTS):
-            moments[k] += weight * np.bincount(bins, weights=power, minlength=centres.size)
+            moments[k, which] += weight * np.add.reduceat(power, starts)
             power *= u
     table = _MomentTable(t_max, moments, 2 if phi.is_even else 1, box_budget)
     cache["direct_moments"] = table
@@ -216,7 +250,7 @@ def _windowed_sums(s: complex, table: _MomentTable) -> tuple:
     s = s.real if s.imag == 0.0 else s  # real s keeps every array real
     moments = table.moments
     counts = moments[0]
-    centres = _centres(table.t_max, counts.size)
+    centres = _centres(table.t_max, np.arange(counts.size))
     taylor = np.cumprod([1.0] + [-s * _BIN_WIDTH / k for k in range(1, _MOMENTS)])
     halves = _U_MAX ** np.arange(2 * _MOMENTS - 1)  # bounds on |u|^k
     x = abs(s) * _BIN_WIDTH * _U_MAX

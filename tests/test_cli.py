@@ -236,3 +236,10 @@ def test_divergent_point_exits_2(tmp_path, capsys):
     assert main(["zeta", "--config", str(cfg), "--s", "0.5+0i",
                  "--method", "direct"]) == 2
     assert "invalid request" in capsys.readouterr().err
+
+
+def test_direct_method_on_a_too_slowly_growing_phi_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, phi={"variant": "polynomial", "dim": 1, "terms": {"80": 1.0}},
+                       generator=[[0.0125]])
+    assert main(["zeta", "--config", str(cfg), "--s", "0.1125", "--method", "direct"]) == 2
+    assert "box_budget" in capsys.readouterr().err

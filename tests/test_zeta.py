@@ -10,7 +10,8 @@ import pytest
 from azeta import volume as volume_module
 from azeta import zeta as zeta_module
 from azeta.errors import BudgetExceededError, DivergenceError, DomainError, StripError
-from azeta.homog import AnisotropicSuperellipse, PNorm, Profile, QuadraticForm, Scaled
+from azeta.homog import (AnisotropicSuperellipse, HomogeneousPolynomial, PNorm, Profile,
+                         QuadraticForm, Scaled, _lattice_values)
 from azeta.kernel import Kernel, SampledTransform, fourier_transform, quadratic_transform
 from azeta.matflow import GeneratorMatrix
 from azeta.quadrature import panel_points
@@ -27,7 +28,8 @@ from azeta.zeta import (
     zeta_direct,
     zeta_negative_integers,
 )
-from azeta.zeta import _integral_test_tail, _moment_table, _rigorous_sum, _windowed_sums
+from azeta.zeta import (_bin_segments, _integral_test_tail, _moment_table, _rigorous_sum,
+                        _windowed_sums)
 
 from oracles import (
     _gamma,
@@ -656,6 +658,73 @@ def test_window_sums_lie_within_their_bounds(window_tables, name, offset):
     want, allowance = windowed_sums(s, np.log(vals), _t_lows(table))
     assert np.all(np.abs(got - want) <= bounds + allowance)
     assert np.all(bounds <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_SHAPES))
+def test_moments_lie_within_the_rounding_they_are_charged(window_tables, name):
+    """moments[k, b] is within ε (count_b + K + 2) Σ weight |u|^k of a
+    per-bin fsum of weight u^k over the same float u, the charge that
+    `_windowed_sums` makes for it; the counts are exact."""
+    phi, table, _ = window_tables[name]
+    width, depth = zeta_module._BIN_WIDTH, zeta_module._MOMENTS
+    log_t = math.log(table.t_max)
+    centres = zeta_module._centres(table.t_max, np.arange(table.moments.shape[1]))
+    bins, u, weights = [], [], []
+    for vals, weight in _lattice_values(phi, phi.lattice_box(table.t_max)):
+        lam = np.log(vals[vals < table.t_max])
+        slab_bins = ((log_t - lam) / width).astype(np.intp)
+        bins.append(slab_bins)
+        u.append((lam - centres[slab_bins]) / width)
+        weights.append(np.full(lam.size, float(weight)))
+    bins, u, weights = map(np.concatenate, (bins, u, weights))
+    counts = np.bincount(bins, weights=weights, minlength=centres.size)
+    assert np.array_equal(table.moments[0], counts)
+    order = np.argsort(bins, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(bins[order])) + 1)
+    for k in range(1, depth):
+        terms = weights * u**k
+        for group in groups:
+            b = bins[group[0]]
+            want = math.fsum(terms[group].tolist())
+            size = math.fsum(np.abs(terms[group]).tolist())
+            assert abs(table.moments[k, b] - want) <= 2.0**-52 * (counts[b] + depth + 2) * size
+    assert not np.any(table.moments[:, counts == 0])
+
+
+@pytest.mark.parametrize("low", [0, 70_000])
+@pytest.mark.parametrize("span", [1_000, 200_001])
+def test_bin_segments_group_as_bincount_does(low, span):
+    """Shuffled bins over a span under and over 2^16: the runs are sorted,
+    stable, and count what `np.bincount` counts."""
+    rng = np.random.default_rng(span + low)
+    bins = rng.permutation(np.concatenate([np.arange(low, low + span, 3),
+                                           rng.integers(low, low + span, 3 * span)]))
+    order, starts, which = _bin_segments(bins)
+    ordered = bins[order]
+    assert np.all(np.diff(which) > 0)
+    assert np.array_equal(ordered[starts], which)
+    counts = np.bincount(bins)
+    lengths = np.diff(starts, append=bins.size)
+    assert np.array_equal(lengths, counts[which])
+    assert np.count_nonzero(counts) == which.size
+    assert np.all((np.diff(ordered) > 0) | ((np.diff(ordered) == 0) & (np.diff(order) > 0)))
+
+
+def test_direct_series_over_a_table_wider_than_2_16_bins():
+    """x^40 at box_budget 2e5: 127,515 bins, one slab spanning 115,200, so a
+    uint16 key of the whole span would wrap; ζ(x^40, 1/8) = 2ζ(5)."""
+    phi = HomogeneousPolynomial(1, {(40,): 1.0})
+    got = zeta_direct(phi, phi.alpha + 0.1, box_budget=2e5)
+    assert _moment_table(phi, 2e5).moments.shape[1] > 1 << 16
+    assert abs(got.value - 2.0 * riemann_zeta(5.0)) <= got.error <= 1e-14
+
+
+def test_direct_estimator_names_the_budget_where_the_box_leaves_the_float_range():
+    """On x^80 the sublevel boxes stay within budget up to t = 1.5e308, so
+    the t_max search stops at the float range and the point guard speaks."""
+    phi = HomogeneousPolynomial(1, {(80,): 1.0})
+    with pytest.raises(DomainError, match="box_budget"):
+        zeta_direct(phi, phi.alpha + 0.1)
 
 
 # the rigorous route's own boxes at target 2.5e-7
