@@ -43,10 +43,11 @@ import numpy as np
 __all__ = ["COUNT_BUDGET", "SLAB_ROWS", "grid_rows", "box_rows", "slabs", "half_box_slabs",
            "orthant_slabs", "box_size"]
 
-# Row cap of one enumeration slab, chosen by measured peak RSS on x86-64
-# Linux with glibc malloc: `azeta count` on disc2d peaked at 953-956 MB with
-# 1 M rows, at 959 or 1,002 MB with 2 M, 970 MB with 3 M and 981 MB with 4 M.
-# It also caps the points of one θ* table (`theta._shell_limit`).
+# Row cap of a slab where the caller names none.  It caps the points of one
+# θ* table (`theta._shell_limit`) and the faces of `orthant_slabs`, which
+# hold `volume.lattice_count`'s column heads (under 2e5 of them in a box
+# within COUNT_BUDGET, so one slab a face).  Slabs that are evaluated pass
+# smaller caps: `homog._WALK_ROWS` and `homog._WALK_EVAL_ROWS`.
 SLAB_ROWS = 1_000_000
 # points in the box of one lattice enumeration: `volume.lattice_count`'s box
 # and `theta.theta_phi`'s box.  It bounds the box, not the rows visited;

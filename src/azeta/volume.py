@@ -16,18 +16,19 @@ routes.  A φ that is nondecreasing in each |x_i| (`homog._coordinate_monotone`)
 meets every axis-parallel line in one interval centred on the axis, so the
 count is a sum of column heights, each found by bisection over the heads in
 one orthant, each head counted once per sign image; every other φ scans its
-whole box.
+whole box, 2^13 rows at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .homog import HomogeneousFunction, _coordinate_monotone
+from .homog import _WALK_EVAL_ROWS, HomogeneousFunction, _coordinate_monotone
 from .kernel import Kernel
 from .lattice import COUNT_BUDGET, box_rows, box_size, grid_rows, orthant_slabs, slabs
 from .special import gamma, gamma_rel_error
@@ -74,18 +75,31 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
 
     Uniform draws over the box certified to contain B by the lower growth
     bound; counter-based generator, so the result is a pure function of
-    (samples, seed).
+    (samples, seed).  The points are drawn and tested in blocks of
+    `homog._WALK_EVAL_ROWS` rows, so each block's temporaries stay small.
+    The generator hands out its doubles in order, so block boundaries do not
+    change the stream: the estimate is that of one draw of all the samples.
+    `samples` must be a whole number and `seed` a nonnegative integer
+    (`DomainError` otherwise); more than `COUNT_BUDGET` samples raise
+    `BudgetExceededError` before any draw.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not (isinstance(samples, numbers.Real) and math.isfinite(samples)
+            and samples == math.floor(samples)):
+        raise DomainError(f"need a whole number of samples, got {samples!r}")
     samples = int(samples)
     if samples <= 0:
         raise DomainError(f"need a positive sample count, got {samples}")
+    if samples > COUNT_BUDGET:
+        raise BudgetExceededError(
+            f"{samples:.3g} Monte Carlo samples, over the {COUNT_BUDGET:.0e} budget")
     radius = max(1.0, (1.0 / phi.growth()) ** phi.generator.beta)
     box_vol = (2.0 * radius) ** phi.dim
     rng = np.random.Generator(np.random.Philox(int(seed)))
     hits = 0
-    chunk = 1 << 20
-    for start in range(0, samples, chunk):
-        m = min(chunk, samples - start)
+    for start in range(0, samples, _WALK_EVAL_ROWS):
+        m = min(_WALK_EVAL_ROWS, samples - start)
         pts = rng.uniform(-radius, radius, size=(m, phi.dim))
         hits += int(np.count_nonzero(phi.evaluate_many(pts) < 1.0))
     p = hits / samples
@@ -112,8 +126,9 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     The count adds mirrors * max(2h - 1, 0) per head, mirrors being the
     head's number of sign images: the box scan's count, from about log2(B)
     rows per head.
-    Box route, for every other φ: the whole box in `lattice.slabs`.  Both
-    check the box against `COUNT_BUDGET` first.
+    Box route, for every other φ: the whole box in `lattice.slabs` of
+    `homog._WALK_EVAL_ROWS` rows.  Both check the box against
+    `COUNT_BUDGET` first.
     """
     if not (r > 0.0) or not math.isfinite(r):
         raise DomainError(f"radius must be positive and finite, got {r}")
@@ -126,7 +141,7 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
         )
     if not _coordinate_monotone(phi):
         return sum(phi.count_strict(box_rows(box, slab), r)
-                   for slab in slabs(2 * box + 1))
+                   for slab in slabs(2 * box + 1, _WALK_EVAL_ROWS))
 
     axis = int(np.argmax(box))
     # a box within COUNT_BUDGET has under 2e5 heads, so one array holds them

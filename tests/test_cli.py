@@ -204,6 +204,13 @@ def test_budget_exit_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_volume_over_the_sample_budget_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["volume", "--config", str(cfg), "--samples", "200000000"]) == 3
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "samples, over the 1e+08 budget" in err
+
+
 def test_transform_over_its_sample_budget_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, phi={"variant": "pnorm", "dim": 2, "p": 3.0},
                        generator=[[1.0, 0.0], [0.0, 1.0]])

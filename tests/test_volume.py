@@ -5,14 +5,16 @@ import pytest
 
 from azeta.errors import BudgetExceededError, DomainError
 from azeta.homog import (
+    _WALK_EVAL_ROWS,
     HomogeneousPolynomial,
     PNorm,
     Profile,
     QuadraticForm,
     _coordinate_monotone,
 )
-from azeta.lattice import box_rows, slabs
+from azeta.lattice import COUNT_BUDGET, box_rows, slabs
 from azeta.volume import (
+    _Z99,
     counting_limit_scan,
     lattice_count,
     volume_exp_integral,
@@ -71,6 +73,38 @@ def test_monte_carlo_rejects_empty_draw():
         volume_monte_carlo(DISC, -10)
 
 
+def test_monte_carlo_rejects_bad_seeds_and_sample_counts():
+    for seed in (-1, 2.5, 3.0, "4", True):
+        with pytest.raises(DomainError, match="seed"):
+            volume_monte_carlo(DISC, 100, seed=seed)
+    for samples in (2.5, math.nan, math.inf, -math.inf, "100"):
+        with pytest.raises(DomainError, match="samples"):
+            volume_monte_carlo(DISC, samples)
+    # a whole number given as a float is a sample count
+    assert volume_monte_carlo(DISC, 100.0, seed=1) == volume_monte_carlo(DISC, 100, seed=1)
+
+
+def test_monte_carlo_sample_budget():
+    # raised before any draw, so a count far over the budget costs nothing
+    with pytest.raises(BudgetExceededError, match="budget"):
+        volume_monte_carlo(DISC, COUNT_BUDGET + 1)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        volume_monte_carlo(DISC, 1e15)
+
+
+def test_monte_carlo_blocks_do_not_change_the_estimate():
+    # four blocks, the last of 17 rows, against one draw of all the samples
+    samples = 3 * _WALK_EVAL_ROWS + 17
+    got = volume_monte_carlo(SUPERELLIPSE, samples, seed=4)
+    radius = max(1.0, (1.0 / SUPERELLIPSE.growth()) ** SUPERELLIPSE.generator.beta)
+    rng = np.random.Generator(np.random.Philox(4))
+    pts = rng.uniform(-radius, radius, size=(samples, SUPERELLIPSE.dim))
+    p = np.count_nonzero(SUPERELLIPSE.evaluate_many(pts) < 1.0) / samples
+    box_vol = (2.0 * radius) ** SUPERELLIPSE.dim
+    assert got.value == box_vol * p
+    assert got.error == _Z99 * box_vol * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+
+
 def test_lattice_count_worked_examples():
     # x^2 + y^2 < 2 keeps the origin and the four unit neighbours
     assert lattice_count(DISC, 2.0) == 5
@@ -96,6 +130,21 @@ def test_lattice_count_matches_brute_oracle():
         assert not _coordinate_monotone(phi)
         assert max(phi.lattice_box(r)) < 12
         assert lattice_count(phi, r) == brute_count(phi.evaluate_many(pts), r)
+
+
+def test_lattice_count_box_route_over_many_slabs():
+    # 10 phi = 20x^2 + 14xy + 10y^2 is an integer form, and 10 r lies halfway
+    # between integers, so the int64 count below has no ties to round
+    skew = QuadraticForm([[2.0, 0.7], [0.7, 1.0]])
+    r = 24_750.05
+    box = skew.lattice_box(r)
+    assert not _coordinate_monotone(skew)
+    assert len(slabs(2 * box + 1, _WALK_EVAL_ROWS)) >= 8
+    axis = np.arange(-200, 201, dtype=np.int64)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    assert np.all(box < 200)
+    expected = int(np.count_nonzero(20 * x * x + 14 * x * y + 10 * y * y <= 247_500))
+    assert lattice_count(skew, r) == expected
 
 
 def test_lattice_count_rejects_bad_radius():
