@@ -304,7 +304,9 @@ class PNorm(HomogeneousFunction):
         if np.isinf(self.p):
             return _grid_sum([np.abs(np.asarray(a, dtype=float)) for a in axes],
                              np.maximum)
-        return _grid_power_sum(axes, np.full(self.dim, self.p)) ** (1.0 / self.p)
+        out = _grid_power_sum(axes, np.full(self.dim, self.p))
+        out **= 1.0 / self.p  # in place, as `**` would
+        return out
 
     def lattice_box(self, r: float) -> np.ndarray:
         return np.full(self.dim, int(math.ceil(max(1.0, r))), dtype=int)
@@ -347,7 +349,9 @@ class AnisotropicSuperellipse(HomogeneousFunction):
         return _power_sum(pts, self.powers) ** (1.0 / self.root)
 
     def evaluate_grid(self, axes) -> np.ndarray:
-        return _grid_power_sum(axes, self.powers) ** (1.0 / self.root)
+        out = _grid_power_sum(axes, self.powers)
+        out **= 1.0 / self.root  # in place, as `**` would
+        return out
 
     def lattice_box(self, r: float) -> np.ndarray:
         # |x_i|^{m_i} < r^q on the sublevel set.

@@ -26,7 +26,7 @@ kernel per axis, so no ĝ value is formed.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,17 +42,20 @@ __all__ = ["Kernel", "GaussianTransform", "SampledTransform", "fourier_transform
            "quadratic_transform"]
 
 _G_FLOOR = 1e-16  # relative floor for the real-space tail of g
-_BOX_BLOCK = 1 << 15  # Dirichlet entries per axis in one block of box-sum rows
-# samples of g on one transform grid, about 85 bytes of peak memory each.
+# Dirichlet entries per axis in one block of box-sum rows, and spectrum
+# entries in one block of a folded axis's FFT
+_BOX_BLOCK = 1 << 15
+# samples of g on one transform grid.  A build peaks at about 28 bytes a
+# sample on a folded grid (the samples, ĝ and |ĝ|) and 42 on a full one,
+# whose complex FFT and its fftshifted copy are alive at once.
 # The shipped configs and the benchmark workloads build at most 329,896 (a
 # scaled superellipse at c = 6).  Quadratic forms at integer c take ĝ in
 # closed form, so the largest grids left are sampled ones that a caller asks
-# for: QuadraticForm(eye(3)) at c = 8 holds 9,129,329 (6 s and 750 MB on one
-# Xeon core; the suite checks the ball's sampled ĝ at c = 2, 5,832,000
-# samples).  φ whose band does not close stop
-# here: the C^2 PNorm(2, 3) at its 1.4e7-sample fine grid after 1.6 s and
-# 234 MB (10 s and 1 GB unbounded), the 3-D 1- and 2-norms at once on their
-# first coarse grid of 8.1e7
+# for: QuadraticForm(eye(3)) at c = 8 holds 9,129,329 (1.4 s and 283 MB peak
+# RSS on one Xeon core; the suite checks the ball's sampled ĝ at c = 2,
+# 5,832,000 samples).  φ whose band does not close stop here: the C^2
+# PNorm(2, 3) at c = 2 on its 12.4e6-sample fine grid after 0.5 s and 114 MB,
+# the 3-D 1- and 2-norms at once on their first coarse grid of 8.1e7
 _MAX_SAMPLES = 12_000_000
 
 
@@ -77,11 +80,20 @@ class Kernel:
         return self.phi.dim
 
     def radial(self, level: np.ndarray) -> np.ndarray:
-        """g as a function of v = φ(x): v^c e^{-v}, and g(0) at v = 0."""
-        out = np.full_like(level, self.value_at_origin)
-        pos = level > 0.0
+        """g as a function of v = φ(x): v^c e^{-v}, and g(0) at v = 0.
+
+        Formed in one output array, never in `level` itself: the v > 0
+        entries take the same log, product, difference and exp as a masked
+        evaluation would, and every other entry is then set to g(0).
+        """
         # work in logs to dodge overflow of v^c for large shells
-        out[pos] = np.exp(self.power * np.log(level[pos]) - level[pos])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.log(level)
+            out *= self.power
+            out -= level
+            np.exp(out, out=out)
+        if not (level.size and level.min() > 0.0):  # a zero, negative or NaN level
+            out[~(level > 0.0)] = self.value_at_origin
         return out
 
     def radial_terms(self, level: np.ndarray):
@@ -274,27 +286,44 @@ def _fft_grid(values: np.ndarray, spacing: np.ndarray, folded):
     A folded axis holds x >= 0 of a symmetric odd grid, in the folded form of
     `_fold_even`: its sum is the cosine sum Σ_j f_j cos(2π x_j y), the real
     part of a real FFT zero-padded past x_m, kept on y >= 0.  Folded axes need
-    real samples and go first, while the data are real.  Every other axis is
-    a full symmetric odd grid, padded with zeros on both sides to length N,
-    and takes a complex FFT on the full dual grid.
+    real samples and go first, while the data are real.  Each is transformed
+    in blocks of another axis, at most `_BOX_BLOCK` spectrum entries a block,
+    whose real parts fill one real array per axis; no grid-sized complex
+    spectrum is formed.  Every other axis is a full symmetric odd grid, padded
+    with zeros on both sides to length N, and takes a complex FFT on the full
+    dual grid: the padded samples are laid out once, already ifftshifted, in
+    one complex array that the FFT overwrites.
     """
     hat = values
     axes_y = [None] * values.ndim
     for axis in reversed(range(values.ndim)):
         if folded[axis]:
             size = _fast_length(2 * values.shape[axis] - 1)
-            hat = np.fft.rfft(hat, n=size, axis=axis).real
+            spectrum = np.empty(hat.shape[:axis] + (size // 2 + 1,) + hat.shape[axis + 1:])
+            if hat.ndim == 1:
+                spectrum[:] = np.fft.rfft(hat, n=size, axis=axis).real
+            else:
+                other = 0 if axis else hat.ndim - 1
+                step = max(1, _BOX_BLOCK * hat.shape[other] // spectrum.size)
+                for start in range(0, hat.shape[other], step):
+                    block = (slice(None),) * other + (slice(start, start + step),)
+                    spectrum[block] = np.fft.rfft(hat[block], n=size, axis=axis).real
+            hat = spectrum
             axes_y[axis] = np.fft.rfftfreq(size, d=spacing[axis])
     full = [axis for axis in range(values.ndim) if not folded[axis]]
     if full:
-        pad = [(0, 0)] * values.ndim
+        shape, index = list(hat.shape), list(map(np.arange, hat.shape))
         for axis in full:
-            size = _fast_length(values.shape[axis])
-            pad[axis] = ((size - values.shape[axis]) // 2,) * 2
+            shape[axis] = size = _fast_length(values.shape[axis])
+            # sample j of n sits at (j - n//2) mod N once padded and ifftshifted
+            index[axis] = (index[axis] - values.shape[axis] // 2) % size
             axes_y[axis] = np.fft.fftshift(np.fft.fftfreq(size, d=spacing[axis]))
-        hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(np.pad(hat, pad), axes=full),
-                                          axes=full), axes=full)
-    return axes_y, hat * np.prod(spacing)
+        padded = np.zeros(shape, dtype=np.result_type(hat, complex))
+        padded[np.ix_(*index)] = hat
+        hat = np.fft.fftn(padded, axes=full, out=padded)
+        hat = np.fft.fftshift(hat, axes=full)
+    hat *= np.prod(spacing)
+    return axes_y, hat
 
 
 def _turns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,23 +415,51 @@ def _quadrant(axes, folded):
     return [a[a.size // 2:] if f else a for a, f in zip(axes, folded)]
 
 
-def _fold_samples(samples, folded):
+def _fold_samples(samples, folded, *, copy=True):
     """Samples of a function even along each folded axis, given on x >= 0,
     in the folded form of `_fold_even`: off x = 0 a sample also stands for
-    its mirror, so it counts twice."""
+    its mirror, so it counts twice.  copy=False doubles float samples where
+    they lie."""
     if not any(folded):
         return np.asarray(samples)
-    values = np.array(samples, dtype=float)
+    values = np.array(samples, dtype=float) if copy else np.asarray(samples, dtype=float)
     for axis in np.flatnonzero(folded):
         values[(slice(None),) * axis + (slice(1, None),)] *= 2.0
     return values
 
 
-def _band_ratio_mesh(axes_y, band) -> np.ndarray:
-    """max_i |y_i| / band_i over the tensor grid of the given dual axes; the
-    sparse mesh broadcasts each axis, so only the result is full size."""
-    return functools.reduce(np.maximum, np.meshgrid(
-        *[np.abs(np.asarray(a)) / b for a, b in zip(axes_y, band)], indexing="ij", sparse=True))
+def _shell_peak(mags, axes_y, band, lo, hi, below):
+    """(max, index) of `mags` over the shell lo <= ρ, below(ρ, hi) of the
+    dual grid, ρ = max_i r_i with r_i = |y_i| / band_i; (None, None) when
+    the shell holds no point.  The index is the first in C order at which
+    the maximum sits, the one np.argmax gives.
+
+    No grid-sized ratio or mask is formed.  The shell is the union over i
+    of the tensor blocks {r_j < lo for j < i, lo <= r_i, below(r_i, hi),
+    below(r_j, hi) for j > i}.  Each block is a product of runs of
+    consecutive indices, one set of runs per axis: one run on a folded
+    axis, up to two on an fftshifted full one.  So every block is a view of
+    `mags`, and its first maximum lies first in C order within the block.
+    """
+    ratios = list(map(np.divide, map(np.abs, axes_y), band))
+    best = where = None
+    for i in range(len(ratios)):
+        runs = []  # per axis, one (start, stop) row per run
+        for j, r in enumerate(ratios):
+            inside = r < lo if j < i else below(r, hi)
+            if j == i:
+                inside &= r >= lo
+            edges = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False]))))
+            runs.append(edges.reshape(-1, 2))
+        for block in itertools.product(*runs):
+            starts, stops = np.transpose(block)
+            part = mags[tuple(map(slice, starts, stops))]
+            k = np.unravel_index(int(np.argmax(part)), part.shape)
+            level = float(part[k])
+            at = tuple(starts + k)
+            if best is None or level > best or (level == best and at < where):
+                best, where = level, at
+    return best, where
 
 
 def _band_probes(band: np.ndarray) -> np.ndarray:
@@ -443,8 +500,8 @@ class SampledTransform:
         self.folded = tuple(bool(f) for f in folded) if folded else (False,) * self.dim
         axes_y, hat = _fft_grid(self.values, self.spacing, self.folded)
         self.axes_y = axes_y
-        imag_scale = float(np.max(np.abs(hat.imag)))
-        self.real_even = imag_scale <= 1e-9 * max(1.0, float(np.max(np.abs(hat.real))))
+        self.real_even = np.isrealobj(hat) or (
+            float(np.max(np.abs(hat.imag))) <= 1e-9 * max(1.0, float(np.max(np.abs(hat.real)))))
         self.hat_grid = hat
         origin = tuple(0 if f else n // 2 for f, n in zip(self.folded, hat.shape))
         self.value_at_origin = complex(hat[origin])
@@ -472,22 +529,26 @@ class SampledTransform:
         Both are taken over max-metric shells (max_i |y_i|/band_i = const) of
         the dual grid, so anisotropic transforms whose slow directions sit off
         the coordinate axes are measured where they are largest, not on the
-        axis lines through the center.
+        axis lines through the center.  Each shell's maximum is read from
+        views of |ĝ|, block by block (`_shell_peak`); the edge shell keeps its
+        closed upper bound, max_i |y_i|/band_i <= 1.08.
         """
         mags = np.abs(self.hat_grid)
-        ratio = _band_ratio_mesh(self.axes_y, self.band)
         top = float(mags.max())
         noise = 1e-13 * top
-        reach = max(1.2, min(3.2, float(ratio.max())))
-        edge_sel = (ratio >= 0.92) & (ratio <= 1.08)
-        edge = float(mags[edge_sel].max()) if np.any(edge_sel) else float(mags.min())
+        # max_i max|y_i| / band_i: division rounds monotonically, so this is
+        # the largest ratio on the grid
+        reach = max(1.2, min(3.2, float(np.max(list(map(np.max, map(np.abs, self.axes_y)))
+                                                / self.band))))
+        edge, _ = _shell_peak(mags, self.axes_y, self.band, 0.92, 1.08, np.less_equal)
+        if edge is None:
+            edge = float(mags.min())
         mids, levels = [], []
         shells = np.geomspace(0.45, reach, 16)
         for lo, hi in zip(shells[:-1], shells[1:]):
-            sel = (ratio >= lo) & (ratio < hi)
-            if not np.any(sel):
+            level, _ = _shell_peak(mags, self.axes_y, self.band, lo, hi, np.less)
+            if level is None:
                 continue
-            level = float(mags[sel].max())
             if level > noise:
                 mids.append(math.sqrt(lo * hi))
                 levels.append(level)
@@ -635,18 +696,14 @@ def fourier_transform(kernel: Kernel):
             break
         axes = _quadrant(axes, folded)
         g = _samples(kernel, axes)
-        axes_y, hat = _fft_grid(_fold_samples(g, folded), h, folded)
+        axes_y, hat = _fft_grid(_fold_samples(g, folded, copy=False), h, folded)
         mags = np.abs(hat)
         scale = float(mags.max())
         # trust is decided on the whole boundary shell of the band box, not on
         # the axis lines: anisotropic kernels can decay slowest off-axis
-        ratio = _band_ratio_mesh(axes_y, band)
-        shell = (ratio >= 0.85) & (ratio <= 1.0)
-        level = float(mags[shell].max()) if np.any(shell) else 0.0
-        if level <= floor * scale:
+        level, worst = _shell_peak(mags, axes_y, band, 0.85, 1.0, np.less_equal)
+        if level is None or level <= floor * scale:
             break
-        worst = np.unravel_index(int(np.argmax(np.where(shell, mags, 0.0))),
-                                 mags.shape)
         grew = False
         for axis in range(n):
             if abs(axes_y[axis][worst[axis]]) >= 0.6 * band[axis]:
@@ -654,6 +711,8 @@ def fourier_transform(kernel: Kernel):
                 grew = True
         if not grew:
             band *= 1.6
+    # the last pass's grids die before the fine grid is sampled
+    g = hat = mags = None
     # fine pass at half spacing
     h_fine = 0.5 / (4.0 * band)
     axes_f = [_odd_grid(r, hi) for r, hi in zip(radii, h_fine)]
@@ -667,16 +726,17 @@ def fourier_transform(kernel: Kernel):
                    for a, f in zip(axes_f, folded))
     axes_f = _quadrant(axes_f, folded)
     g_fine = _samples(kernel, axes_f)
-    values = _fold_samples(g_fine, folded)
+    # the samples on the faces x_i = +R, which every grid holds, read before
+    # the fold doubles them in place
+    boundary = max(float(np.max(np.abs(np.take(g_fine, -1, axis=axis))))
+                   for axis in range(n))
+    values = _fold_samples(g_fine, folded, copy=False)
 
     probes = _band_probes(band)
     at_c = _nudft_points([a[c] for a, c in zip(axes_f, coarse)], values[coarse],
                          2.0 * spacing_f, probes, folded)
     at_f = _nudft_points(axes_f, values, spacing_f, probes, folded)
     quad = float(np.max(np.abs(at_f - at_c)))
-    # the samples on the faces x_i = +R, which every grid holds
-    boundary = max(float(np.max(np.abs(np.take(g_fine, -1, axis=axis))))
-                   for axis in range(n))
     tail = boundary * float(np.prod(2.0 * np.asarray(radii)))
     return SampledTransform(axes_f, values, spacing_f, quad_error=quad,
                             tail_error=tail, band=band, folded=folded)

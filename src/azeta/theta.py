@@ -40,8 +40,8 @@ __all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
 
-# entries per (nodes × points) block of a kernel table: blocks of 2^18 raised
-# plane_grid's peak RSS from 100.4 to 101.4 MB
+# entries per (nodes × points) block of a kernel table, which bounds the
+# size of each block's terms and rounding bounds
 _TABLE_BLOCK = 1 << 15
 _MAX_SHELL = 2000  # shells a θ* search may take; see `_shell_limit`
 _THETA_PHI_TARGET = 1e-13  # the target of `theta_phi`'s tail

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from azeta import kernel as kernel_module
 from azeta import zeta as zeta_module
 from azeta.errors import DomainError
 from azeta.homog import AnisotropicSuperellipse, PNorm, QuadraticForm, Scaled
@@ -15,6 +17,7 @@ from azeta.kernel import (
     _fft_grid,
     _fold_samples,
     _nudft_points,
+    _shell_peak,
     fourier_transform,
     quadratic_root,
     quadratic_transform,
@@ -231,9 +234,8 @@ def test_band_trust_handles_anisotropic_corner_mass():
     mags = np.abs(grid)
     scale = mags.max()
     # worst in-band magnitude near the boundary shell stays at the floor level
-    from azeta.kernel import _band_ratio_mesh
-
-    ratio = _band_ratio_mesh(tr.axes_y, tr.band)
+    ratio = np.maximum.outer(np.abs(tr.axes_y[0]) / tr.band[0],
+                             np.abs(tr.axes_y[1]) / tr.band[1])
     shell = (ratio >= 0.85) & (ratio <= 1.0)
     assert mags[shell].max() <= 2e-8 * scale
 
@@ -470,3 +472,174 @@ def test_gaussian_side_tail_starts_from_the_magnitude():
                            for x in (t_last * mpmath.pi**2 * (r[0] ** 2 + r[1] ** 2)
                                      for r in rows.tolist()))
     assert want <= side.theta_at_end <= 1.01 * want
+
+
+def _one_shot_fft_grid(values, spacing, folded):
+    """`_fft_grid` as it was first written: each folded axis by one rfft of
+    the whole grid, the full axes padded, ifftshifted, transformed and
+    fftshifted as separate arrays."""
+    hat = values
+    axes_y = [None] * values.ndim
+    for axis in reversed(range(values.ndim)):
+        if folded[axis]:
+            size = _fast_length(2 * values.shape[axis] - 1)
+            hat = np.fft.rfft(hat, n=size, axis=axis).real
+            axes_y[axis] = np.fft.rfftfreq(size, d=spacing[axis])
+    full = [axis for axis in range(values.ndim) if not folded[axis]]
+    if full:
+        pad = [(0, 0)] * values.ndim
+        for axis in full:
+            size = _fast_length(values.shape[axis])
+            pad[axis] = ((size - values.shape[axis]) // 2,) * 2
+            axes_y[axis] = np.fft.fftshift(np.fft.fftfreq(size, d=spacing[axis]))
+        hat = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(np.pad(hat, pad), axes=full),
+                                          axes=full), axes=full)
+    return axes_y, hat * np.prod(spacing)
+
+
+def _grid_samples(shape, folded, rng, complex_values=False):
+    """Random samples on a grid of `shape`: x >= 0 on a folded axis, a
+    symmetric odd grid (odd sizes) on a full one."""
+    values = rng.standard_normal(shape)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(shape)
+    return _fold_samples(values, folded)
+
+
+@pytest.mark.parametrize("shape, block", [((37,), 5), ((23, 41), 100), ((23, 41), 7),
+                                          ((9, 11, 13), 300), ((9, 11, 13), 1)])
+def test_blocked_folded_rfft_is_the_one_shot_rfft(monkeypatch, shape, block):
+    # blocks of a few rows that split the other axis unevenly, down to one
+    # row a block, give the one-shot transform's bits
+    rng = np.random.default_rng(44)
+    folded = (True,) * len(shape)
+    values = _grid_samples(shape, folded, rng)
+    spacing = np.linspace(0.1, 0.3, len(shape))
+    want_axes, want = _one_shot_fft_grid(values, spacing, folded)
+    monkeypatch.setattr(kernel_module, "_BOX_BLOCK", block)
+    got_axes, got = _fft_grid(values, spacing, folded)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got_axes, want_axes))
+    if len(shape) > 1:
+        # one-shot blocks too
+        monkeypatch.setattr(kernel_module, "_BOX_BLOCK", 1 << 15)
+        assert np.array_equal(_fft_grid(values, spacing, folded)[1], want)
+
+
+@pytest.mark.parametrize("shape, folded, complex_values", [
+    ((21, 33), (True, False), False),
+    ((21, 33), (False, True), False),
+    ((21, 33), (False, False), False),
+    ((21, 33), (False, False), True),
+    ((7, 9, 11), (True, False, True), False),
+    ((7, 9, 11), (False, True, False), False),
+])
+def test_fft_grid_full_axes_keep_the_one_shot_bits(monkeypatch, shape, folded, complex_values):
+    rng = np.random.default_rng(4)
+    values = _grid_samples(shape, folded, rng, complex_values)
+    spacing = np.linspace(0.2, 0.4, len(shape))
+    want_axes, want = _one_shot_fft_grid(values, spacing, folded)
+    monkeypatch.setattr(kernel_module, "_BOX_BLOCK", 50)
+    got_axes, got = _fft_grid(values, spacing, folded)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got_axes, want_axes))
+
+
+def test_centrally_even_transform_keeps_the_one_shot_bits():
+    tr = fourier_transform(Kernel(QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), power=0.0))
+    assert not any(tr.folded)
+    _, want = _one_shot_fft_grid(tr.values, tr.spacing, tr.folded)
+    assert np.array_equal(tr.hat_grid, want)
+    # the samples and the transform are a few grids, not the ten arrays that
+    # separate padding, shifting and transforming used to hold
+    tracemalloc.start()
+    try:
+        _fft_grid(tr.values, tr.spacing, tr.folded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * tr.hat_grid.nbytes
+
+
+def _masked_shell(mags, axes_y, band, lo, hi, closed=False):
+    """(max, first index in C order) over the shell, from the full ratio mesh."""
+    ratio = np.abs(axes_y[0]) / band[0]
+    for a, b in zip(axes_y[1:], band[1:]):
+        ratio = np.maximum.outer(ratio, np.abs(a) / b)
+    sel = (ratio >= lo) & ((ratio <= hi) if closed else (ratio < hi))
+    if not np.any(sel):
+        return None, None
+    return float(mags[sel].max()), np.unravel_index(int(np.argmax(np.where(sel, mags, -1.0))),
+                                                    mags.shape)
+
+
+@pytest.mark.parametrize("kind", ["folded", "full", "mixed-3d"])
+def test_shell_peak_is_the_masked_maximum(kind):
+    rng = np.random.default_rng(7)
+    if kind == "folded":
+        axes_y = [np.fft.rfftfreq(45, 0.1), np.fft.rfftfreq(63, 0.08)]
+    elif kind == "full":
+        axes_y = [np.fft.fftshift(np.fft.fftfreq(n, h)) for n, h in ((45, 0.1), (35, 0.08))]
+    else:
+        axes_y = [np.fft.rfftfreq(15, 0.2), np.fft.fftshift(np.fft.fftfreq(21, 0.1)),
+                  np.fft.rfftfreq(25, 0.15)]
+    band = np.array([2.0, 2.5, 1.5][:len(axes_y)])
+    shape = tuple(a.size for a in axes_y)
+    # a handful of levels, so the maximum is tied and the first index counts
+    mags = np.round(4.0 * rng.random(shape)) / 4.0
+    on_grid = float(np.abs(axes_y[0][3]) / band[0])
+    cases = [(0.45, 0.6, False), (0.92, 1.08, True), (0.85, 1.0, True),
+             (on_grid, 1.3, False), (0.2, on_grid, False), (0.2, on_grid, True),
+             (50.0, 60.0, False), (0.0, 1e-9, False)]
+    for lo, hi, closed in cases:
+        want = _masked_shell(mags, axes_y, band, lo, hi, closed)
+        got = _shell_peak(mags, axes_y, band, lo, hi, np.less_equal if closed else np.less)
+        assert got[0] == want[0]
+        assert (got[1] is None) == (want[1] is None)
+        if want[1] is not None:
+            assert tuple(map(int, got[1])) == tuple(map(int, want[1]))
+    assert _shell_peak(mags, axes_y, band, 50.0, 60.0, np.less) == (None, None)
+
+
+def test_superellipse_decay_fit_keeps_its_bits():
+    tr = fourier_transform(Kernel(AnisotropicSuperellipse([12.0, 18.0], 6.0), power=6.0))
+    assert tr.edge_level == 7.177795197676616e-09
+    assert tr.decay_tau == 14.743720786859177
+
+
+def test_transform_memory_stays_near_its_arrays():
+    # the samples, ĝ and |ĝ| of the 508 x 405 fine grid take 4.9 MiB; the
+    # build once held 11.7 MiB at its peak
+    phi = AnisotropicSuperellipse([12.0, 18.0], 6.0)
+    kernel = Kernel(phi, power=6.0)
+    kernel.box_radii()
+    tracemalloc.start()
+    try:
+        tr = fourier_transform(kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.values.shape == (508, 405)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("power", [0.0, 6.0])
+@pytest.mark.parametrize("levels", ["positive", "with-zero"])
+def test_radial_keeps_the_masked_bits(power, levels):
+    rng = np.random.default_rng(3)
+    level = rng.exponential(5.0, size=(40, 30))
+    if levels == "with-zero":
+        level[0, 0] = 0.0
+        level[5, 7] = -0.0
+        level[9, 2] = -1.5
+    kept = level.copy()
+    kernel = Kernel(PNorm(2, 2.0), power=power)
+    want = np.full_like(level, kernel.value_at_origin)
+    pos = level > 0.0
+    want[pos] = np.exp(power * np.log(level[pos]) - level[pos])
+    got = kernel.radial(level)
+    assert np.array_equal(got, want)
+    assert np.array_equal(level, kept)
+    terms, _ = kernel.radial_terms(level[level > 0.0])
+    assert np.array_equal(terms, want[pos])

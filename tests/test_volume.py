@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from azeta.errors import BudgetExceededError, DomainError
 from azeta.homog import (
     _WALK_EVAL_ROWS,
+    AnisotropicSuperellipse,
     HomogeneousPolynomial,
     PNorm,
     Profile,
@@ -42,6 +44,21 @@ def test_exp_integral_disc():
 def test_exp_integral_superellipse():
     got = volume_exp_integral(SUPERELLIPSE)
     assert abs(got.value - SUPERELLIPSE_VOLUME) <= max(got.error, 1e-6)
+
+
+def test_exp_integral_memory_stays_near_its_grids():
+    # a fresh superellipse, so no cached value is reused; its panel grids
+    # once peaked at 8.3 MiB in the evaluation's temporaries
+    phi = AnisotropicSuperellipse([12.0, 18.0], 6.0)
+    phi.growth()
+    tracemalloc.start()
+    try:
+        got = volume_exp_integral(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.value == volume_exp_integral(SUPERELLIPSE).value
+    assert peak < 5 * 2**20
 
 
 def test_exp_integral_of_the_3d_ball_has_a_finite_bar():

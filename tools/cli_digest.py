@@ -20,8 +20,8 @@ sections of their runs agree, so
     diff <(sed '/^# peak RSS/q' before.txt) <(sed '/^# peak RSS/q' after.txt)
 
 is the whole gate.  The script takes no options.  It runs one child at a
-time.  On the shipped configs every command peaks under 65 MB; the largest
-is superellipse2d `verify`, about 62 MB.
+time.  On the shipped configs every command peaks under 55 MB; the largest
+is superellipse2d `verify`, about 53 MB.
 """
 
 from __future__ import annotations
