@@ -296,8 +296,12 @@ def _cmd_asymp(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     mags = [float(m) for m in args.magnitudes.split(",")]
     report = remainder_check(phi, args.ray_angle, args.terms, args.eps, mags)
+    # a slope fitted to remainders inside their bars measures noise, not the
+    # decay: it is left empty in the CSV and null in the summary
+    slope = None if report.within_bars else report.slope
     _write_csv(cfg, "asymp.csv", ("abs_w", "remainder", "slope", "threshold"),
-               [(m, e, report.slope, report.threshold) for m, e in report.rows])
+               [(m, e, "" if slope is None else slope, report.threshold)
+                for m, e in report.rows])
     value, terms, bars = theta_expansion(
         phi, mags[-1] * complex(math.cos(args.ray_angle), math.sin(args.ray_angle)),
         args.terms)
@@ -307,7 +311,7 @@ def _cmd_asymp(cfg: dict, args) -> int:
         "ray_angle": args.ray_angle,
         "rows": [{"abs_w": m, "remainder": e, "bar": bar}
                  for (m, e), bar in zip(report.rows, report.bars)],
-        "slope": report.slope,
+        "slope": slope,
         "threshold": report.threshold,
         "passed": bool(report.passed),
         "within_bars": bool(report.within_bars),

@@ -363,28 +363,43 @@ class AnisotropicSuperellipse(HomogeneousFunction):
 
     def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
         # Compare sum |x_i|^{m_i} < r^q; monotone in φ so strictness carries over,
-        # and it avoids the 1/q root near the boundary.  Powers like x^18 outgrow
-        # the 53-bit mantissa, so rows landing within float slop of the
-        # boundary are rechecked in exact integer/rational arithmetic.
+        # and it avoids the 1/q root near the boundary.  Integer powers are
+        # formed by repeated squaring, a few ulps from pow.  Powers like x^18
+        # outgrow the 53-bit mantissa, so integer rows landing within float
+        # slop (1e-9 relative, far above those ulps) of the boundary are
+        # rechecked in exact integer/rational arithmetic.
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = _power_sum(pts, self.powers)
         rq = float(r) ** self.root
-        below = vals < rq
-        if not (
-            np.all(self.powers == np.round(self.powers))
-            and self.root == round(self.root)
-            and np.all(pts == np.round(pts))
-        ):
-            return below
-        fence = np.flatnonzero(np.abs(vals - rq) <= 1e-9 * max(rq, 1.0))
-        from fractions import Fraction
+        powers = self.powers.tolist()
+        if not (self.root.is_integer() and all(map(float.is_integer, powers))):
+            return _power_sum(pts, self.powers) < rq
+        vals = np.zeros(pts.shape[0])
+        for i, m in enumerate(powers):
+            # |x|^m = the product of |x|^(2^k) over the set bits k of m
+            base, m, term = np.abs(pts[:, i]), int(m), None
+            while True:
+                if m & 1:
+                    if term is None:
+                        term = base.copy()
+                    else:
+                        term *= base
+                m >>= 1
+                if not m:
+                    break
+                base *= base
+            vals += term
+        # vals - rq < 0 exactly when vals < rq, so one difference serves both
+        vals -= rq
+        below = vals < 0.0
+        fence = np.flatnonzero(np.abs(vals, vals) <= 1e-9 * max(rq, 1.0))
+        if fence.size:
+            fence = fence[np.all(pts[fence] == np.round(pts[fence]), axis=1)]
+            from fractions import Fraction
 
-        rq_exact = Fraction(float(r)) ** int(self.root)
-        for i in fence:
-            exact = sum(
-                abs(int(c)) ** int(m) for c, m in zip(pts[i], self.powers)
-            )
-            below[i] = exact < rq_exact
+            rq_exact = Fraction(float(r)) ** int(self.root)
+            for i in fence:
+                exact = sum(abs(int(c)) ** int(m) for c, m in zip(pts[i], powers))
+                below[i] = exact < rq_exact
         return below
 
 

@@ -7,7 +7,9 @@ at s = alpha (which equals alpha |B|):
 
   * exponential integral: integrating e^{-phi} over shells of the flow turns
     the volume into a Gamma integral, `int e^{-phi} dx = Gamma(alpha+1) |B|`;
-  * hit-or-miss Monte Carlo over a growth-certified bounding box;
+  * hit-or-miss Monte Carlo over a growth-certified bounding box: PCG64
+    draws (pinned, so a seed keeps its estimate across numpy versions) in
+    blocks that do not change the stream, hits by `strictly_below(·, 1)`;
   * lattice counting: #(B(r) cap Z^n) / r^alpha -> |B| as r grows.
 
 `lattice_count` is exact (strict inequality, no tolerance slop), so the
@@ -74,11 +76,11 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
     """Hit-or-miss estimate of |B| with a 99% confidence half-width.
 
     Uniform draws over the box certified to contain B by the lower growth
-    bound; counter-based generator, so the result is a pure function of
-    (samples, seed).  The points are drawn and tested in blocks of
-    `homog._WALK_EVAL_ROWS` rows, so each block's temporaries stay small.
-    The generator hands out its doubles in order, so block boundaries do not
-    change the stream: the estimate is that of one draw of all the samples.
+    bound, from PCG64 named outright (`default_rng` may change generator
+    between numpy versions), so the result is a pure function of (samples,
+    seed).  Hits are `phi.strictly_below(point, 1)`.  The points are drawn
+    into one block of `homog._WALK_EVAL_ROWS` rows; PCG64 hands out its
+    doubles in order, so block boundaries do not change the stream.
     `samples` must be a whole number and `seed` a nonnegative integer
     (`DomainError` otherwise); more than `COUNT_BUDGET` samples raise
     `BudgetExceededError` before any draw.
@@ -96,12 +98,15 @@ def volume_monte_carlo(phi: HomogeneousFunction, samples: int,
             f"{samples:.3g} Monte Carlo samples, over the {COUNT_BUDGET:.0e} budget")
     radius = max(1.0, (1.0 / phi.growth()) ** phi.generator.beta)
     box_vol = (2.0 * radius) ** phi.dim
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    block = np.empty((min(_WALK_EVAL_ROWS, samples), phi.dim))
     hits = 0
     for start in range(0, samples, _WALK_EVAL_ROWS):
-        m = min(_WALK_EVAL_ROWS, samples - start)
-        pts = rng.uniform(-radius, radius, size=(m, phi.dim))
-        hits += int(np.count_nonzero(phi.evaluate_many(pts) < 1.0))
+        pts = rng.random(out=block[:min(_WALK_EVAL_ROWS, samples - start)])
+        # uniform(-radius, radius)'s own low + range * u, in place
+        pts *= 2.0 * radius
+        pts += -radius
+        hits += int(np.count_nonzero(phi.strictly_below(pts, 1.0)))
     p = hits / samples
     estimate = box_vol * p
     half = _Z99 * box_vol * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)

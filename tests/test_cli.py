@@ -148,6 +148,20 @@ def test_asymp_outputs(tmp_path):
     assert summary["passed"] is True
 
 
+def test_asymp_leaves_out_a_slope_fitted_to_rounding(tmp_path, monkeypatch):
+    # the disc's expansion is exact up to exponentially small terms, so its
+    # remainders are rounding, all inside their bars
+    config = Path(__file__).resolve().parent.parent / "configs" / "disc2d.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["asymp", "--config", str(config)]) == 0
+    summary = load_summary(tmp_path, "asymp_summary.json")
+    assert summary["within_bars"] is True and summary["passed"] is True
+    assert summary["slope"] is None
+    lines = (tmp_path / "out" / "asymp.csv").read_text().splitlines()
+    assert lines[0] == "abs_w,remainder,slope,threshold"
+    assert all(line.split(",")[2] == "" for line in lines[1:])
+
+
 def test_verify_passes_for_interval(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["verify", "--config", str(cfg)]) == 0

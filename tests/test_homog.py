@@ -254,6 +254,79 @@ def test_scaled_mask_is_its_base_mask_at_the_scaled_radius():
     assert got.tolist() == base.strictly_below(rows, 5.0).tolist() == [False, True, True]
 
 
+def _exact_below(phi, rows, r):
+    """φ(row) < r for the integer rows of a superellipse with integer powers
+    and root, in Python integers and fractions."""
+    from fractions import Fraction
+
+    powers = [int(m) for m in phi.powers]
+    rq = Fraction(float(r)) ** int(phi.root)
+    return [sum(abs(int(c)) ** m for c, m in zip(row, powers)) < rq for row in rows]
+
+
+@pytest.mark.parametrize("r", [1.0, 4.0, 64.0, 90000.0])
+def test_superellipse_squaring_decides_integer_rows_exactly(r):
+    # on each column |x| <= sqrt(r) of x^12 + y^18 < r^6, the rows from two
+    # under to two over its boundary y; at r = 90000, 300^12 > 2^53
+    rows = []
+    for x in range(math.isqrt(int(r)) + 2):
+        y = round(max(int(r) ** 6 - x ** 12, 0) ** (1.0 / 18.0))
+        rows += [(sx * x, sy * z) for z in range(max(y - 2, 0), y + 3)
+                 for sx in (1, -1) for sy in (1, -1)]
+    rows = np.array(rows, dtype=float)
+    assert SUPERELLIPSE.strictly_below(rows, r).tolist() == _exact_below(SUPERELLIPSE, rows, r)
+
+
+def test_superellipse_boundary_rows_are_not_below():
+    # 1 = 1^6, 2^12 = 4^6, 300^12 = 90000^6 and 8^12 = 4^18 = 64^6
+    for rows, r in (([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 1.0), ([[2.0, 0.0]], 4.0),
+                    ([[300.0, 0.0], [-300.0, 0.0]], 90000.0), ([[8.0, 0.0], [0.0, -4.0]], 64.0)):
+        assert not SUPERELLIPSE.strictly_below(np.array(rows), r).any()
+
+
+@pytest.mark.parametrize("r", [1.0, 4.0, 90000.0])
+def test_superellipse_squaring_matches_float_values_off_the_boundary(r):
+    box = SUPERELLIPSE.lattice_box(r) + 1.0
+    rows = np.random.default_rng(int(r)).uniform(-box, box, size=(50_000, 2))
+    values = SUPERELLIPSE.evaluate_many(rows)
+    clear = np.abs(values - r) > 1e-12 * r
+    assert np.count_nonzero(clear) > 49_000
+    got = SUPERELLIPSE.strictly_below(rows, r)
+    assert np.array_equal(got[clear], (values < r)[clear])
+
+
+def test_superellipse_rows_that_overflow_are_not_below():
+    rows = np.array([[1e30, 0.0], [0.0, 1e20], [np.inf, 0.0], [1e30, -1e30], [0.5, 0.0]])
+    with np.errstate(over="ignore"):
+        got = SUPERELLIPSE.strictly_below(rows, 1e6)
+    assert got.tolist() == [False, False, False, False, True]
+
+
+def test_superellipse_mixed_block_rechecks_its_integer_rows():
+    # r = float(236^12) is 1.9e11 above 236^12, under half an ulp, so x^12
+    # and x^12 + y^18 for y <= 4 round to r itself: only the exact recheck
+    # puts those rows below, and float rows in the block must not stop it
+    phi = AnisotropicSuperellipse([12.0, 18.0], 1.0)
+    r = float(236 ** 12)
+    ints = np.array([[236.0, 0.0], [236.0, 4.0], [-236.0, -1.0], [236.0, 5.0], [235.0, 9.0]])
+    want = [True, True, True, False, True]
+    assert _exact_below(phi, ints, r) == want
+    assert phi.strictly_below(ints, r).tolist() == want
+    # 236 + 1e-9 is inside the float fence, but is no integer to recheck
+    floats = np.array([[0.5, 0.25], [235.5, 0.0], [236.0 + 1e-9, 0.0], [1e3, 0.5]])
+    mixed = phi.strictly_below(np.vstack([floats[:1], ints, floats[1:]]), r)
+    assert mixed.tolist() == [True] + want + [True, False, False]
+
+
+def test_superellipse_with_fractional_powers_takes_the_power_sum():
+    phi = AnisotropicSuperellipse([3.5, 5.0], 1.5)
+    rows = np.vstack([np.random.default_rng(3).uniform(-2.0, 2.0, size=(4_000, 2)),
+                      [[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]])
+    for r in (0.5, 1.0, 3.0):
+        want = _power_sum(rows, phi.powers) < r ** 1.5
+        assert np.array_equal(phi.strictly_below(rows, r), want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_power_sum_has_the_bits_of_numpy_row_sums(n):
     rows = np.random.default_rng(n).normal(scale=3.0, size=(20_000, n))

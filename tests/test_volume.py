@@ -109,17 +109,27 @@ def test_monte_carlo_sample_budget():
         volume_monte_carlo(DISC, 1e15)
 
 
-def test_monte_carlo_blocks_do_not_change_the_estimate():
-    # four blocks, the last of 17 rows, against one draw of all the samples
+def _assert_blocks_match_one_draw(phi):
+    # four blocks, the last of 17 rows, against one draw of all the samples,
+    # with hits decided by φ's values
     samples = 3 * _WALK_EVAL_ROWS + 17
-    got = volume_monte_carlo(SUPERELLIPSE, samples, seed=4)
-    radius = max(1.0, (1.0 / SUPERELLIPSE.growth()) ** SUPERELLIPSE.generator.beta)
-    rng = np.random.Generator(np.random.Philox(4))
-    pts = rng.uniform(-radius, radius, size=(samples, SUPERELLIPSE.dim))
-    p = np.count_nonzero(SUPERELLIPSE.evaluate_many(pts) < 1.0) / samples
-    box_vol = (2.0 * radius) ** SUPERELLIPSE.dim
+    got = volume_monte_carlo(phi, samples, seed=4)
+    radius = max(1.0, (1.0 / phi.growth()) ** phi.generator.beta)
+    rng = np.random.Generator(np.random.PCG64(4))
+    pts = rng.uniform(-radius, radius, size=(samples, phi.dim))
+    p = np.count_nonzero(phi.evaluate_many(pts) < 1.0) / samples
+    box_vol = (2.0 * radius) ** phi.dim
     assert got.value == box_vol * p
     assert got.error == _Z99 * box_vol * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+
+
+def test_monte_carlo_blocks_do_not_change_the_estimate():
+    _assert_blocks_match_one_draw(SUPERELLIPSE)
+
+
+def test_monte_carlo_blocks_on_a_quadratic_form():
+    # the float rows take QuadraticForm.strictly_below's fallback
+    _assert_blocks_match_one_draw(DISC)
 
 
 def test_lattice_count_worked_examples():

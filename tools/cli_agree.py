@@ -15,13 +15,13 @@ and after all of them the number of byte-identical pairs.
 
 A change that reorders a floating-point sum cannot keep the CLI outputs
 byte-identical; it is judged by agreement within the stated error bars
-instead.  For the `zeta`, `zeta-direct`, `zeta-estimated`, `theta` and
-`asymp` commands the script compares each row of zeta.csv, keyed s=<s>, each
-row of theta.csv, keyed w=<w>, and the θ expansion of asymp_summary.json at
-the largest w: each term
+instead.  For the `zeta`, `zeta-direct`, `zeta-estimated`, `theta`,
+`asymp` and `volume` commands the script compares each row of zeta.csv,
+keyed s=<s>, each row of theta.csv, keyed w=<w>, the θ expansion of
+asymp_summary.json at the largest w: each term
 (`expansion_terms`, keyed term=<k>; term k >= 1 is the ζ(φ,−k) correction)
-and their sum (`expansion_at_largest_w`, keyed largest_w).  For each it
-prints
+and their sum (`expansion_at_largest_w`, keyed largest_w), and each row of
+volume.csv, a real value keyed estimator=<name>.  For each it prints
 
     <config> <command> <key> ratio=<|Δvalue| / (err_parent + err_change)>
 
@@ -53,7 +53,7 @@ from pathlib import Path
 
 from cli_digest import COMMANDS, ROOT, _run
 
-LABELS = ("zeta", "zeta-direct", "zeta-estimated", "theta", "asymp")
+LABELS = ("zeta", "zeta-direct", "zeta-estimated", "theta", "asymp", "volume")
 
 
 def _value(row: dict) -> tuple:
@@ -67,6 +67,10 @@ def _rows(out: Path) -> list:
         terms = [(f"term={k}", row) for k, row in enumerate(summary["expansion_terms"])]
         return [(key, *_value(row)) for key, row in
                 terms + [("largest_w", summary["expansion_at_largest_w"])]]
+    if (out / "volume.csv").is_file():
+        with open(out / "volume.csv", newline="") as fh:
+            return [(f"estimator={r['estimator']}", float(r["value"]), float(r["error"]))
+                    for r in csv.DictReader(fh)]
     for name, var in (("zeta.csv", "s"), ("theta.csv", "w")):
         if (out / name).is_file():
             with open(out / name, newline="") as fh:
