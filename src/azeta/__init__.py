@@ -37,17 +37,14 @@ from .homog import (
 from .kernel import Kernel, fourier_transform
 from .matflow import (
     GeneratorMatrix,
-    matrix_power,
     polar_decompose,
     solve_lyapunov,
-    spectral_bounds,
 )
 from .propsuite import CheckRow, verify_suite
 from .theta import (
     BoundedValue,
     jacobi_residual,
     theta_phi,
-    theta_star_matrix,
     theta_star_table,
 )
 from .volume import (
@@ -101,16 +98,13 @@ __all__ = [
     "growth_scan",
     "jacobi_residual",
     "lattice_count",
-    "matrix_power",
     "polar_decompose",
     "remainder_check",
     "residue_at_alpha",
     "sandwich_smooth",
     "solve_lyapunov",
-    "spectral_bounds",
     "theta_expansion",
     "theta_phi",
-    "theta_star_matrix",
     "theta_star_table",
     "unit_ball_membership",
     "verify_suite",

@@ -32,7 +32,6 @@ __all__ = [
     "theta_expansion",
     "remainder_check",
     "bernoulli_identity_check",
-    "bernoulli_numbers",
     "RemainderReport",
     "BernoulliReport",
 ]

@@ -1,8 +1,8 @@
 """Config-driven command line front end.
 
 Every subcommand takes `--config file.json` describing one homogeneous
-function (variant, parameters, generator entries) plus tolerances, a seed,
-and an output directory; results land as CSV tables and a JSON summary in
+function (variant, parameters, generator entries) plus a seed and an
+output directory; results land as CSV tables and a JSON summary in
 the output directory, and the summary is echoed to stdout.  Outputs are
 deterministic for a fixed config: floats are printed with %.17g, the only
 randomness sits behind the config seed, and nothing emits timestamps.
@@ -245,8 +245,7 @@ def _cmd_theta(cfg: dict, args) -> int:
 def _cmd_volume(cfg: dict, args) -> int:
     phi = _build_phi(cfg)
     seed = _seed(cfg)
-    target = cfg.get("tolerances", {}).get("volume_target", 1e-10)
-    quad = volume_exp_integral(phi, target=float(target))
+    quad = volume_exp_integral(phi)
     mc = volume_monte_carlo(phi, args.samples, seed=seed)
     count = lattice_count(phi, args.count_radius)
     ratio = count / args.count_radius ** phi.alpha

@@ -45,9 +45,7 @@ from .errors import (
 
 __all__ = [
     "GeneratorMatrix",
-    "matrix_power",
     "solve_lyapunov",
-    "spectral_bounds",
     "polar_decompose",
 ]
 
@@ -116,13 +114,6 @@ def _spectral_certificate(entries: np.ndarray):
     kappa = math.sqrt(max(np.linalg.cond(solve_lyapunov(beta * eye - entries)),
                           np.linalg.cond(solve_lyapunov(entries - gamma * eye))))
     return gamma, beta, 1.0 / kappa, kappa, None
-
-
-def spectral_bounds(matrix: np.ndarray):
-    """(gamma, beta, c1, c2) certificate for the flow of `matrix`, by the
-    proofs of the module docstring."""
-    gamma, beta, c1, c2, _ = _spectral_certificate(np.asarray(matrix, dtype=float))
-    return gamma, beta, c1, c2
 
 
 class GeneratorMatrix:
@@ -266,11 +257,6 @@ class GeneratorMatrix:
                 t[i], _ = polar_decompose(self, points[i])
             u = pullback(t)
         return t, u
-
-
-def matrix_power(generator: GeneratorMatrix, t: float) -> np.ndarray:
-    """t^A for t > 0 (matrix exponential of (log t) A)."""
-    return generator.flow(t)
 
 
 def polar_decompose(generator: GeneratorMatrix, point: np.ndarray):

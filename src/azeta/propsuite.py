@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import AzetaError
 from .homog import HomogeneousFunction, sandwich_smooth
-from .matflow import matrix_power
 from .theta import theta_phi
 from .volume import lattice_count, volume_exp_integral, volume_monte_carlo
 from .zeta import _route, default_power, zeta_continued, zeta_direct
@@ -58,8 +57,8 @@ def _check_group_law(phi, rng):
     for _ in range(32):
         s = float(rng.uniform(0.2, 5.0))
         t = float(rng.uniform(0.2, 5.0))
-        lhs = matrix_power(gen, s) @ matrix_power(gen, t)
-        rhs = matrix_power(gen, s * t)
+        lhs = gen.flow(s) @ gen.flow(t)
+        rhs = gen.flow(s * t)
         scale = max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
     return (worst <= 1e-12, f"worst relative defect {worst:.2e} (tol 1e-12)")

@@ -13,8 +13,8 @@ direct series' walk of the box (`homog._lattice_values`, one orthant or half
 the box) and scales it, since φ(t^A ω) = t φ(ω); a transform on a diagonal
 flow sums its in-band boxes in closed form, all nodes in one blocked
 contraction; anything else sums the box's nonzero rows at each node.  Both
-box routes share one box per table (`_table_stop`).  `theta_star_matrix` is
-its one-node call.  `theta_phi` sums e^{-wφ} over the same walk.
+box routes share one box per table (`_table_stop`), cut where the tail meets
+`_STAR_TARGET`.  `theta_phi` sums e^{-wφ} over the same walk.
 
 The transform law reads theta_A(g, i/t) = t^alpha theta_{A^T}(ghat, it) in the
 convention ghat(y) = ∫ g(x) e^{-2πi <x,y>} dx.
@@ -34,8 +34,7 @@ from .lattice import COUNT_BUDGET, SLAB_ROWS, box_rows
 from .matflow import GeneratorMatrix
 from .special import _power_sum_bound, exp_shell_tail, first_shell
 
-__all__ = ["BoundedValue", "theta_star_table", "theta_star_matrix", "theta_phi",
-           "jacobi_residual"]
+__all__ = ["BoundedValue", "theta_star_table", "theta_phi", "jacobi_residual"]
 
 RIGOROUS = "rigorous"
 ESTIMATED = "estimated"
@@ -44,6 +43,7 @@ ESTIMATED = "estimated"
 # size of each block's terms and rounding bounds
 _TABLE_BLOCK = 1 << 15
 _MAX_SHELL = 2000  # shells a θ* search may take; see `_shell_limit`
+_STAR_TARGET = 1e-14  # the tail at which a θ* table's box ends
 _THETA_PHI_TARGET = 1e-13  # the target of `theta_phi`'s tail
 
 
@@ -58,9 +58,6 @@ class BoundedValue:
     def __post_init__(self):
         if self.kind not in (RIGOROUS, ESTIMATED):
             raise DomainError(f"unknown bound kind {self.kind!r}")
-
-    def combine_kind(self, other: "BoundedValue") -> str:
-        return RIGOROUS if self.kind == other.kind == RIGOROUS else ESTIMATED
 
 
 def _grid_sum_error(func, count_in_band: int) -> float:
@@ -120,10 +117,10 @@ def _shell_limit(dim: int) -> int:
     return m
 
 
-def _table_stop(generator: GeneratorMatrix, func, ts: np.ndarray, target: float):
+def _table_stop(generator: GeneratorMatrix, func, ts: np.ndarray):
     """(m, tails, rigorous) of a table at the flow times ts: the first shell
-    m after which the summand's closed-form `shell_tail` meets target at
-    the node of least σ, and each node's own tail past that m.
+    m after which the summand's closed-form `shell_tail` meets `_STAR_TARGET`
+    at the node of least σ, and each node's own tail past that m.
 
     Shell m lies at norm ≥ σ m, σ the smallest singular value of t^A: on a
     diagonal A that is t^{a_min} for t ≥ 1 and t^{a_max} below, otherwise
@@ -141,34 +138,34 @@ def _table_stop(generator: GeneratorMatrix, func, ts: np.ndarray, target: float)
         sigmas = np.linalg.svd(flows, compute_uv=False)[:, -1]
     limit = _shell_limit(generator.dim)
     least = sigmas.min(keepdims=True)
-    m = first_shell(lambda j: func.shell_tail(least, j + 1)[0][0] <= target, limit)
+    m = first_shell(lambda j: func.shell_tail(least, j + 1)[0][0] <= _STAR_TARGET, limit)
     if m is None:
         raise BudgetExceededError(
-            f"θ* sum did not meet target {target:g} within {limit} shells, the "
+            f"θ* sum did not meet target {_STAR_TARGET:g} within {limit} shells, the "
             f"most whose box fits the {SLAB_ROWS:,}-point budget and the "
             f"{_MAX_SHELL}-shell cap")
     return (m,) + func.shell_tail(sigmas, m + 1)
 
 
-def _pairwise_rounding(magnitude, count, passes: int = 1):
+def _pairwise_rounding(magnitude, count):
     """Bound on the rounding of numpy sums of `count` terms.
 
     numpy's pairwise sum (blocks of 128 over 8 accumulators) rounds a term
-    at most log2(count) + 25 times, and adding up `passes` partial sums
-    `passes` times more; one rounding moves the sum by at most 2^-53 of the
-    summed magnitudes, charged at 2^-52 to cover the second-order terms.
+    at most log2(count) + 25 times, and adding up the partial sums once
+    more; one rounding moves the sum by at most 2^-53 of the summed
+    magnitudes, charged at 2^-52 to cover the second-order terms.
     """
-    return (passes + np.log2(count) + 25.0) * 2.0**-52 * magnitude
+    return (1 + np.log2(count) + 25.0) * 2.0**-52 * magnitude
 
 
-def _kernel_table(kernel, ts: np.ndarray, target: float):
+def _kernel_table(kernel, ts: np.ndarray):
     """A kernel on its own flow, g(t^A ω) = radial(t φ(ω)): φ once on the
     walk of the table's box, each value weighted by the points it stands
     for, and one (nodes × points) array of terms per block of nodes.  The
     bar adds to the tail the rounding of the row sums and each term's own
     error (`Kernel.radial_terms`), on magnitudes, since the terms of a
     `GaussianTransform` change sign."""
-    m_stop, tails, rigorous = _table_stop(kernel.generator, kernel, ts, target)
+    m_stop, tails, rigorous = _table_stop(kernel.generator, kernel, ts)
     mult = 2 if kernel.phi.is_even else 1
     walk = [(vals, np.full(vals.size, mult * weight, dtype=float))
             for vals, weight in _lattice_values(kernel.phi, [m_stop] * kernel.dim)]
@@ -185,21 +182,16 @@ def _kernel_table(kernel, ts: np.ndarray, target: float):
     return values, errors, RIGOROUS if rigorous else ESTIMATED
 
 
-def _shell_walk(func, flow, offsets, tail: float, rigorous: bool):
-    """(value, error, kind) of one node: one sum over the table's box, the
-    nonzero rows `offsets`, mapped by the node's flow."""
+def _shell_walk(func, flow, offsets, tail: float):
+    """(value, error) of one node: one sum over the table's box, the nonzero
+    rows `offsets`, mapped by the node's flow."""
     vals = func.evaluate_many(offsets @ flow.T)
     rounding = _pairwise_rounding(float(np.sum(np.abs(vals))), offsets.shape[0])
     err = tail + rounding + _grid_sum_error(func, offsets.shape[0])
-    kind = (
-        RIGOROUS
-        if rigorous and not hasattr(func, "quad_error")
-        else ESTIMATED
-    )
-    return float(np.sum(vals)), err, kind
+    return float(np.sum(vals)), err
 
 
-def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12):
+def theta_star_table(generator: GeneratorMatrix, func, ts):
     """θ*(t) = Σ over nonzero lattice ω of f(t^A ω) at every node t of ts.
 
     Returns (values, errors, kind): two arrays and one tag for the table.
@@ -207,36 +199,28 @@ def theta_star_table(generator: GeneratorMatrix, func, ts, target: float = 1e-12
     its sum over the shells j >= m at norm >= sigma j, over arrays of sigma
     and m; kernels give certified bounds, sampled transforms fitted ones.
     At fixed m the bound must not increase with sigma: the table's box is
-    the one that meets target at its node of least σ (`_table_stop`), and
-    every node charges its own tail past that box.  Three routes, one per
-    summand type: a Kernel on its own flow (`_kernel_table`), a transform
-    with a closed-form box sum on a diagonal flow (`_tensor_table`), and a
-    sum over the box's nonzero rows at each node for everything else.  A
-    box of more than SLAB_ROWS points raises `BudgetExceededError`.
+    the one that meets `_STAR_TARGET` at its node of least σ
+    (`_table_stop`), and every node charges its own tail past that box.
+    Three routes, one per summand type: a Kernel on its own flow
+    (`_kernel_table`), a transform with a closed-form box sum on a diagonal
+    flow (`_tensor_table`), and a sum over the box's nonzero rows at each
+    node for everything else.  A box of more than SLAB_ROWS points raises
+    `BudgetExceededError`.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     if not np.all((ts > 0.0) & np.isfinite(ts)):
         raise DomainError(f"flow times must be positive and finite, got {ts}")
     if isinstance(func, Kernel) and np.array_equal(generator.entries,
                                                    func.generator.entries):
-        return _kernel_table(func, ts, target)
+        return _kernel_table(func, ts)
     if generator.is_diagonal and hasattr(func, "box_sum"):
         return _tensor_table(generator, func, ts)
-    m_stop, tails, rigorous = _table_stop(generator, func, ts, target)
+    m_stop, tails, rigorous = _table_stop(generator, func, ts)
     rows = box_rows([m_stop] * generator.dim, nonzero=True)
-    values, errors, kinds = zip(*(
-        _shell_walk(func, generator.flow(t), rows, tail, rigorous)
-        for t, tail in zip(ts.tolist(), tails.tolist())))
-    kind = RIGOROUS if all(k == RIGOROUS for k in kinds) else ESTIMATED
-    return np.asarray(values, dtype=float), np.asarray(errors, dtype=float), kind
-
-
-def theta_star_matrix(generator: GeneratorMatrix, func, t: float,
-                      target: float = 1e-12) -> BoundedValue:
-    """Σ over nonzero lattice points of f(t^A ω), with a tail bound: the
-    one-node `theta_star_table`."""
-    values, errors, kind = theta_star_table(generator, func, [t], target)
-    return BoundedValue(float(values[0]), float(errors[0]), kind)
+    values, errors = zip(*(_shell_walk(func, generator.flow(t), rows, tail)
+                           for t, tail in zip(ts.tolist(), tails.tolist())))
+    return (np.asarray(values, dtype=float), np.asarray(errors, dtype=float),
+            RIGOROUS if rigorous else ESTIMATED)
 
 
 def theta_phi(phi, w) -> BoundedValue:
@@ -275,8 +259,7 @@ def theta_phi(phi, w) -> BoundedValue:
     return BoundedValue(value, exp_shell_tail(dim, m_stop + 1, a, p), RIGOROUS)
 
 
-def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
-                    target: float = 1e-12) -> BoundedValue:
+def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float) -> BoundedValue:
     """|theta_A(g, i/t) - t^alpha theta_{A^T}(ghat, it)| with its error budget.
 
     Zero in exact arithmetic; the returned error bar says how much of the
@@ -285,13 +268,14 @@ def jacobi_residual(generator: GeneratorMatrix, func, func_hat, t: float,
     """
     if not (t > 0.0):
         raise DomainError(f"flow time must be positive, got {t}")
-    left_star = theta_star_matrix(generator, func, 1.0 / t, target=target)
-    right_star = theta_star_matrix(generator.transpose(), func_hat, t, target=target)
+    left_star, left_err, left_kind = theta_star_table(generator, func, [1.0 / t])
+    right_star, right_err, right_kind = theta_star_table(generator.transpose(), func_hat, [t])
     g0 = float(getattr(func, "value_at_origin"))
     ghat0 = complex(func_hat.value_at_origin).real
     scale = t**generator.alpha
-    left = g0 + left_star.value
-    right = scale * (ghat0 + right_star.value)
+    left = g0 + float(left_star[0])
+    right = scale * (ghat0 + float(right_star[0]))
     residual = abs(left - right)
-    err = left_star.error + scale * (right_star.error + func_hat.origin_error)
-    return BoundedValue(residual, err, left_star.combine_kind(right_star))
+    err = float(left_err[0]) + scale * (float(right_err[0]) + func_hat.origin_error)
+    kind = RIGOROUS if left_kind == right_kind == RIGOROUS else ESTIMATED
+    return BoundedValue(residual, err, kind)

@@ -46,29 +46,29 @@ __all__ = [
 ]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_QUAD_TARGET = 1e-10  # the box quadrature's target on |B|
 
 
-def volume_exp_integral(phi: HomogeneousFunction, target: float = 1e-10) -> BoundedValue:
+def volume_exp_integral(phi: HomogeneousFunction) -> BoundedValue:
     """|B| from int e^{-phi} dx = Gamma(alpha+1) |B|.
 
-    Runs the graded box quadrature on the certified decay box of e^{-phi}.
-    The bar adds Gamma's relative error times the value.  If the refinement
-    budget runs out first, the finest pass and its estimate stand (always
-    tagged estimated).  Cached on phi per target, so the pole
-    term of `zeta_direct`, which takes the default target, reuses it.
+    Runs the graded box quadrature on the certified decay box of e^{-phi}
+    to `_QUAD_TARGET` on |B|.  The bar adds Gamma's relative error times the
+    value.  If the refinement budget runs out first, the finest pass and its
+    estimate stand (always tagged estimated).  Cached on phi, so the pole
+    term of `zeta_direct` reuses it.
     """
     if phi.dim > 3:
         raise DomainError("volume_exp_integral supports n <= 3")
     cache = cache_for(phi)
-    key = ("volume", float(target))
-    if key not in cache:
+    if "volume" not in cache:
         kernel = Kernel(phi, power=0.0)
         g = gamma(phi.alpha + 1.0).real
-        value, err, _ = kernel.integral_over_space(target=target * g)
+        value, err, _ = kernel.integral_over_space(target=_QUAD_TARGET * g)
         volume = float(np.real(value)) / g
         err = float(abs(err)) / g + gamma_rel_error(phi.alpha + 1.0) * abs(volume)
-        cache[key] = BoundedValue(volume, err, ESTIMATED)
-    return cache[key]
+        cache["volume"] = BoundedValue(volume, err, ESTIMATED)
+    return cache["volume"]
 
 
 def volume_monte_carlo(phi: HomogeneousFunction, samples: int,

@@ -5,11 +5,11 @@ import pytest
 
 from azeta.asymp import (
     bernoulli_identity_check,
-    bernoulli_numbers,
     remainder_check,
     theta_expansion,
 )
 from azeta.errors import DomainError
+from azeta.special import bernoulli_numbers
 from azeta.theta import theta_phi
 from oracles import bernoulli_exact
 from shapes import ABSVAL, DISC, SQUARE

@@ -14,7 +14,6 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "phi": {"variant": "pnorm", "dim": 1, "p": 1.0},
         "generator": [[1.0]],
-        "tolerances": {"volume_target": 1e-10},
         "output_dir": str(tmp_path / "out"),
         "seed": 0,
     }

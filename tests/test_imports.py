@@ -1,5 +1,5 @@
 """The import path: no scipy, no thread pool, and numpy's lazy submodules
-loaded up front.
+loaded up front; and the public surface the README names.
 
 A fresh interpreter imports azeta, builds the three shipped configs and makes
 one call of each kind the CLI and the benchmark make.  scipy is only needed by
@@ -7,15 +7,19 @@ the 2-D `Profile` and by defective generators, which none of these reach;
 `concurrent.futures` by nothing in the package.
 """
 
+import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import azeta
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 _SCRIPT = """
 import json, sys
@@ -49,3 +53,22 @@ def test_no_scipy_on_the_cli_and_benchmark_paths():
     assert report["scipy"] == []
     assert report["futures"] is False
     assert report["early"] == {"numpy.fft": True, "numpy.polynomial": True}
+
+
+def test_readme_public_surface_matches_the_exports():
+    # every name the README's public-surface paragraph lists is exported, and
+    # every exported function, and every exported class that is neither an
+    # exception nor a dataclass record, is listed there
+    text = (ROOT / "README.md").read_text()
+    start = text.index("The public surface is re-exported from `azeta`:")
+    paragraph = text[start:text.index("\n\n", start)].split(":", 1)[1]
+    listed = set(re.findall(r"`(\w+)`", paragraph))
+    exported = set(azeta.__all__)
+    assert sorted(listed - exported) == []
+
+    def record_or_error(obj):
+        return inspect.isclass(obj) and (issubclass(obj, Exception)
+                                         or dataclasses.is_dataclass(obj))
+
+    surface = {name for name in exported if not record_or_error(getattr(azeta, name))}
+    assert sorted(surface - listed) == []

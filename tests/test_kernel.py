@@ -438,7 +438,7 @@ def test_gaussian_table_bars_cover_the_exact_mixed_sign_sums(phi, c):
     q = quadratic_root(phi)[0].q_matrix
     ghat = quadratic_transform(q, c)
     ts, _ = panel_points([0.2, 0.5, 1.0, 2.0], 8)
-    values, errors, kind = theta_star_table(ghat.generator, ghat, ts, target=1e-14)
+    values, errors, kind = theta_star_table(ghat.generator, ghat, ts)
     assert kind == "rigorous"
     rows = box_rows([8] * phi.dim, nonzero=True)
     _, first, counts = np.unique(np.round(ghat.phi.evaluate_many(rows), 9),

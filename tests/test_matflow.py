@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from azeta import matflow
 from azeta.errors import DegenerateSystemError, DomainError, NotPositiveSpectrumError
 from azeta.homog import AnisotropicSuperellipse, PNorm, Profile
 from azeta.matflow import (
     GeneratorMatrix,
-    matrix_power,
     polar_decompose,
     solve_lyapunov,
-    spectral_bounds,
 )
 from azeta.propsuite import _check_polar
 
@@ -35,8 +34,8 @@ def test_alpha_is_trace():
 
 def test_flow_group_law():
     g = GeneratorMatrix([[0.5, 0.2], [0.0, 0.25]])
-    lhs = matrix_power(g, 2.0) @ matrix_power(g, 3.0)
-    rhs = matrix_power(g, 6.0)
+    lhs = g.flow(2.0) @ g.flow(3.0)
+    rhs = g.flow(6.0)
     assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -70,6 +69,30 @@ def test_defective_polar_round_trip():
     assert np.allclose(g.lyapunov_radius(u), 1.0, rtol=0.0, atol=1e-12)
     for ti, ui, x in zip(t, u, points):
         assert np.allclose(g.apply_flow(float(ti), ui)[0], x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("entries", [[[0.5, 0.0], [0.0, 2.0]], [[1.0, 0.3], [-0.3, 1.0]],
+                                     [[1.0, 1.0], [0.0, 1.0]]],
+                         ids=["diagonal", "rotating", "defective"])
+def test_polar_many_hands_stragglers_to_polar_decompose(monkeypatch, entries):
+    # no residual meets a negative tolerance, so every point leaves the
+    # Newton loop unconverged and takes the scalar bisection path
+    monkeypatch.setattr(matflow, "_POLAR_TOL", -1.0)
+    fallback = []
+
+    def recorded(generator, point):
+        fallback.append(polar_decompose(generator, point))
+        return fallback[-1]
+
+    monkeypatch.setattr(matflow, "polar_decompose", recorded)
+    g = GeneratorMatrix(entries)
+    points = np.array([[0.3, -1.2], [2.5, 0.4], [-4.0, 3.0], [1e-3, 5e3]])
+    t, u = g.polar_many(points)
+    assert t.tolist() == [ti for ti, _ in fallback]
+    assert np.max(np.abs(g.lyapunov_radius(u) - 1.0)) <= 1e-12
+    for ti, ui, x in zip(t, u, points):
+        back = g.apply_flow(float(ti), ui)[0]
+        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_lyapunov_solves_equation():
@@ -111,10 +134,10 @@ def test_lyapunov_error_types():
 
 
 def test_spectral_bounds_straddle_eigenvalues():
-    gamma, beta, c1, c2 = spectral_bounds(np.diag([0.5, 2.0]))
-    assert gamma == pytest.approx(0.5)
-    assert beta == pytest.approx(2.0)
-    assert 0.0 < c1 <= c2
+    g = GeneratorMatrix(np.diag([0.5, 2.0]))
+    assert g.gamma == pytest.approx(0.5)
+    assert g.beta == pytest.approx(2.0)
+    assert 0.0 < g.c1 <= g.c2
 
 
 _CERTIFIED = {
@@ -134,7 +157,6 @@ def test_spectral_bounds_certificate_holds_on_samples():
     rng = np.random.default_rng(5)
     for name, entries in _CERTIFIED.items():
         g = GeneratorMatrix(entries)
-        assert (g.gamma, g.beta, g.c1, g.c2) == spectral_bounds(entries)
         x = rng.normal(size=(1000, g.dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         for t in np.geomspace(1e-4, 1e4, 200):

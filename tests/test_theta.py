@@ -19,12 +19,7 @@ from azeta.lattice import box_rows
 from azeta.matflow import GeneratorMatrix
 from azeta.quadrature import panel_points
 from azeta.special import _power_sum_bound, exp_shell_tail, first_shell, gamma_tail_factor
-from azeta.theta import (
-    jacobi_residual,
-    theta_phi,
-    theta_star_matrix,
-    theta_star_table,
-)
+from azeta.theta import jacobi_residual, theta_phi, theta_star_table
 from azeta.zeta import default_power
 
 from oracles import theta3_sum
@@ -192,7 +187,7 @@ def test_theta_over_the_point_budget_raises_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-# θ*(ball kernel, 1e-3) stops at shell 257 by its tail bound, 1.4e8 rows if
+# θ*(ball kernel, 1e-3) stops at shell 267 by its tail bound, 1.5e8 rows if
 # the table were formed; run under a 1 GiB address-space cap, so a tree
 # without the point budget fails with MemoryError instead of taking gigabytes
 _THETA_STAR_BUDGET_SCRIPT = """
@@ -202,11 +197,11 @@ import numpy as np
 from azeta.errors import BudgetExceededError
 from azeta.homog import QuadraticForm
 from azeta.kernel import Kernel
-from azeta.theta import theta_star_matrix
+from azeta.theta import theta_star_table
 ball = QuadraticForm(np.eye(3))
 start = time.perf_counter()
 try:
-    theta_star_matrix(ball.generator, Kernel(ball, power=4), 1e-3)
+    theta_star_table(ball.generator, Kernel(ball, power=4), [1e-3])
 except BudgetExceededError as exc:
     print(f"{time.perf_counter() - start:.3f}", exc)
 """
@@ -257,7 +252,7 @@ def test_kernel_table_bars_cover_the_polar_error_of_a_profile(entries):
         resolution=64)
     kernel = Kernel(phi, power=4)
     ts = np.array([1.0, 2.5, 6.0, 12.0])
-    values, errors, kind = theta_star_table(generator, kernel, ts, target=1e-14)
+    values, errors, kind = theta_star_table(generator, kernel, ts)
     assert kind == "rigorous"
     rows = box_rows([160, 160], nonzero=True)
     for t, value, error in zip(ts.tolist(), values, errors):
@@ -271,9 +266,9 @@ def test_theta_star_is_theta_minus_center_term():
     phi = PNorm(1, 1.0)
     k = Kernel(phi, power=0.0)
     for t in (1.0, 2.0):
-        star = theta_star_matrix(k.generator, k, t)
+        (star,), _, _ = theta_star_table(k.generator, k, [t])
         full = theta_phi(phi, t)
-        assert star.value == pytest.approx(full.value - 1.0, abs=1e-11)
+        assert star == pytest.approx(full.value - 1.0, abs=1e-11)
 
 
 def test_jacobi_residual_self_dual_gaussian():
@@ -316,7 +311,7 @@ def test_jacobi_rejects_nonpositive_time():
 
 
 class _ShellOnly:
-    """A transform seen only through the generic interface of theta_star_matrix."""
+    """A transform seen only through the generic interface of theta_star_table."""
 
     def __init__(self, transform):
         self._transform = transform
@@ -337,9 +332,9 @@ def test_box_sum_path_agrees_with_shell_path(kernel):
     tr = fourier_transform(kernel)
     generator = kernel.generator.transpose()
     for t in (1.3, 2.7, 5.0):
-        fast = theta_star_matrix(generator, tr, t)
-        shells = theta_star_matrix(generator, _ShellOnly(tr), t)
-        assert abs(fast.value - shells.value) <= fast.error + shells.error
+        (fast,), (fast_error,), _ = theta_star_table(generator, tr, [t])
+        (shells,), (shells_error,), _ = theta_star_table(generator, _ShellOnly(tr), [t])
+        assert abs(fast - shells) <= fast_error + shells_error
 
 
 class _Recording:
@@ -364,9 +359,9 @@ def test_rigorous_shell_bar_covers_the_rounding_of_the_sum(t):
     # target: the truncated tail alone is far below one ulp of the value
     kernel = Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))
     recorder = _Recording(kernel)
-    got = theta_star_matrix(SUPERELLIPSE.generator, recorder, t, target=1e-14)
-    assert got.kind == "rigorous"
-    assert abs(got.value - math.fsum(recorder.values)) <= got.error
+    (value,), (error,), kind = theta_star_table(SUPERELLIPSE.generator, recorder, [t])
+    assert kind == "rigorous"
+    assert abs(value - math.fsum(recorder.values)) <= error
 
 
 _TAIL_SUMMANDS = {
@@ -402,7 +397,7 @@ def test_table_stop_is_the_scalar_search_at_the_least_sigma(phi, ts):
     # each node's tail at that stop against the scalar tail at its own σ;
     # the array tails round apart by a few ulps of their exponent
     kernel = Kernel(phi, power=default_power(phi))
-    m_stop, tails, rigorous = theta_module._table_stop(phi.generator, kernel, ts, 1e-14)
+    m_stop, tails, rigorous = theta_module._table_stop(phi.generator, kernel, ts)
     assert rigorous is True
     c3, p = phi.growth(), 1.0 / phi.generator.beta
     sigmas = [np.linalg.svd(phi.generator.flow(t), compute_uv=False)[-1] for t in ts]
@@ -494,7 +489,7 @@ def test_kernel_table_bars_cover_the_conditioning_of_g(phi):
     c = default_power(phi)
     kernel = Kernel(phi, power=c)
     ts, _ = panel_points([16.0, 32.0, 64.0, 100.0], 24)
-    values, errors, kind = theta_star_table(kernel.generator, kernel, ts, target=1e-14)
+    values, errors, kind = theta_star_table(kernel.generator, kernel, ts)
     assert kind == "rigorous"
     levels = phi.evaluate_many(box_rows([8] * phi.dim, nonzero=True)).tolist()
     with mpmath.workdps(30):
@@ -510,8 +505,8 @@ def test_kernel_table_in_blocks_matches_one_node_calls(monkeypatch):
     kernel = Kernel(SUPERELLIPSE, power=default_power(SUPERELLIPSE))
     ts, _ = panel_points([1.0, 2.0, 4.0], 12)
     monkeypatch.setattr(theta_module, "_TABLE_BLOCK", 2000)
-    values, errors, _ = theta_star_table(kernel.generator, kernel, ts, target=1e-14)
+    values, errors, _ = theta_star_table(kernel.generator, kernel, ts)
     for t, value, error in zip(ts, values, errors):
-        one = theta_star_matrix(kernel.generator, kernel, t, target=1e-14)
-        assert abs(value - one.value) <= 1e-15 * one.value
-        assert error == pytest.approx(one.error, rel=0.2)
+        (one,), (one_error,), _ = theta_star_table(kernel.generator, kernel, [t])
+        assert abs(value - one) <= 1e-15 * one
+        assert error == pytest.approx(one_error, rel=0.2)

@@ -210,8 +210,7 @@ def _panel_loop(side_end, generator, func, s):
     panels = list(zip(edges[:-1], edges[1:]))
     hi = [panel_points(panel, 24) for panel in panels]
     lo = [panel_points(panel, 12) for panel in panels]
-    vals, errs, _ = theta_star_table(
-        generator, func, np.concatenate([ts for ts, _ in hi + lo]), target=1e-14)
+    vals, errs, _ = theta_star_table(generator, func, np.concatenate([ts for ts, _ in hi + lo]))
     value, quad, table = 0j, 0.0, 0.0
     for p, ((ts, ws), (ts_lo, ws_lo)) in enumerate(zip(hi, lo)):
         weights = ws * np.exp((s - 1.0) * np.log(ts))
@@ -280,6 +279,32 @@ def test_negative_integers_retry_past_the_sample_budget():
     assert default_power(PNorm(2, 4.0), 1.0) == 5
     assert zeta_negative_integers(PNorm(2, 4.0), 1) == zeta_continued(PNorm(2, 4.0), -1.0,
                                                                       power=6)
+
+
+@pytest.mark.parametrize("last", ["value", "budget"])
+def test_negative_integers_last_rung_returns_unchanged(monkeypatch, last):
+    # the first two powers fall short of the strip; the third, c + 2·step,
+    # is the last attempt, and its value or its error comes back as it is
+    c, step = default_power(SUPERELLIPSE, 5.0), int(SUPERELLIPSE.smooth_step)
+    outcome = object() if last == "value" else BudgetExceededError("over the budget")
+    powers = []
+
+    def continued(phi, s, power):
+        powers.append(power)
+        if len(powers) < 3:
+            raise StripError("short of the strip")
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(zeta_module, "zeta_continued", continued)
+    if last == "value":
+        assert zeta_negative_integers(SUPERELLIPSE, 5) is outcome
+    else:
+        with pytest.raises(BudgetExceededError) as info:
+            zeta_negative_integers(SUPERELLIPSE, 5)
+        assert info.value is outcome
+    assert powers == [c, c + step, c + 2 * step]
 
 
 def test_scaling_law():
