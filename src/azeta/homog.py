@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantError
 from .lattice import box_size, grid_rows, half_box_slabs, orthant_slabs
-from .matflow import _POLAR_TOL, GeneratorMatrix
+from .matflow import _POLAR_TOL, GeneratorMatrix, quadratic_rows
 
 __all__ = [
     "HomogeneousFunction",
@@ -59,6 +59,10 @@ class HomogeneousFunction:
     #: φ(-x) == φ(x) bit for bit, so a lattice sum may walk half the box;
     #: variants whose arithmetic is sign-symmetric set it
     is_even = False
+    #: φ is nondecreasing in each |x_i|, so `_lattice_values` and
+    #: `kernel.fourier_transform` take one orthant and
+    #: `volume.lattice_count` counts by column heights
+    coordinate_monotone = False
     #: relative error of φ's values beyond a few ulps: 0 for a closed form
     value_error = 0.0
 
@@ -198,17 +202,19 @@ class QuadraticForm(HomogeneousFunction):
         self.q_matrix = q
         self.q_matrix.setflags(write=False)
         self._q_inv_diag = np.diag(np.linalg.inv(q))
-        self._diagonal = bool(np.all(q == np.diag(np.diag(q))))
+        self.coordinate_monotone = bool(np.all(q == np.diag(np.diag(q))))
         self.integer_valued = bool(np.all(q == np.round(q)))
+        self._q_weight = float(np.abs(q).sum())
+        self._q_int64 = q.astype(np.int64) if self._q_weight < 2.0**62 else None
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum("ij,jk,ik->i", pts, self.q_matrix, pts)
+        return quadratic_rows(pts, self.q_matrix)
 
     def evaluate_grid(self, axes) -> np.ndarray:
-        if not self._diagonal:
+        if not self.coordinate_monotone:
             return super().evaluate_grid(axes)
-        # the einsum's nonzero products (x_i Q_ii) x_i, added in axis order
+        # `quadratic_rows`' products (x_i Q_ii) x_i, added in axis order
         axes = [np.asarray(a, dtype=float) for a in axes]
         return _grid_sum([(a * q) * a for a, q in zip(axes, np.diag(self.q_matrix))])
 
@@ -220,13 +226,20 @@ class QuadraticForm(HomogeneousFunction):
         )
 
     def strictly_below(self, points: np.ndarray, r: float) -> np.ndarray:
-        # integer rows of an integer form compare exactly in int64
+        """Row mask of φ(row) < r, strict.  An integer form decides a block
+        of integer rows exactly: in int64 against ceil(r) while max|x|^2
+        Σ|Q_jk| < 2^62 (which bounds every partial sum) and r is finite,
+        else in Python integers.  Other blocks compare φ's float values."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not (self.integer_valued and np.all(pts == np.round(pts))):
             return super().strictly_below(pts, r)
-        ints = pts.astype(np.int64)
-        q = self.q_matrix.astype(np.int64)
-        return np.einsum("ij,jk,ik->i", ints, q, ints) < r
+        # initial=1.0 keeps a form with no `_q_int64` off the int64 route
+        reach = np.max(np.abs(pts), initial=1.0) ** 2 * self._q_weight
+        if reach < 2.0**62 and math.isfinite(r):
+            # an integer v is below r exactly when it is below ceil(r)
+            return quadratic_rows(pts.astype(np.int64), self._q_int64) < math.ceil(r)
+        exact = np.frompyfunc(int, 1, 1)  # Python ints compare with r exactly
+        return quadratic_rows(exact(pts), exact(self.q_matrix)) < r
 
 
 class HomogeneousPolynomial(HomogeneousFunction):
@@ -256,6 +269,8 @@ class HomogeneousPolynomial(HomogeneousFunction):
         super().__init__(GeneratorMatrix(np.eye(dim) / degree))
         self.exponents = np.asarray(sorted(terms), dtype=float)
         self.coefficients = np.asarray([terms[tuple(int(v) for v in e)] for e in self.exponents.astype(int)], dtype=float)
+        self.coordinate_monotone = bool(
+            np.all(self.coefficients >= 0.0) and np.all(self.exponents % 2 == 0))
         sample = self.generator.sphere_points(4096)
         certificate = float(np.min(self.evaluate_many(sample)))
         if certificate <= 0.0:
@@ -284,6 +299,7 @@ class PNorm(HomogeneousFunction):
 
     label = "p_norm"
     is_even = True
+    coordinate_monotone = True
 
     def __init__(self, dim: int, p: float):
         if p < 1:
@@ -316,11 +332,12 @@ class AnisotropicSuperellipse(HomogeneousFunction):
     """φ(x) = (sum |x_i|^{m_i})^(1/q) with generator diag(q/m_1, ..., q/m_n).
 
     The diagonal entries are forced by the homogeneity identity
-    φ(t^A x) = t φ(x); the constructor verifies it on random samples.
+    φ(t^A x) = t φ(x): t^A scales x_i by t^{q/m_i}, so |x_i|^{m_i} by t^q.
     """
 
     label = "superellipse"
     is_even = True
+    coordinate_monotone = True
 
     def __init__(self, powers, root: float):
         powers = np.asarray(powers, dtype=float)
@@ -333,16 +350,6 @@ class AnisotropicSuperellipse(HomogeneousFunction):
         self.root = float(root)
         even = np.all(powers == np.round(powers)) and np.all(powers % 2 == 0)
         self.smooth_step = max(1, int(round(root))) if even and root == round(root) else 1
-        rng = np.random.Generator(np.random.Philox(_GROWTH_SEED + 2))
-        x = rng.normal(size=(64, self.dim))
-        t = rng.uniform(0.2, 5.0, size=64)
-        for ti, xi in zip(t, x):
-            lhs = self.evaluate_many(self.generator.apply_flow(ti, xi[None, :]))[0]
-            rhs = ti * self.evaluate_many(xi[None, :])[0]
-            if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
-                raise InternalInvariantError(
-                    f"superellipse homogeneity identity failed: {lhs} vs {rhs}"
-                )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -416,6 +423,7 @@ class Scaled(HomogeneousFunction):
         self.factor = float(factor)
         self.smooth_step = base.smooth_step
         self.is_even = base.is_even
+        self.coordinate_monotone = base.coordinate_monotone
         self.value_error = base.value_error
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -431,35 +439,13 @@ class Scaled(HomogeneousFunction):
         return self.base.strictly_below(points, float(r) / self.factor)
 
 
-def _coordinate_monotone(phi: HomogeneousFunction) -> bool:
-    """True when φ is nondecreasing in each |x_i|.
-
-    Such a φ sees each x_i only through |x_i|, so it is even in every
-    coordinate, which lets `kernel.fourier_transform` fold its grids and
-    `_lattice_values` walk one orthant of the lattice, and {φ < r}
-    meets each axis-parallel line in one interval centred on the axis,
-    which lets `volume.lattice_count` count by column heights."""
-    if isinstance(phi, Scaled):
-        return _coordinate_monotone(phi.base)
-    if isinstance(phi, (PNorm, AnisotropicSuperellipse)):
-        return True
-    if isinstance(phi, QuadraticForm):
-        return phi._diagonal
-    if isinstance(phi, HomogeneousPolynomial):
-        return bool(
-            np.all(phi.coefficients >= 0.0)
-            and np.all(phi.exponents % 2 == 0)
-        )
-    return False
-
-
 def _lattice_values(phi: HomogeneousFunction, box, grid: bool = True):
     """(φ, weight) slab by slab over the nonzero rows of the integer box;
     the weighted sums times mult (2 for an even φ, else 1) are the box's.
 
     The one walk of φ over a box, behind the direct series, θ and the
-    lattice minimum.  A coordinate-monotone φ (`_coordinate_monotone`)
-    walks `lattice.orthant_slabs`, a point with 2^k sign images weighing
+    lattice minimum.  A φ with `coordinate_monotone` set walks
+    `lattice.orthant_slabs`, a point with 2^k sign images weighing
     2^k / 2; the origin's slab comes out empty with weight 0, as the half
     box's x_0 = 0 slab does in one dimension.  Its slabs are evaluated on
     their grids (`evaluate_grid`), or with `grid` false as rows in one
@@ -468,7 +454,7 @@ def _lattice_values(phi: HomogeneousFunction, box, grid: bool = True):
     too.  Grid slabs hold at most `_WALK_ROWS` rows, slabs evaluated as
     rows at most `_WALK_EVAL_ROWS`.  The weights are 0 or powers of two, so
     scaling by them is exact."""
-    if _coordinate_monotone(phi):
+    if phi.coordinate_monotone:
         if grid:
             evaluate, cap = phi.evaluate_grid, _WALK_ROWS
         else:
@@ -568,23 +554,28 @@ class Profile(HomogeneousFunction):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(phi: HomogeneousFunction, point) -> float:
-    """φ(x); exactly 0 at the origin."""
-    x = np.asarray(point, dtype=float).reshape(-1)
-    if x.shape[0] != phi.dim:
-        raise DomainError(f"point has dimension {x.shape[0]}, φ has {phi.dim}")
+def _point_row(phi: HomogeneousFunction, point) -> np.ndarray:
+    """`point` as one finite row of φ's dimension."""
+    x = np.asarray(point, dtype=float).reshape(1, -1)
+    if x.shape[1] != phi.dim:
+        raise DomainError(f"point has dimension {x.shape[1]}, φ has {phi.dim}")
     if not np.all(np.isfinite(x)):
         raise DomainError("point must be finite")
-    if np.all(x == 0.0):
-        return 0.0
-    return float(phi.evaluate_many(x[None, :])[0])
+    return x
+
+
+def evaluate(phi: HomogeneousFunction, point) -> float:
+    """φ(x); exactly 0 at the origin."""
+    x = _point_row(phi, point)
+    return float(phi.evaluate_many(x)[0]) if np.any(x) else 0.0
 
 
 def unit_ball_membership(phi: HomogeneousFunction, point, r: float = 1.0) -> bool:
-    """Strict membership φ(x) < r of the open sublevel set."""
+    """Strict membership φ(x) < r of the open sublevel set, decided by
+    `phi.strictly_below`, so exact wherever that is."""
     if not (r > 0.0):
         raise DomainError(f"sublevel radius must be positive, got {r}")
-    return evaluate(phi, point) < r
+    return bool(phi.strictly_below(_point_row(phi, point), r)[0])
 
 
 def _certify_growth(phi: HomogeneousFunction) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; load it with the package)
 
 from .errors import BudgetExceededError, DomainError
-from .homog import HomogeneousFunction, PNorm, QuadraticForm, Scaled, _coordinate_monotone
+from .homog import HomogeneousFunction, PNorm, QuadraticForm, Scaled
 from .quadrature import box_integral
 from .special import exp_shell_tails, power_shell_tail
 
@@ -139,7 +139,7 @@ class Kernel:
         """Half-width R on this axis so g is below 1e-16 of its peak outside
         |x_axis| < R."""
         floor = _G_FLOOR * self._envelope(0.0)
-        if _coordinate_monotone(self.phi):
+        if self.phi.coordinate_monotone:
             e = np.zeros(self.dim)
             e[axis] = 1.0
             for r in np.geomspace(0.5, 1e4, 200):
@@ -673,9 +673,9 @@ def fourier_transform(kernel: Kernel):
     The band grows until |ĝ| on its edge falls below a floor relative to
     max |ĝ|: 1e-15 in one dimension, where the grid is cheap, and 3e-11 on
     the grids of two and three, whose coarse axes hold at most 2^16 and
-    4096 points.  When φ is even in every coordinate (every
-    coordinate-monotone φ is), each pass samples g on x >= 0 only and folds
-    every axis; otherwise it samples the full grid.  `_fft_grid` takes each
+    4096 points.  When φ is even in every coordinate (as is every φ with
+    `coordinate_monotone` set), each pass samples g on x >= 0 only and
+    folds every axis; otherwise it samples the full grid.  `_fft_grid` takes each
     axis at the next odd length with no prime factor above 7, so no pass
     pays for Bluestein's algorithm; the band is read on that slightly finer
     dual grid, and `edge_level` and `decay_tau` with it.  A grid
@@ -687,7 +687,7 @@ def fourier_transform(kernel: Kernel):
         raise DomainError("transforms are supported for n <= 3")
     floor, max_grid = (1e-15, 1 << 16) if n == 1 else (3e-11, 4096)
     radii = kernel.box_radii()
-    folded = (_coordinate_monotone(kernel.phi),) * n
+    folded = (kernel.phi.coordinate_monotone,) * n
     band = np.full(n, 2.0)
     for _ in range(14):
         h = 1.0 / (4.0 * band)

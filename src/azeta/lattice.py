@@ -10,9 +10,10 @@ nonzero coordinate positive).  With their negatives they partition the
 nonzero rows of the box, so a sum over an even φ needs only them, each
 counted twice.  Last, it walks the closed
 orthant prod [0, B_i] of a box face by face, each slab with its number of
-sign images: a φ that sees each x_i only through |x_i| needs only these
-points, for the walk of φ over a box (`homog._lattice_values`) and for the
-column heads of `volume.lattice_count`.
+sign images: a φ that sees each x_i only through |x_i|
+(`coordinate_monotone`) needs only these points, for the walk of φ over a
+box (`homog._lattice_values`) and for the column heads of
+`volume.lattice_count`.
 
 The orthant walk hands out each slab as its axes, one 1-D array per
 coordinate, and φ is evaluated on it by `HomogeneousFunction.evaluate_grid`,

@@ -86,7 +86,7 @@ def _check_polar(phi, rng):
     back = np.vstack([gen.apply_flow(ti, xi[None, :]) for ti, xi in zip(t, xbar)])
     norms = np.linalg.norm(pts, axis=1)
     rel = np.linalg.norm(back - pts, axis=1) / norms
-    radius = np.einsum("ij,jk,ik->i", xbar, gen.lyapunov, xbar)
+    radius = gen.lyapunov_radius(xbar)
     worst_rel = float(rel.max())
     worst_rad = float(np.abs(radius - 1.0).max())
     r = norms / np.linalg.norm(xbar, axis=1)

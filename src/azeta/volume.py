@@ -14,7 +14,7 @@ at s = alpha (which equals alpha |B|):
 
 `lattice_count` is exact (strict inequality, no tolerance slop), so the
 counting scan doubles as an oracle for everything else.  It takes one of two
-routes.  A φ that is nondecreasing in each |x_i| (`homog._coordinate_monotone`)
+routes.  A φ that is nondecreasing in each |x_i| (its `coordinate_monotone`)
 meets every axis-parallel line in one interval centred on the axis, so the
 count is a sum of column heights, each found by bisection over the heads in
 one orthant, each head counted once per sign image; every other φ scans its
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .homog import _WALK_EVAL_ROWS, HomogeneousFunction, _coordinate_monotone
+from .homog import _WALK_EVAL_ROWS, HomogeneousFunction
 from .kernel import Kernel
 from .lattice import COUNT_BUDGET, box_rows, box_size, grid_rows, orthant_slabs, slabs
 from .special import gamma, gamma_rel_error
@@ -117,12 +117,12 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
     """Exact #{omega in Z^n : phi(omega) < r}, strict inequality.
 
     Rows are compared by each variant's `strictly_below`: integer quadratic
-    forms compare integer rows in int64, superellipses recheck the float
-    fence with exact integers, everything else compares computed float
+    forms compare integer rows in exact integers, superellipses recheck the
+    float fence with exact integers, everything else compares computed float
     values (a tie at the boundary can then land either way).
 
     Height route, for a coordinate-monotone φ: that mask is even and
-    nonincreasing in each |x_i| (see `homog._coordinate_monotone`), so on
+    nonincreasing in each |x_i| (`coordinate_monotone`), so on
     the column over a head x' of the longest axis z it passes exactly the
     rows with |z| < h(x') = #{z >= 0 : phi(x', z) < r}, and h is the same
     for every sign image of x'.  One integer bisection over all the heads
@@ -144,7 +144,7 @@ def lattice_count(phi: HomogeneousFunction, r: float) -> int:
             f"lattice box holds {total_pts:.3g} points, over the "
             f"{COUNT_BUDGET:.0e} budget"
         )
-    if not _coordinate_monotone(phi):
+    if not phi.coordinate_monotone:
         return sum(phi.count_strict(box_rows(box, slab), r)
                    for slab in slabs(2 * box + 1, _WALK_EVAL_ROWS))
 

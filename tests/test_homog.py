@@ -383,3 +383,83 @@ def test_grid_values_have_the_bits_of_the_rows(name):
     for axes in grids:
         want = phi.evaluate_many(grid_rows(axes))
         assert np.array_equal(phi.evaluate_grid(axes), want)
+
+
+def _lopsided_profile():
+    def lopsided(pts):
+        return 1.0 + 0.3 * pts[:, 0] / np.linalg.norm(pts, axis=1)
+
+    return Profile.from_function(DISC.generator, lopsided, resolution=64)
+
+
+SKEW_FORM = QuadraticForm([[2.0, 0.5], [0.5, 1.0]])
+# name -> (φ, its coordinate_monotone); each False shape falls somewhere
+MONOTONE_CASES = {
+    "absval": (ABSVAL, True),
+    "pnorm2_p3": (PNorm(2, 3.0), True),
+    "pnorm3_inf": (PNorm(3, math.inf), True),
+    "square": (SQUARE, True),
+    "disc": (DISC, True),
+    "diagonal3": (QuadraticForm(np.diag([1.0, 2.0, 3.0])), True),
+    "superellipse": (SUPERELLIPSE, True),
+    "superellipse3": (AnisotropicSuperellipse([2.0, 4.0, 3.0], 1.5), True),
+    "even_quartic": (HomogeneousPolynomial(2, {(4, 0): 1.0, (2, 2): 3.0, (0, 4): 1.0}), True),
+    "scaled_superellipse": (SUPERELLIPSE.scale(0.5), True),
+    "skew_form": (SKEW_FORM, False),
+    "scaled_skew_form": (Scaled(SKEW_FORM, 1.7), False),
+    # x^4 - x^2 y^2 + y^4 = (x^2 - y^2/2)^2 + 3y^4/4
+    "mixed_sign_quartic": (HomogeneousPolynomial(2, {(4, 0): 1.0, (2, 2): -1.0, (0, 4): 1.0}), False),
+    "odd_exponent_quartic": (HomogeneousPolynomial(2, {(4, 0): 1.0, (3, 1): 1.0, (0, 4): 1.0}), False),
+    "profile": (_lopsided_profile(), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOTONE_CASES))
+def test_coordinate_monotone_matches_its_definition(name):
+    # φ must not fall when one |x_i| grows; a shape that sets False falls
+    phi, monotone = MONOTONE_CASES[name]
+    assert phi.coordinate_monotone is monotone
+    rng = np.random.default_rng(sum(map(ord, name)))
+    pts = rng.normal(size=(4000, phi.dim)) * rng.uniform(0.1, 10.0, size=(4000, 1))
+    grown = pts.copy()
+    axis = rng.integers(0, phi.dim, size=4000)
+    grown[np.arange(4000), axis] *= rng.uniform(1.0, 2.0, size=4000)
+    falls = phi.evaluate_many(grown) < phi.evaluate_many(pts) * (1.0 - 1e-12)
+    assert bool(np.any(falls)) is not monotone
+
+
+def test_integer_form_compares_large_integer_rows_exactly():
+    # 3037000500^2 and (4e9)^2 pass 2^63, where int64 wrapped around to
+    # negative values below every r; the int64 route compares against
+    # ceil(r), since float(268435459^2) rounds up and the int64 value
+    # converted to float would equal it
+    rows = np.array([[4e9, 0.0], [3037000500.0, 0.0], [0.0, -3037000500.0], [1.0, 2.0]])
+    for r in (1.0, 6.0, 9.3e18, float(3037000500 ** 2), 1e19, math.inf):
+        want = [int(x) ** 2 + int(y) ** 2 < r for x, y in rows]
+        assert DISC.strictly_below(rows, r).tolist() == want, r
+    big = 268435459
+    assert float(big ** 2) > big ** 2
+    assert SQUARE.strictly_below(np.array([[big], [big + 1.0]]), float(big ** 2)).tolist() == [True, False]
+    skew = QuadraticForm([[2.0, -1.0], [-1.0, 3.0]])
+    rows = np.array([[2.0e9, 1.0e9], [-7.0, 5.0]])
+    for r in (243.0, 7e18, 1e19):
+        want = [2 * x * x - 2 * x * y + 3 * y * y < r for x, y in ((2 * 10**9, 10**9), (-7, 5))]
+        assert skew.strictly_below(rows, r).tolist() == want, r
+
+
+def test_unit_ball_membership_is_strict_on_the_boundary():
+    # φ(x, 0) = x^2 and φ(0, y) = y^3 on the superellipse, where φ's float
+    # value can round below r: (2, 0) reads 3.9999999999999996
+    for x in range(2, 3000):
+        assert not unit_ball_membership(SUPERELLIPSE, (x, 0), float(x * x)), x
+    for y in range(2, 400):
+        assert not unit_ball_membership(SUPERELLIPSE, (0, -y), float(y ** 3)), y
+    assert unit_ball_membership(SUPERELLIPSE, (1.999, 0.0), 4.0)
+    assert not unit_ball_membership(DISC, (3.0, 4.0), 25.0)
+    assert unit_ball_membership(DISC, (3.0, 3.99), 25.0)
+    assert not unit_ball_membership(SUPERELLIPSE.scale(2.5), (2.0, 0.0), 10.0)
+    assert unit_ball_membership(DISC.scale(2.0), (0.0, 0.0), 1e-300)
+    with pytest.raises(DomainError):
+        unit_ball_membership(DISC, (1.0, 2.0, 3.0))
+    with pytest.raises(DomainError):
+        unit_ball_membership(DISC, (math.nan, 0.0))

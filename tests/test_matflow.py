@@ -11,6 +11,7 @@ from azeta.homog import AnisotropicSuperellipse, PNorm, Profile
 from azeta.matflow import (
     GeneratorMatrix,
     polar_decompose,
+    quadratic_rows,
     solve_lyapunov,
 )
 from azeta.propsuite import _check_polar
@@ -251,3 +252,32 @@ def test_polar_check_is_tight_on_a_diagonal_generator(constant, factor):
     passed, detail = _check_polar(phi, np.random.default_rng(11))
     assert not passed
     assert detail.endswith("t within certified bounds: False")
+
+
+def test_quadratic_rows_matches_the_einsum():
+    # the reference is np.einsum("ij,jk,ik->i", x, M, x), with the same bits
+    # on a diagonal M.  On any other M, quadratic_rows rounds each term at
+    # most 2n times and the einsum n^2 + 1 times, so to first order they
+    # differ by at most (n + 1)^2 eps |x|^T |M| |x| (3 ulps of it were seen)
+    rng = np.random.default_rng(50)
+    blocks = [rng.uniform(-3.0, 3.0, size=(20_000, 3)),
+              rng.integers(-1000, 1000, size=(20_000, 3)).astype(float),
+              rng.uniform(-1.0, 1.0, size=(20_000, 3)) * 1e8,
+              rng.uniform(-1.0, 1.0, size=(20_000, 3)) * 1e-8]
+    diagonal = [np.eye(2), 1.7 * np.eye(2), np.array([[1.0]]), np.diag([1.0, 1.5]),
+                np.eye(3), math.pi ** 2 * np.eye(2)]
+    skew = [np.array([[2.0, 0.5], [0.5, 1.0]]),
+            np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 1.5]])]
+    for m, exact in [(m, True) for m in diagonal] + [(m, False) for m in skew]:
+        n = m.shape[0]
+        for x in blocks:
+            x = np.ascontiguousarray(x[:, :n])
+            got, want = quadratic_rows(x, m), np.einsum("ij,jk,ik->i", x, m, x)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                scale = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(m), np.abs(x))
+                assert np.all(np.abs(got - want) <= (n + 1) ** 2 * np.finfo(float).eps * scale)
+    ints = rng.integers(-10**6, 10**6, size=(1000, 2))
+    assert quadratic_rows(ints, np.array([[3, -1], [-1, 2]])).tolist() == [
+        3 * x * x - 2 * x * y + 2 * y * y for x, y in ints.tolist()]

@@ -12,7 +12,7 @@ import pytest
 import azeta
 from azeta import theta as theta_module
 from azeta.errors import BudgetExceededError, DomainError
-from azeta.homog import (_WALK_EVAL_ROWS, PNorm, Profile, QuadraticForm, _coordinate_monotone,
+from azeta.homog import (_WALK_EVAL_ROWS, PNorm, Profile, QuadraticForm,
                          _lattice_values)
 from azeta.kernel import Kernel, fourier_transform, quadratic_transform
 from azeta.lattice import box_rows
@@ -105,7 +105,7 @@ def _lopsided_profile():
     (_lopsided_profile(), "whole box"),
 ], ids=["monotone", "even", "uneven"])
 def test_theta_sums_each_branch_of_the_lattice_walk(phi, branch, monkeypatch):
-    assert branch == ("orthant" if _coordinate_monotone(phi)
+    assert branch == ("orthant" if phi.coordinate_monotone
                       else "half box" if phi.is_even else "whole box")
     mult = 2 if phi.is_even else 1
     boxes = []
@@ -144,6 +144,7 @@ class _StopShell:
     slab of a one-dimensional half box."""
 
     is_even = False
+    coordinate_monotone = False
 
     def __init__(self, phi):
         self._phi = phi

@@ -12,7 +12,6 @@ from azeta.homog import (
     PNorm,
     Profile,
     QuadraticForm,
-    _coordinate_monotone,
 )
 from azeta.lattice import COUNT_BUDGET, box_rows, slabs
 from azeta.volume import (
@@ -154,7 +153,7 @@ def test_lattice_count_matches_brute_oracle():
         resolution=64)
     pts = lattice_points(2, 12)
     for phi in (skew, uneven):
-        assert not _coordinate_monotone(phi)
+        assert not phi.coordinate_monotone
         assert max(phi.lattice_box(r)) < 12
         assert lattice_count(phi, r) == brute_count(phi.evaluate_many(pts), r)
 
@@ -165,7 +164,7 @@ def test_lattice_count_box_route_over_many_slabs():
     skew = QuadraticForm([[2.0, 0.7], [0.7, 1.0]])
     r = 24_750.05
     box = skew.lattice_box(r)
-    assert not _coordinate_monotone(skew)
+    assert not skew.coordinate_monotone
     assert len(slabs(2 * box + 1, _WALK_EVAL_ROWS)) >= 8
     axis = np.arange(-200, 201, dtype=np.int64)
     x, y = np.meshgrid(axis, axis, indexing="ij")
@@ -255,7 +254,7 @@ HEIGHT_SHAPES = {
 @pytest.mark.parametrize("name", sorted(HEIGHT_SHAPES))
 def test_height_route_matches_box_scan(name):
     phi = HEIGHT_SHAPES[name]
-    assert _coordinate_monotone(phi)
+    assert phi.coordinate_monotone
     rng = np.random.default_rng(sum(map(ord, name)))
     # radii equal to lattice values sit on the boundary of the strict set
     values = phi.evaluate_many(box_rows(np.full(phi.dim, 6), nonzero=True))

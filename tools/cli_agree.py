@@ -18,7 +18,7 @@ byte-identical; it is judged by agreement within the stated error bars
 instead.  For the `zeta`, `zeta-direct`, `zeta-estimated`, `theta`,
 `asymp` and `volume` commands the script compares each row of zeta.csv,
 keyed s=<s>, each row of theta.csv, keyed w=<w>, the θ expansion of
-asymp_summary.json at the largest w: each term
+asymp_summary.json at the last magnitude given (0.05 by default): each term
 (`expansion_terms`, keyed term=<k>; term k >= 1 is the ζ(φ,−k) correction)
 and their sum (`expansion_at_largest_w`, keyed largest_w), and each row of
 volume.csv, a real value keyed estimator=<name>.  For each it prints
